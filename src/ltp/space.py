@@ -373,6 +373,17 @@ def _affine_translate(f: GFunction, kind: str, value, side: str,
 # ---------------------------------------------------------------------------
 
 
+def _affine_bump_probe(carrier: _AffineCarrier, scale: float = 0.45) -> np.ndarray:
+    """Smooth probe (cos^2 bump) supported on the inner ``scale`` of the window."""
+    r_u = scale * carrier.u_values[-1]
+    r_b = scale * carrier.b_values[-1]
+    u = carrier.coords[:, 0]
+    b = carrier.coords[:, 1]
+    fu = np.where(np.abs(u) < r_u, np.cos(0.5 * np.pi * u / r_u) ** 2, 0.0)
+    fb = np.where(np.abs(b) < r_b, np.cos(0.5 * np.pi * b / r_b) ** 2, 0.0)
+    return fu * fb
+
+
 def estimate_modular(model: GroupModel, x, probe: GFunction | None = None,
                      max_leak: float = DEFAULT_MAX_LEAK) -> float:
     """Estimate Delta(x) as (sum w probe) / (sum w probe(. x)).
@@ -392,7 +403,6 @@ def estimate_modular(model: GroupModel, x, probe: GFunction | None = None,
 
     carrier: _AffineCarrier = model.carrier
     if probe is None:
-        from .groups import _affine_bump_probe
         probe = GFunction(model, _affine_bump_probe(carrier))
     kind, value = resolve_point(model, x)
     if kind == "index":

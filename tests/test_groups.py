@@ -9,7 +9,9 @@ import pytest
 import ltp
 from ltp.errors import (DomainError, ResourceError, SpecParseError,
                         WindowLeakError)
-from ltp.groups import OUT_OF_WINDOW, parse_group_spec
+from ltp.groups import (KIND_FINITE, OUT_OF_WINDOW, GroupModel,
+                        GroupValidationError, _CyclicCarrier, _SymmetricCarrier,
+                        parse_group_spec, validate_group)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +111,69 @@ def test_finite_inverses_exact():
         assert np.all(G.op(inv, idx) == G.identity)
 
 
+# Rows of an order-5 loop: identity 0, every element its own inverse, Latin
+# rows, but (1 1) 2 = 2 while 1 (1 2) = 4.
+_LOOP_ROWS = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                       [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+
+
+class _LoopCarrier(_CyclicCarrier):
+    def op(self, i, j):
+        return _LOOP_ROWS[np.asarray(i), np.asarray(j)]
+
+    def inv(self, i):
+        return np.asarray(i)
+
+
+class _CorruptedCyclicCarrier(_CyclicCarrier):
+    """Addition mod n with the single product 3 * 5 moved from 8 to 9."""
+
+    def op(self, i, j):
+        i, j = np.asarray(i), np.asarray(j)
+        return np.where((i == 3) & (j == 5), 9, super().op(i, j))
+
+
+@pytest.mark.parametrize("carrier", [_LoopCarrier(5), _CorruptedCyclicCarrier(512)],
+                         ids=["loop:5", "corrupted-cyclic:512"])
+def test_validation_rejects_non_associative_carrier(carrier):
+    # both carriers pass the identity and inverse checks; only the
+    # associativity test can reject them
+    n = carrier.n
+    model = GroupModel(kind=KIND_FINITE, spec=parse_group_spec(f"cyclic:{n}"),
+                       carrier=carrier, weights=np.ones(n), modular=np.ones(n))
+    with pytest.raises(GroupValidationError, match="associativity"):
+        validate_group(model)
+
+
+def test_symmetric_build_evaluates_each_pair_once(monkeypatch):
+    # validation reads the Cayley table off the division table, so building
+    # evaluates op on n^2 pairs rather than on the n^3 of a triple loop
+    evaluated = []
+    op = _SymmetricCarrier.op
+
+    def counting_op(self, i, j):
+        evaluated.append(math.prod(np.broadcast_shapes(np.shape(i), np.shape(j))))
+        return op(self, i, j)
+
+    monkeypatch.setattr(_SymmetricCarrier, "op", counting_op)
+    G = ltp.build_group("symmetric:5")
+    assert sum(evaluated) <= 2 * G.n ** 2
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:300", "dihedral:5", "symmetric:4", "product:cyclic:3+dihedral:2",
+    "z:8", "z2:3", "r:0.25:2", "affine:0.125:1:0.125:1",
+])
+def test_division_table_matches_op(spec):
+    G = ltp.build_group(spec)
+    x, y = np.divmod(np.arange(G.n * G.n), G.n)
+    table = G.division_table()
+    assert table.dtype == np.int64
+    assert np.array_equal(table.reshape(-1), G.op(G.inv(y), x))
+    # only affine inverses leave the window (their columns are all -1)
+    assert np.any(G.inverses == OUT_OF_WINDOW) == spec.startswith("affine")
+
+
 # ---------------------------------------------------------------------------
 # Lattice models
 # ---------------------------------------------------------------------------
@@ -199,11 +264,24 @@ def test_affine_modular_validation_points_are_exact():
     # interpolant telescopes, so the build-time validation points agree with
     # the closed form to float precision (off-grid contraction is covered by
     # test_estimate_modular_off_grid_refinement)
-    from ltp.groups import _affine_modular_estimate, _affine_validation_points
+    from ltp.groups import _affine_validation_points
     G = ltp.build_group("affine:0.25:2:0.25:4")
     for u_x, b_x in _affine_validation_points(G.carrier):
-        est = _affine_modular_estimate(G, u_x, b_x)
+        est = ltp.estimate_modular(G, int(G.carrier.snap(u_x, b_x)))
         assert est == pytest.approx(math.exp(-u_x), rel=1e-12)
+
+
+def test_wide_affine_window_validates_on_the_residual():
+    # on a wide u window the pure b shift pulls probe cells back by up to
+    # e^{0.45 R_u} b_x, past the window edge: more mass leaks than
+    # estimate_modular's default guard allows, and validation judges the
+    # residual against the closed form instead, which stays below 1%
+    from ltp.groups import _affine_modular_residual, _affine_validation_points
+    G = ltp.build_group("affine:0.5:8:0.5:2")
+    u_x, b_x = _affine_validation_points(G.carrier)[2]
+    with pytest.raises(WindowLeakError):
+        ltp.estimate_modular(G, int(G.carrier.snap(u_x, b_x)))
+    assert _affine_modular_residual(G) < 1e-2
 
 
 # ---------------------------------------------------------------------------
