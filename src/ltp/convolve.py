@@ -1,16 +1,18 @@
 """Convolution against left Haar weights.
 
-Three execution paths:
+The convention is convolve(a, b) = a * b with
+(a*b)(x) = sum_y w_y a(y) b(y^{-1} x).  The right-convolution map g -> g * f,
+whose operator norm is the tempered norm, has the matrix
+M[x, y] = w_y K[x, y] with kernel K[x, y] = f(y^{-1} x).
 
-* direct summation through the division table idx[x, y] = y^{-1} x,
-* a spectral path for finite abelian models (multidimensional FFT over the
-  declared cyclic factors),
-* interpolated quadrature summation on the affine model.
+Finite abelian models convolve by FFT over the declared cyclic factors.
+Every other route (direct convolution, the operator matrix, the exact p = 1
+column supremum) reads K from one column-block generator,
+:func:`_kernel_blocks`: a gather through the division table
+idx[x, y] = y^{-1} x, or cell-averaged quadrature on the affine grid.
 
 Every result carries the fraction of product mass dropped at a truncation
-boundary in its ``leak`` metadata.  The convention is convolve(a, b) = a * b
-with (a*b)(x) = sum_y w_y a(y) b(y^{-1} x); the operator wrapper realizes
-the right-factor map g -> g * f whose operator norm is the tempered norm.
+boundary in its ``leak`` metadata.
 """
 
 from __future__ import annotations
@@ -34,39 +36,41 @@ def _fft_shape(model: GroupModel):
     return tuple(factors)
 
 
-def _direct_values(g: GFunction, f: GFunction) -> np.ndarray:
-    model = g.group
-    idx = model.division_table()
-    weighted = model.weights * g.values
-    fv = np.concatenate([f.values, [0.0]])  # -1 sentinel gathers the zero pad
-    out = np.empty(model.n, dtype=np.complex128)
-    for start in range(0, model.n, _CHUNK):
-        stop = min(start + _CHUNK, model.n)
-        out[start:stop] = fv[idx[start:stop]] @ weighted
-    return out
+def _kernel_blocks(model: GroupModel, values: np.ndarray):
+    """Yield (start, stop, K[:, start:stop]) with K[x, y] = f(y^{-1} x).
 
+    ``values`` holds f on the model's cells; K is 0 where y^{-1} x leaves
+    the window.  This is the only code that knows the kernel of each
+    carrier; callers consume it one 256-column block at a time, so no n x n
+    kernel exists unless a caller assembles one.  On the affine grid the u
+    shift u_x - u_y is exact, and the b argument e^{-u_y} (b_x - b_y) is
+    averaged over the compressed image of each source cell (see
+    ``averaged_rows``).
+    """
+    n = model.n
+    carrier = model.carrier
+    if isinstance(carrier, _AffineCarrier):
+        iu_all, _ = carrier.split(np.arange(n))
+        u = carrier.coords[:, 0]
+        b = carrier.coords[:, 1]
+        ext, cum = carrier.b_prefix(values)
 
-def _affine_values(g: GFunction, f: GFunction) -> np.ndarray:
-    model = g.group
-    carrier: _AffineCarrier = model.carrier
-    iu_all, _ = carrier.split(np.arange(model.n))
-    u = carrier.coords[:, 0]
-    b = carrier.coords[:, 1]
-    ext, cum = carrier.b_prefix(f.values)
-    weighted = model.weights * g.values
-    out = np.zeros(model.n, dtype=np.complex128)
-    # (g*f)(x) = sum_y w_y g(y) f(y^{-1} x): the u shift u_x - u_y is exact
-    # on the grid, the b argument e^{-u_y} (b_x - b_y) is averaged over the
-    # compressed image of each source cell (see averaged_rows).
-    for start in range(0, model.n, _CHUNK):
-        stop = min(start + _CHUNK, model.n)
-        rows = iu_all[None, :] - iu_all[start:stop][:, None] + carrier.k_u
-        comp = np.exp(-u[start:stop])[:, None]
-        tau_c = comp * (b[None, :] - b[start:stop][:, None])
-        tau_h = 0.5 * comp * carrier.h_b
-        block = carrier.averaged_rows(ext, cum, rows, tau_c - tau_h, tau_c + tau_h)
-        out += weighted[start:stop] @ block
-    return out
+        def block(cols):
+            rows = iu_all[:, None] - iu_all[cols][None, :] + carrier.k_u
+            comp = np.exp(-u[cols])[None, :]
+            tau_c = comp * (b[:, None] - b[cols][None, :])
+            tau_h = 0.5 * comp * carrier.h_b
+            return carrier.averaged_rows(ext, cum, rows, tau_c - tau_h, tau_c + tau_h)
+    else:
+        idx = model.division_table()
+        padded = np.concatenate([values, [0.0]])  # -1 sentinel gathers the zero pad
+
+        def block(cols):
+            return padded[idx[:, cols]]
+
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        yield start, stop, block(slice(start, stop))
 
 
 def _product_leak(g: GFunction, f: GFunction) -> float:
@@ -77,30 +81,20 @@ def _product_leak(g: GFunction, f: GFunction) -> float:
     total = float(mg.sum() * mf.sum())
     if total == 0.0:
         return 0.0
+    support_g = np.nonzero(mg)[0]
+    support_f = np.nonzero(mf)[0]
     carrier = model.carrier
-    leaked = 0.0
     if isinstance(carrier, _LatticeCarrier):
-        support_g = np.nonzero(mg)[0]
-        support_f = np.nonzero(mf)[0]
-        if len(support_g) == 0 or len(support_f) == 0:
-            return 0.0
-        cg = carrier.to_coords(support_g)
-        cf = carrier.to_coords(support_f)
-        out = np.any(np.abs(cg[:, None, :] + cf[None, :, :]) > carrier.radius, axis=2)
-        leaked = float(np.sum(mg[support_g][:, None] * mf[support_f][None, :] * out))
-    elif isinstance(carrier, _AffineCarrier):
-        support_g = np.nonzero(mg)[0]
-        support_f = np.nonzero(mf)[0]
-        if len(support_g) == 0 or len(support_f) == 0:
-            return 0.0
+        cg = carrier.to_coords(support_g)[:, None, :]
+        cf = carrier.to_coords(support_f)[None, :, :]
+        out = np.any(np.abs(cg + cf) > carrier.radius, axis=2)
+    else:  # the affine grid, the only other windowed carrier
         ug = carrier.coords[support_g, 0][:, None]
         bg = carrier.coords[support_g, 1][:, None]
         uf = carrier.coords[support_f, 0][None, :]
         bf = carrier.coords[support_f, 1][None, :]
-        pu = ug + uf
-        pb = np.exp(ug) * bf + bg
-        out = ~carrier.inside(pu, pb)
-        leaked = float(np.sum(mg[support_g][:, None] * mf[support_f][None, :] * out))
+        out = ~carrier.inside(ug + uf, np.exp(ug) * bf + bg)
+    leaked = float(np.sum(mg[support_g][:, None] * mf[support_f][None, :] * out))
     return leaked / total
 
 
@@ -130,43 +124,34 @@ def convolve(g: GFunction, f: GFunction, *, path: str = "auto") -> GFunction:
         values = w0 * np.fft.ifftn(gs * fs).reshape(-1)
         return GFunction(model, values, 0.0)
 
-    if isinstance(model.carrier, _AffineCarrier):
-        values = _affine_values(g, f)
-        leak = _product_leak(g, f)
-        return GFunction(model, values, leak)
-
-    values = _direct_values(g, f)
+    weighted = model.weights * g.values
+    values = np.zeros(model.n, dtype=np.complex128)
+    for start, stop, block in _kernel_blocks(model, f.values):
+        values += block @ weighted[start:stop]
     leak = 0.0 if model.kind == KIND_FINITE else _product_leak(g, f)
     return GFunction(model, values, leak)
 
 
 @dataclass
 class ConvOperator:
-    """The right-convolution map g -> g * f.
+    """The right-convolution map g -> g * f as the matrix
+    M[x, y] = w_y f(y^{-1} x), materialized on first use and cached.
 
-    ``realization`` is "dense" (materialized matrix with entries
-    M[x, y] = w_y f(y^{-1} x)) or "matvec" (apply via convolve).  Dense
-    materialization is capped at n <= 4096.
+    Only models with n <= 4096 get a matrix; ``convolve`` applies the map
+    on every model without building it.
     """
 
     f: GFunction
-    realization: str = "auto"
     _matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        n = self.f.group.n
-        if self.realization == "auto":
-            self.realization = "dense" if n <= DENSE_CAP else "matvec"
-        elif self.realization == "dense" and n > DENSE_CAP:
-            raise ResourceError(f"dense operator for n={n} exceeds the cap {DENSE_CAP}")
 
     @property
     def group(self) -> GroupModel:
         return self.f.group
 
     def matrix(self) -> np.ndarray:
-        if self.realization != "dense":
-            raise ResourceError("operator is matrix-free; use apply()")
+        n = self.group.n
+        if n > DENSE_CAP:
+            raise ResourceError(f"dense operator for n={n} exceeds the cap {DENSE_CAP}")
         if self._matrix is None:
             self._matrix = _operator_matrix(self.f)
         return self._matrix
@@ -181,44 +166,18 @@ class ConvOperator:
         scale_right = w ** (-1.0 / exp.p)
         return scale_left[:, None] * self.matrix() * scale_right[None, :]
 
-    def apply(self, g: GFunction) -> GFunction:
-        if self.realization == "dense" and self._matrix is not None:
-            self.group.require_same(g.group)
-            return GFunction(self.group, self._matrix @ g.values)
-        return convolve(g, self.f, path="direct" if self.group.kind == KIND_FINITE else "auto")
-
 
 def _operator_matrix(f: GFunction) -> np.ndarray:
     model = f.group
-    n = model.n
-    real_input = bool(np.all(f.values.imag == 0.0))
-    dtype = np.float64 if real_input else np.complex128
-    fv_base = f.values.real if real_input else f.values
-
-    if isinstance(model.carrier, _AffineCarrier):
-        carrier = model.carrier
-        iu_all, _ = carrier.split(np.arange(n))
-        u = carrier.coords[:, 0]
-        b = carrier.coords[:, 1]
-        ext, cum = carrier.b_prefix(fv_base)
-        out = np.empty((n, n), dtype=dtype)
-        for start in range(0, n, _CHUNK):
-            stop = min(start + _CHUNK, n)
-            rows = iu_all[:, None] - iu_all[start:stop][None, :] + carrier.k_u
-            comp = np.exp(-u[start:stop])[None, :]
-            tau_c = comp * (b[:, None] - b[start:stop][None, :])
-            tau_h = 0.5 * comp * carrier.h_b
-            out[:, start:stop] = carrier.averaged_rows(ext, cum, rows,
-                                                       tau_c - tau_h, tau_c + tau_h)
-        return out * model.weights[None, :]
-
-    idx = model.division_table()
-    fv = np.concatenate([fv_base, [0.0]])
-    return fv[idx] * model.weights[None, :]
+    values = f.values.real if f.is_real else f.values  # real f keeps a float64 matrix
+    out = np.empty((model.n, model.n), dtype=values.dtype)
+    for start, stop, block in _kernel_blocks(model, values):
+        out[:, start:stop] = block
+    return out * model.weights[None, :]
 
 
-def conv_operator(f: GFunction, realization: str = "auto") -> ConvOperator:
-    return ConvOperator(f, realization)
+def conv_operator(f: GFunction) -> ConvOperator:
+    return ConvOperator(f)
 
 
 def associativity_check(f: GFunction, g: GFunction, h: GFunction) -> float:

@@ -71,9 +71,6 @@ class GroupSpec:
     normalization: str
     factors: tuple["GroupSpec", ...] = ()
 
-    def canonical(self) -> str:
-        return self.text
-
 
 def _parse_positive_int(token: str, what: str) -> int:
     try:
@@ -541,10 +538,6 @@ class GroupModel:
 
     @property
     def n(self) -> int:
-        return self.carrier.n
-
-    @property
-    def size(self) -> int:
         return self.carrier.n
 
     @property

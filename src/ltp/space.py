@@ -112,10 +112,6 @@ class GFunction:
     __rmul__ = __mul__
 
 
-def from_values(group: GroupModel, values) -> GFunction:
-    return GFunction(group, np.asarray(values))
-
-
 # ---------------------------------------------------------------------------
 # Norms and pairings
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .report import FAIL, CheckResult, SuiteReport
 from .space import (Exponent, GFunction, dirac, dirac_measure, ess_sup,
                     estimate_modular, inner, lp_norm, modular_reflect,
                     random_function, translate, LEFT_DIRAC, RIGHT_DIRAC,
-                    decompose_l1_linf)
+                    decompose_l1_linf, _affine_bump_probe)
 from .spectral import (DUAL_CAP, build_dual, character_orthogonality_residual,
                        convolution_theorem_check, fourier,
                        inverse_product_check, mult_operator_norm,
@@ -74,12 +74,10 @@ def _random_probe(model: GroupModel, rng, *, positive=False, complex_valued=True
         b = carrier.coords[:, 1]
         r_u = concentration * carrier.u_values[-1]
         r_b = concentration * carrier.b_values[-1]
-        fu = np.where(np.abs(u) < r_u, np.cos(0.5 * np.pi * u / r_u) ** 2, 0.0)
-        fb = np.where(np.abs(b) < r_b, np.cos(0.5 * np.pi * b / r_b) ** 2, 0.0)
         phase_u, phase_b = rng.uniform(0, 2 * np.pi, 2)
         wave = 1.0 + 0.4 * np.cos(2.0 * np.pi * u / max(r_u, 1e-9) + phase_u) \
                    + 0.3 * np.cos(np.pi * b / max(r_b, 1e-9) + phase_b)
-        values = fu * fb * wave
+        values = _affine_bump_probe(carrier, concentration) * wave
         if not positive:
             values = values * np.exp(1j * phase_u) if complex_valued else values
         return GFunction(model, np.abs(values) if positive else values)
@@ -778,10 +776,7 @@ def _execute_check(check: CheckDef, model: GroupModel, p: float | None,
                                    expected=expected, tolerance=tol, notes=notes)
     except SkipCheck as exc:
         result = CheckResult.skip(name, check.ref, str(exc))
-    except LtpError as exc:
-        result = CheckResult(name, check.ref, FAIL, None, None, tol, 0.0,
-                             f"error: {type(exc).__name__}: {exc}")
-    except Exception as exc:  # a broken check must not abort the suite
+    except Exception as exc:  # a failing or broken check must not abort the suite
         result = CheckResult(name, check.ref, FAIL, None, None, tol, 0.0,
                              f"error: {type(exc).__name__}: {exc}")
     if timings:

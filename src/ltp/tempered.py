@@ -32,7 +32,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from .errors import DomainError, GridTooCoarse, LtpError, ResourceError
 from .groups import (KIND_FINITE, KIND_QUADRATURE, GroupModel,
                      _AffineCarrier, _LatticeCarrier)
-from .convolve import DENSE_CAP, conv_operator, convolve
+from .convolve import DENSE_CAP, _kernel_blocks, conv_operator, convolve
 from .space import (Exponent, GFunction, lp_norm, point_modular, translate,
                     weighted_l1_norm, RIGHT_DIRAC)
 
@@ -161,13 +161,10 @@ def _exact_l1(f: GFunction) -> NormEstimate:
     if n > DENSE_CAP:
         raise ResourceError(f"exact l1 route needs n <= {DENSE_CAP}")
     w = model.weights
-    if isinstance(model.carrier, _AffineCarrier):
-        mat = conv_operator(f).matrix()
-        col = (w @ np.abs(mat)) / w
-    else:
-        idx = model.division_table()
-        absf = np.concatenate([np.abs(f.values), [0.0]])
-        col = w @ absf[idx]
+    values = f.values.real if f.is_real else f.values  # real arithmetic, as in matrix()
+    col = np.empty(n)
+    for start, stop, block in _kernel_blocks(model, values):
+        col[start:stop] = w @ np.abs(block)  # sum_x |M[x, y]| / w_y
     best = int(np.argmax(col))
     lower = float(col[best])
     upper = weighted_l1_norm(f, math.inf)

@@ -88,16 +88,30 @@ def test_dirac_measure_operator_is_identity():
         assert np.allclose(mat, np.eye(5), atol=1e-14)
 
 
-def test_dense_apply_matches_direct():
-    G = ltp.build_group("cyclic:6")
+@pytest.mark.parametrize("spec", ["cyclic:6", "dihedral:4", "z:5", "z2:8", "r:0.5:2",
+                                  "affine:0.25:1:0.25:1", "affine:0.125:1:0.125:1"])
+def test_direct_path_matches_operator_matrix(spec):
+    # z2:8 and affine:0.125:1:0.125:1 (n = 289) span two kernel column blocks
+    G = ltp.build_group(spec)
     rng = np.random.default_rng(5)
-    f = ltp.random_function(G, rng)
-    op = conv_operator(f)
-    op.matrix()
-    for _ in range(5):
-        g = ltp.random_function(G, rng)
-        assert np.max(np.abs(op.apply(g).values
-                             - ltp.convolve(g, f, path="direct").values)) < 1e-12
+    for f in (ltp.random_function(G, rng), ltp.random_function(G, rng, complex_valued=False)):
+        mat = conv_operator(f).matrix()
+        for _ in range(5):
+            g = ltp.random_function(G, rng)
+            expected = mat @ g.values
+            got = ltp.convolve(g, f, path="direct").values
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("spec", ["r:0.5:2", "r:0.05:4", "affine:0.25:1:0.25:1",
+                                  "affine:0.125:1:0.125:1"])
+def test_exact_l1_witness_attains_lower(spec):
+    G = ltp.build_group(spec)
+    for f in (ltp.random_function(G, 3), ltp.random_function(G, 4, complex_valued=False)):
+        est = ltp.tempered_norm(f, 1)
+        witness = est.witness
+        ratio = ltp.lp_norm(ltp.convolve(witness, f), 1) / ltp.lp_norm(witness, 1)
+        assert ratio == pytest.approx(est.lower, rel=1e-12)
 
 
 def test_convolving_with_dirac_measure_is_translation():
