@@ -89,11 +89,9 @@ def _product_leak(g: GFunction, f: GFunction) -> float:
         cf = carrier.to_coords(support_f)[None, :, :]
         out = np.any(np.abs(cg + cf) > carrier.radius, axis=2)
     else:  # the affine grid, the only other windowed carrier
-        ug = carrier.coords[support_g, 0][:, None]
-        bg = carrier.coords[support_g, 1][:, None]
-        uf = carrier.coords[support_f, 0][None, :]
-        bf = carrier.coords[support_f, 1][None, :]
-        out = ~carrier.inside(ug + uf, np.exp(ug) * bf + bg)
+        ug, bg = carrier.coords[support_g].T[:, :, None]
+        uf, bf = carrier.coords[support_f].T[:, None, :]
+        out = ~carrier.inside(*carrier.product_coords(ug, bg, uf, bf))
     leaked = float(np.sum(mg[support_g][:, None] * mf[support_f][None, :] * out))
     return leaked / total
 

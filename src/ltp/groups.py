@@ -315,11 +315,16 @@ class _ProductCarrier(_Carrier):
 
 
 class _LatticeCarrier(_Carrier):
-    """Truncated Z^d box [-R, R]^d; addition with an out-of-window sentinel."""
+    """Truncated Z^d box [-R, R]^d; addition with an out-of-window sentinel.
 
-    def __init__(self, dim: int, radius: int):
+    ``step`` is the length of one lattice unit: 1 on Z and Z^2, the grid
+    step h on the real-line quadrature r:h:B.
+    """
+
+    def __init__(self, dim: int, radius: int, step: float = 1.0):
         self.dim = dim
         self.radius = radius
+        self.step = step
         self.side = 2 * radius + 1
         self.n = self.side ** dim
         self.is_abelian = True
@@ -592,8 +597,7 @@ class GroupModel:
     def coords(self) -> np.ndarray | None:
         """Coordinate chart per index, when the carrier has one."""
         if isinstance(self.carrier, _LatticeCarrier):
-            step = self._cache.get("step", 1.0)
-            return self.carrier.coords * step
+            return self.carrier.coords * self.carrier.step
         if isinstance(self.carrier, _AffineCarrier):
             return self.carrier.coords
         return None
@@ -623,22 +627,16 @@ def build_group(spec: GroupSpec | str, *, validate: bool = True,
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
 
-    carrier, kind, step = _make_carrier(spec, element_cap)
+    carrier, kind = _make_carrier(spec, element_cap)
     n = carrier.n
 
-    if kind == KIND_FINITE:
-        weights = np.ones(n)
-        modular = np.ones(n)
-    elif kind == KIND_LATTICE:
-        weights = np.ones(n)
-        modular = np.ones(n)
-    elif spec.family == "r":
-        weights = np.full(n, step)
-        modular = np.ones(n)
-    else:  # affine
+    if isinstance(carrier, _AffineCarrier):
         u = carrier.coords[:, 0]
         weights = np.exp(-u) * carrier.h_u * carrier.h_b
         modular = np.exp(-u)
+    else:  # unimodular; a lattice cell has the measure of its step
+        weights = np.full(n, carrier.step if isinstance(carrier, _LatticeCarrier) else 1.0)
+        modular = np.ones(n)
 
     if spec.normalization == PROBABILITY:
         weights = weights / weights.sum()
@@ -646,9 +644,6 @@ def build_group(spec: GroupSpec | str, *, validate: bool = True,
     model = GroupModel(kind=kind, spec=spec, carrier=carrier,
                        weights=weights, modular=modular,
                        normalization=spec.normalization)
-    if spec.family == "r":
-        model._cache["step"] = step
-
     if validate:
         validate_group(model)
     return model
@@ -665,39 +660,39 @@ def _make_carrier(spec: GroupSpec, element_cap: int):
     if family in ("cyclic", "circle"):
         n = spec.params[0]
         check_cap(n)
-        return _CyclicCarrier(n), KIND_FINITE, None
+        return _CyclicCarrier(n), KIND_FINITE
     if family == "dihedral":
         check_cap(2 * spec.params[0])
-        return _DihedralCarrier(spec.params[0]), KIND_FINITE, None
+        return _DihedralCarrier(spec.params[0]), KIND_FINITE
     if family == "symmetric":
         big_n = spec.params[0]
         if big_n > 10:
             raise ResourceError(f"symmetric:{big_n} is far beyond desk scale")
         check_cap(math.factorial(big_n))
-        return _SymmetricCarrier(big_n), KIND_FINITE, None
+        return _SymmetricCarrier(big_n), KIND_FINITE
     if family == "product":
         children = [_make_carrier(f, element_cap)[0] for f in spec.factors]
         carrier = _ProductCarrier(children)
         check_cap(carrier.n)
-        return carrier, KIND_FINITE, None
+        return carrier, KIND_FINITE
     if family == "z":
         radius = spec.params[0]
         check_cap(2 * radius + 1)
-        return _LatticeCarrier(1, radius), KIND_LATTICE, None
+        return _LatticeCarrier(1, radius), KIND_LATTICE
     if family == "z2":
         radius = spec.params[0]
         check_cap((2 * radius + 1) ** 2)
-        return _LatticeCarrier(2, radius), KIND_LATTICE, None
+        return _LatticeCarrier(2, radius), KIND_LATTICE
     if family == "r":
         h, b = spec.params
         radius = int(round(b / h))
         check_cap(2 * radius + 1)
-        return _LatticeCarrier(1, radius), KIND_QUADRATURE, h
+        return _LatticeCarrier(1, radius, h), KIND_QUADRATURE
     if family == "affine":
         hu, ru, hb, rb = spec.params
         carrier = _AffineCarrier(hu, ru, hb, rb)
         check_cap(carrier.n)
-        return carrier, KIND_QUADRATURE, None
+        return carrier, KIND_QUADRATURE
 
     raise SpecParseError(f"unhandled family {family!r}")
 

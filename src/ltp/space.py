@@ -3,6 +3,13 @@ transforms (reflection, modular reflection, real/imaginary/positive parts,
 L1 + Linf splitting), plus Dirac translations and the empirical modular
 estimate.
 
+On finite and lattice models the transports permute indices through the
+group law.  On the affine grid reflection, both Dirac translations and the
+modular estimate are one pull-back, :func:`_affine_pull`: each states its
+maps with the carrier's ``product_coords`` / ``inverse_coords``, reads f by
+bilinear interpolation and reports the share of mass it pushes out of the
+window.
+
 Norms accumulate through numpy's pairwise summation, which keeps the tight
 tolerances used by the verification suites meaningful on carriers up to
 2^20 cells.
@@ -16,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, WindowLeakError
-from .groups import (KIND_FINITE, KIND_LATTICE, KIND_QUADRATURE, OUT_OF_WINDOW,
-                     GroupModel, _AffineCarrier, _LatticeCarrier)
+from .groups import OUT_OF_WINDOW, GroupModel, _AffineCarrier, _LatticeCarrier
 
 DEFAULT_MAX_LEAK = 1e-6
 
@@ -177,19 +183,10 @@ def decompose_l1_linf(f: GFunction) -> tuple[GFunction, GFunction]:
 def reflect(f: GFunction, max_leak: float = DEFAULT_MAX_LEAK) -> GFunction:
     """The reflection x -> f(x^{-1})."""
     model = f.group
-    if model.kind == KIND_QUADRATURE and isinstance(model.carrier, _AffineCarrier):
-        carrier = model.carrier
-        u = carrier.coords[:, 0]
-        b = carrier.coords[:, 1]
-        ui, bi = carrier.inverse_coords(u, b)
-        values = carrier.interp(f.values, ui, bi)
-        leak = _affine_forward_leak(f, ui, bi)
-        if leak > max_leak:
-            raise WindowLeakError(
-                f"support escapes the window under inversion (leak {leak:.3e})", leak)
-        return GFunction(model, values, leak)
-    idx = model.inverses
-    return GFunction(model, f.values[idx])
+    if isinstance(model.carrier, _AffineCarrier):
+        inverse = model.carrier.inverse_coords(*model.carrier.coords.T)
+        return _affine_pull(f, inverse, inverse, 1.0, "inversion", max_leak)
+    return GFunction(model, f.values[model.inverses])
 
 
 def modular_reflect(f: GFunction, p, max_leak: float = DEFAULT_MAX_LEAK) -> GFunction:
@@ -231,29 +228,31 @@ LEFT_DIRAC = "left_dirac"
 RIGHT_DIRAC = "right_dirac"
 
 
-def _mass(f: GFunction) -> float:
-    return float(np.sum(f.group.weights * np.abs(f.values)))
+def _leak_share(f: GFunction, outside: np.ndarray) -> float:
+    """Share of f's weighted mass sitting on the cells flagged ``outside``."""
+    mass = f.group.weights * np.abs(f.values)
+    total = float(np.sum(mass))
+    if total == 0.0:
+        return 0.0
+    return float(np.sum(mass[outside])) / total
 
 
-def _affine_forward_leak(f: GFunction, target_u, target_b) -> float:
-    """Mass fraction of f whose cells map outside the window under a map
-    sending the cell at index i to exact coordinates (target_u[i], target_b[i])."""
+def _affine_pull(f: GFunction, at, push, scale, what: str, max_leak: float) -> GFunction:
+    """The transport t -> scale * f(at(t)) on the affine grid.
+
+    ``at`` holds, per cell t, the exact (u, b) coordinates where the result
+    reads f, evaluated by ``carrier.interp``; ``push`` holds, per cell s,
+    the exact point where f's mass at s lands (the inverse of the ``at``
+    map).  The result's ``leak`` is the share of f's weighted mass that
+    ``push`` sends out of the window; above ``max_leak`` this raises
+    :class:`WindowLeakError`.
+    """
     carrier: _AffineCarrier = f.group.carrier
-    total = _mass(f)
-    if total == 0.0:
-        return 0.0
-    outside = ~carrier.inside(target_u, target_b)
-    leaked = float(np.sum((f.group.weights * np.abs(f.values))[outside]))
-    return leaked / total
-
-
-def _index_leak(f: GFunction, targets: np.ndarray) -> float:
-    total = _mass(f)
-    if total == 0.0:
-        return 0.0
-    outside = targets == OUT_OF_WINDOW
-    leaked = float(np.sum((f.group.weights * np.abs(f.values))[outside]))
-    return leaked / total
+    leak = _leak_share(f, ~carrier.inside(*push))
+    if leak > max_leak:
+        raise WindowLeakError(
+            f"{what} leaks {leak:.3e} of the mass out of the window", leak)
+    return GFunction(f.group, scale * carrier.interp(f.values, *at), leak)
 
 
 def resolve_point(model: GroupModel, x):
@@ -281,6 +280,14 @@ def resolve_point(model: GroupModel, x):
     raise DomainError(f"cannot interpret {x!r} as a point of {model.name}")
 
 
+def _affine_point(model: GroupModel, x) -> tuple[float, float]:
+    """Exact (u, b) coordinates of a point of the affine model."""
+    kind, value = resolve_point(model, x)
+    if kind == "index":
+        return float(model.carrier.u_of(value)), float(model.carrier.b_of(value))
+    return value
+
+
 def point_modular(model: GroupModel, x) -> float:
     """Delta at a resolved point (exact coordinates allowed on affine models)."""
     kind, value = resolve_point(model, x)
@@ -304,12 +311,22 @@ def translate(f: GFunction, x, side: str = LEFT_DIRAC,
     if side not in (LEFT_DIRAC, RIGHT_DIRAC):
         raise DomainError(f"side must be left_dirac or right_dirac, got {side!r}")
     model = f.group
-    kind, value = resolve_point(model, x)
-
     if isinstance(model.carrier, _AffineCarrier):
-        return _affine_translate(f, kind, value, side, max_leak)
+        carrier = model.carrier
+        x_coords = _affine_point(model, x)
+        x_inverse = carrier.inverse_coords(*x_coords)
+        t = carrier.coords.T
+        if side == LEFT_DIRAC:  # f(x^{-1} t); f's mass at t moves to x t
+            at = carrier.product_coords(*x_inverse, *t)
+            push = carrier.product_coords(*x_coords, *t)
+            scale = 1.0
+        else:  # Delta(x)^{-1} f(t x^{-1}); f's mass at t moves to t x
+            at = carrier.product_coords(*t, *x_inverse)
+            push = carrier.product_coords(*t, *x_coords)
+            scale = math.exp(x_coords[0])
+        return _affine_pull(f, at, push, scale, "translation", max_leak)
 
-    i = value
+    i = resolve_point(model, x)[1]
     all_idx = np.arange(model.n)
     inv_x = int(model.inv(i))
     if side == LEFT_DIRAC:
@@ -322,46 +339,11 @@ def translate(f: GFunction, x, side: str = LEFT_DIRAC,
         scale = 1.0 / float(model.modular[i])
 
     values = np.where(source == OUT_OF_WINDOW, 0.0, f.values[np.clip(source, 0, None)])
-    leak = _index_leak(f, targets)
+    leak = _leak_share(f, targets == OUT_OF_WINDOW)
     if leak > max_leak:
         raise WindowLeakError(
             f"translation leaks {leak:.3e} of the mass out of the window", leak)
     return GFunction(model, scale * values, leak)
-
-
-def _affine_translate(f: GFunction, kind: str, value, side: str,
-                      max_leak: float) -> GFunction:
-    model = f.group
-    carrier: _AffineCarrier = model.carrier
-    if kind == "index":
-        u_x = float(carrier.u_of(value))
-        b_x = float(carrier.b_of(value))
-    else:
-        u_x, b_x = value
-    u = carrier.coords[:, 0]
-    b = carrier.coords[:, 1]
-
-    if side == LEFT_DIRAC:
-        # f(x^{-1} t) with x^{-1} t = (u_t - u_x, e^{-u_x} (b_t - b_x))
-        eval_u = u - u_x
-        eval_b = math.exp(-u_x) * (b - b_x)
-        fwd_u = u + u_x
-        fwd_b = math.exp(u_x) * b + b_x
-        scale = 1.0
-    else:
-        # Delta(x)^{-1} f(t x^{-1}) with t x^{-1} = (u_t - u_x, b_t - b_x e^{u_t - u_x})
-        eval_u = u - u_x
-        eval_b = b - b_x * np.exp(u - u_x)
-        fwd_u = u + u_x
-        fwd_b = np.exp(u) * b_x + b
-        scale = math.exp(u_x)
-
-    values = scale * carrier.interp(f.values, eval_u, eval_b)
-    leak = _affine_forward_leak(f, fwd_u, fwd_b)
-    if leak > max_leak:
-        raise WindowLeakError(
-            f"translation leaks {leak:.3e} of the mass out of the window", leak)
-    return GFunction(model, values, leak)
 
 
 # ---------------------------------------------------------------------------
@@ -389,38 +371,21 @@ def estimate_modular(model: GroupModel, x, probe: GFunction | None = None,
     :class:`WindowLeakError` is raised when the translated support drops
     more than ``max_leak`` of its mass.
     """
-    if model.kind in (KIND_FINITE, KIND_LATTICE):
-        resolve_point(model, x)
-        return 1.0
-    if isinstance(model.carrier, _LatticeCarrier):
-        # real-line quadrature: exact integer shifts, unimodular
+    if not isinstance(model.carrier, _AffineCarrier):
+        # finite, lattice and real-line models are unimodular
         resolve_point(model, x)
         return 1.0
 
     carrier: _AffineCarrier = model.carrier
     if probe is None:
         probe = GFunction(model, _affine_bump_probe(carrier))
-    kind, value = resolve_point(model, x)
-    if kind == "index":
-        u_x = float(carrier.u_of(value))
-        b_x = float(carrier.b_of(value))
-    else:
-        u_x, b_x = value
-
-    u = carrier.coords[:, 0]
-    b = carrier.coords[:, 1]
-    # probe(t x) with t x = (u_t + u_x, e^{u_t} b_x + b_t)
-    shifted = carrier.interp(probe.values, u + u_x, np.exp(u) * b_x + b)
-    # support cells of the probe must pull back into the window: the cell at
-    # s contributes iff s x^{-1} is representable
-    su, sb = carrier.coords[:, 0], carrier.coords[:, 1]
-    back_u = su - u_x
-    back_b = sb - b_x * np.exp(su - u_x)
-    leak = _affine_forward_leak(probe, back_u, back_b)
-    if leak > max_leak:
-        raise WindowLeakError(
-            f"probe support leaks {leak:.3e} under translation", leak)
-
+    x_coords = _affine_point(model, x)
+    t = carrier.coords.T
+    # probe(t x); the probe's mass at t moves to t x^{-1}, which must stay
+    # representable for the cell to contribute
+    shifted = _affine_pull(probe, carrier.product_coords(*t, *x_coords),
+                           carrier.product_coords(*t, *carrier.inverse_coords(*x_coords)),
+                           1.0, "probe support", max_leak).values
     num = float(np.sum(model.weights * probe.values.real))
     den = float(np.sum(model.weights * shifted.real))
     if den <= 0.0:
@@ -449,23 +414,28 @@ def dirac_measure(model: GroupModel, x: int | None = None) -> GFunction:
     return GFunction(model, values)
 
 
-def box_function(model: GroupModel, radius: float) -> GFunction:
-    """Indicator of a coordinate box of the given radius around the identity."""
+def _axis_distances(model: GroupModel, what: str) -> np.ndarray:
+    """Distance of each cell to the identity along each coordinate axis, or
+    along each declared cyclic factor; shape (axes, n)."""
     coords = model.coords()
     if coords is not None:
-        inside = np.all(np.abs(coords) <= radius, axis=1)
-        return GFunction(model, inside.astype(np.float64))
+        return np.abs(coords).T
     factors = model.cyclic_factors
     if factors is None:
-        raise DomainError(f"box generator needs coordinates or cyclic factors, "
+        raise DomainError(f"{what} generator needs coordinates or cyclic factors, "
                           f"not available on {model.name}")
     idx = np.arange(model.n)
-    inside = np.ones(model.n, dtype=bool)
+    dists = []
     for size in reversed(factors):
         digit = idx % size
-        dist = np.minimum(digit, size - digit)
-        inside &= dist <= radius
+        dists.append(np.minimum(digit, size - digit))
         idx //= size
+    return np.array(dists, dtype=np.float64)
+
+
+def box_function(model: GroupModel, radius: float) -> GFunction:
+    """Indicator of a coordinate box of the given radius around the identity."""
+    inside = np.all(_axis_distances(model, "box") <= radius, axis=0)
     return GFunction(model, inside.astype(np.float64))
 
 
@@ -473,21 +443,7 @@ def gauss_function(model: GroupModel, sigma: float) -> GFunction:
     """exp(-d^2 / (2 sigma^2)) with d the coordinate distance to the identity."""
     if sigma <= 0:
         raise DomainError("gauss width must be positive")
-    coords = model.coords()
-    if coords is not None:
-        d2 = np.sum(coords ** 2, axis=1)
-        return GFunction(model, np.exp(-0.5 * d2 / sigma ** 2))
-    factors = model.cyclic_factors
-    if factors is None:
-        raise DomainError(f"gauss generator needs coordinates or cyclic factors, "
-                          f"not available on {model.name}")
-    idx = np.arange(model.n)
-    d2 = np.zeros(model.n)
-    for size in reversed(factors):
-        digit = idx % size
-        dist = np.minimum(digit, size - digit)
-        d2 = d2 + dist.astype(np.float64) ** 2
-        idx //= size
+    d2 = np.sum(_axis_distances(model, "gauss") ** 2, axis=0)
     return GFunction(model, np.exp(-0.5 * d2 / sigma ** 2))
 
 

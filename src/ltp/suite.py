@@ -17,7 +17,7 @@ import os
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -58,7 +58,7 @@ class SkipCheck(Exception):
 
 def _support_radius(model: GroupModel) -> float | None:
     if isinstance(model.carrier, _LatticeCarrier):
-        step = float(model._cache.get("step", 1.0))
+        step = model.carrier.step
         return max(step, model.carrier.radius * step / 4.0)
     return None
 
@@ -113,13 +113,6 @@ class SuiteContext:
     p: Exponent | None
     rng: np.random.Generator
     tol: float
-
-    _dual_cache: dict = field(default_factory=dict)
-
-    def dual(self):
-        if "dual" not in self._dual_cache:
-            self._dual_cache["dual"] = build_dual(self.model)
-        return self._dual_cache["dual"]
 
 
 @dataclass
@@ -443,8 +436,7 @@ def _run_submultiplicative(ctx: SuiteContext):
 
 def _run_quasi_identity(ctx: SuiteContext):
     model = ctx.model
-    step = float(model._cache.get("step", 1.0))
-    count = min(16, max(2, int(1.0 / step) - 1))
+    count = min(16, max(2, int(1.0 / model.carrier.step) - 1))
     bounds = quasi_identity_blowup(model, ctx.p, count)
     expected = [n ** (1.0 - 1.0 / ctx.p.p) for n in range(1, count + 1)]
     worst = max(abs(b - e) for b, e in zip(bounds, expected))
@@ -495,23 +487,25 @@ def _run_folner_averaging(ctx: SuiteContext):
 
 
 def _run_character_orthogonality(ctx: SuiteContext):
-    return character_orthogonality_residual(ctx.dual()), 0.0, \
+    return character_orthogonality_residual(build_dual(ctx.model)), 0.0, \
         "sum_j w_j chi_k chi_l-bar = c delta_kl"
 
 
 def _run_plancherel(ctx: SuiteContext):
+    dual = build_dual(ctx.model)
     worst = 0.0
     for _ in range(8):
         f = _random_probe(ctx.model, ctx.rng)
-        worst = max(worst, plancherel_residual(ctx.dual(), f))
+        worst = max(worst, plancherel_residual(dual, f))
     return worst, 0.0, "||f||_2 = ||fhat||_2"
 
 
 def _run_roundtrip(ctx: SuiteContext):
+    dual = build_dual(ctx.model)
     worst = 0.0
     for _ in range(8):
         f = _random_probe(ctx.model, ctx.rng)
-        worst = max(worst, roundtrip_residual(ctx.dual(), f))
+        worst = max(worst, roundtrip_residual(dual, f))
     return worst, 0.0, "inverse transform of the transform returns f"
 
 
@@ -520,25 +514,27 @@ def _unit(ctx, f: GFunction) -> GFunction:
 
 
 def _run_conv_theorem(ctx: SuiteContext):
+    dual = build_dual(ctx.model)
     worst = 0.0
     for _ in range(6):
         f = _unit(ctx, _random_probe(ctx.model, ctx.rng))
         g = _unit(ctx, _random_probe(ctx.model, ctx.rng))
-        worst = max(worst, convolution_theorem_check(ctx.dual(), f, g))
+        worst = max(worst, convolution_theorem_check(dual, f, g))
     return worst, 0.0, "(f*g)^ = fhat ghat"
 
 
 def _run_product_theorem(ctx: SuiteContext):
+    dual = build_dual(ctx.model)
     worst = 0.0
     for _ in range(6):
         f = _unit(ctx, _random_probe(ctx.model, ctx.rng))
         g = _unit(ctx, _random_probe(ctx.model, ctx.rng))
-        worst = max(worst, product_theorem_check(ctx.dual(), f, g))
+        worst = max(worst, product_theorem_check(dual, f, g))
     return worst, 0.0, "(fg)^ = fhat * ghat"
 
 
 def _run_parseval(ctx: SuiteContext):
-    dual = ctx.dual()
+    dual = build_dual(ctx.model)
     worst = 0.0
     for _ in range(6):
         f = _unit(ctx, _random_probe(ctx.model, ctx.rng))
@@ -550,7 +546,7 @@ def _run_parseval(ctx: SuiteContext):
 
 
 def _run_inverse_product(ctx: SuiteContext):
-    dual = ctx.dual()
+    dual = build_dual(ctx.model)
     worst = 0.0
     for _ in range(6):
         vals = ctx.rng.standard_normal((2, ctx.model.n)) \
@@ -572,7 +568,7 @@ def _run_mult_operator(ctx: SuiteContext):
 
 
 def _run_spectral_agreement(ctx: SuiteContext):
-    dual = ctx.dual()
+    dual = build_dual(ctx.model)
     worst = 0.0
     for _ in range(8):
         f = _random_probe(ctx.model, ctx.rng)
@@ -583,7 +579,7 @@ def _run_spectral_agreement(ctx: SuiteContext):
 
 
 def _run_restricted_isometry(ctx: SuiteContext):
-    dual = ctx.dual()
+    dual = build_dual(ctx.model)
     worst = 0.0
     for _ in range(8):
         f = _random_probe(ctx.model, ctx.rng)

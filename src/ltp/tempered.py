@@ -37,6 +37,7 @@ from .space import (Exponent, GFunction, lp_norm, point_modular, translate,
                     weighted_l1_norm, RIGHT_DIRAC)
 
 _SVD_DENSE_CAP = 1024
+_POLISH_RTOL = 4.0 * np.finfo(np.float64).eps
 
 METHOD_EXACT_SVD = "exact_svd"
 METHOD_SPECTRAL = "spectral_abelian"
@@ -80,10 +81,6 @@ class NormEstimate:
     def value(self) -> float:
         """Best point estimate (the certified lower bound)."""
         return self.lower
-
-    @property
-    def is_exact(self) -> bool:
-        return self.method in (METHOD_EXACT_SVD, METHOD_SPECTRAL, METHOD_EXACT_L1)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +255,12 @@ def _symbol_eval(coords, vals, theta):
 
 
 def _polish_symbol(coords, vals, theta0, bin_width) -> float:
-    """Maximize |sum f_k exp(-i k.theta)|^2 by safeguarded Newton ascent."""
+    """Maximize |sum f_k exp(-i k.theta)|^2 by safeguarded Newton ascent.
+
+    A step is taken only on a strict gain, and the ascent ends once a gain
+    is within rounding of m (4 eps m): beyond that, steps only walk along
+    the flat top of the peak.
+    """
     theta = np.asarray(theta0, dtype=np.float64)
     m, grad, hess = _symbol_eval(coords, vals, theta)
     for _ in range(60):
@@ -272,16 +274,17 @@ def _polish_symbol(coords, vals, theta0, bin_width) -> float:
             step = None
         if step is None or np.linalg.norm(step) > 2.0 * bin_width or np.dot(step, grad) <= 0:
             step = grad * (bin_width / gnorm)
-        improved = False
         for _ in range(30):
             m2, g2, h2 = _symbol_eval(coords, vals, theta + step)
-            if m2 >= m:
-                theta = theta + step
-                m, grad, hess = m2, g2, h2
-                improved = True
+            if m2 > m:
                 break
             step = 0.5 * step
-        if not improved:
+        else:
+            break
+        gain = m2 - m
+        theta = theta + step
+        m, grad, hess = m2, g2, h2
+        if gain <= _POLISH_RTOL * m:
             break
     return math.sqrt(m)
 
@@ -476,7 +479,7 @@ def quasi_identity_blowup(model: GroupModel, p, count: int, big_k: float = 1.0) 
     exp = Exponent.of(p)
     if model.kind != KIND_QUADRATURE or not isinstance(model.carrier, _LatticeCarrier):
         raise DomainError("quasi-identity blowup runs on real-line quadrature models")
-    step = float(model._cache.get("step", 1.0))
+    step = model.carrier.step
     if count < 1:
         raise DomainError("count must be at least 1")
     bounds = []

@@ -340,6 +340,40 @@ def test_translate_window_leak_raises():
     assert excinfo.value.leak > 1e-6
 
 
+def test_affine_transports_report_the_mass_they_push_out():
+    # The expected leaks use the ax+b law written out here,
+    # (u1, b1)(u2, b2) = (u1 + u2, e^u1 b2 + b1) and (u, b)^-1 = (-u, -e^-u b).
+    # At this x the four leaks differ from one another, and each differs from
+    # the share its pull-back argument would leak, so a transport that pushes
+    # mass along the wrong map fails.
+    G = ltp.build_group("affine:0.25:1:0.25:2")
+    u, b = G.coords().T
+    rng = np.random.default_rng(5)
+    f = ltp.GFunction(G, rng.uniform(0.5, 1.5, G.n) * (b >= 1.0))  # near the b edge
+    u_x, b_x = 0.5, -1.0
+    x = (math.exp(u_x), b_x)
+    mass = G.weights * np.abs(f.values)
+
+    def share(push_u, push_b):
+        outside = (np.abs(push_u) > 1.0 + 0.125) | (np.abs(push_b) > 2.0 + 0.125)
+        return float(np.sum(mass[outside])) / float(np.sum(mass))
+
+    cases = [
+        (lambda: ltp.reflect(f), share(-u, -np.exp(-u) * b)),  # t -> t^-1
+        (lambda: ltp.translate(f, x, ltp.LEFT_DIRAC),
+         share(u_x + u, np.exp(u_x) * b + b_x)),  # t -> x t
+        (lambda: ltp.translate(f, x, ltp.RIGHT_DIRAC),
+         share(u + u_x, np.exp(u) * b_x + b)),  # t -> t x
+        (lambda: ltp.estimate_modular(G, x, probe=f),
+         share(u - u_x, b - np.exp(u - u_x) * b_x)),  # t -> t x^-1
+    ]
+    for transport, expected in cases:
+        assert 0.01 < expected < 0.99
+        with pytest.raises(WindowLeakError) as excinfo:
+            transport()
+        assert excinfo.value.leak == pytest.approx(expected, rel=1e-12)
+
+
 def test_translate_leak_reported_below_threshold():
     G = ltp.build_group("z:8")
     f = ltp.box_function(G, 2)
