@@ -16,9 +16,16 @@ Routes:
 * p = 2, general (nonabelian finite, affine quadrature): largest singular
   value of the weighted similarity D^{1/2} M D^{-1/2} (dense SVD, or a
   deterministic Lanczos iteration above 1024 cells).
-* other p: a signed-power iteration alternating the operator with dual
-  exponent maps.  The best attained ratio over seeded restarts is reported
-  as a certified lower bound; the weighted-L1 value is the upper bound.
+* other p: Boyd's signed-power iteration, alternating the operator with
+  dual exponent maps.  All seeded restarts advance together as the columns
+  of one block, and each column freezes once its ratio settles.  The best
+  attained ratio is reported as a certified lower bound with its witness;
+  the weighted-L1 value is the upper bound.  On lattices the iteration
+  keeps g on the eroded box D = {y : y + supp f in the window}: there the
+  window convolution is the full-lattice one with no leak, so translating
+  f translates D and the ratio repeats to rounding.  The price is a smaller
+  search space, so ``lower`` is weak for f whose support spans a large part
+  of the window (for a full-window support D is the identity alone).
 """
 
 from __future__ import annotations
@@ -63,6 +70,9 @@ class NormEstimate:
     ``lower`` is always an attained (or exactly computed) value;
     ``upper`` is never below the true norm.  ``witness``, when present, is
     a g whose Rayleigh ratio ||g*f||_p / ||g||_p meets the lower bound.
+    On the iterative route ``iterations`` counts the steps of the restart
+    that gave ``lower``, and ``matvecs`` the operator products of all
+    restarts.
     """
 
     lower: float
@@ -71,6 +81,7 @@ class NormEstimate:
     iterations: int = 0
     converged: bool = True
     witness: GFunction | None = None
+    matvecs: int = 0
 
     def __post_init__(self):
         if self.lower > self.upper * (1.0 + 1e-9) + 1e-300:
@@ -155,8 +166,6 @@ def _has_spectral_route(model: GroupModel) -> bool:
 def _exact_l1(f: GFunction) -> NormEstimate:
     model = f.group
     n = model.n
-    if n > DENSE_CAP:
-        raise ResourceError(f"exact l1 route needs n <= {DENSE_CAP}")
     w = model.weights
     values = f.values.real if f.is_real else f.values  # real arithmetic, as in matrix()
     col = np.empty(n)
@@ -259,7 +268,8 @@ def _polish_symbol(coords, vals, theta0, bin_width) -> float:
 
     A step is taken only on a strict gain, and the ascent ends once a gain
     is within rounding of m (4 eps m): beyond that, steps only walk along
-    the flat top of the peak.
+    the flat top of the peak.  For the same reason a step is halved only
+    while its predicted gain grad . step exceeds 4 eps m.
     """
     theta = np.asarray(theta0, dtype=np.float64)
     m, grad, hess = _symbol_eval(coords, vals, theta)
@@ -275,6 +285,8 @@ def _polish_symbol(coords, vals, theta0, bin_width) -> float:
         if step is None or np.linalg.norm(step) > 2.0 * bin_width or np.dot(step, grad) <= 0:
             step = grad * (bin_width / gnorm)
         for _ in range(30):
+            if np.dot(grad, step) <= _POLISH_RTOL * m:
+                return math.sqrt(m)
             m2, g2, h2 = _symbol_eval(coords, vals, theta + step)
             if m2 > m:
                 break
@@ -339,8 +351,9 @@ def _wl1_bound(f: GFunction, exp: Exponent) -> NormEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _plain_pnorm(x: np.ndarray, p: float) -> float:
-    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+def _plain_pnorm(x: np.ndarray, p: float) -> np.ndarray:
+    """Plain p-norm of each column of a block."""
+    return np.sum(np.abs(x) ** p, axis=0) ** (1.0 / p)
 
 
 def _signed_power(y: np.ndarray, exponent: float) -> np.ndarray:
@@ -349,67 +362,101 @@ def _signed_power(y: np.ndarray, exponent: float) -> np.ndarray:
     return mag ** exponent * phase
 
 
+def _boyd_cells(f: GFunction) -> tuple[np.ndarray, int]:
+    """Cells on which the iteration may place g.
+
+    Every cell, except on lattices: there only the eroded box
+    D = {y : y + supp f in the window}, where g * f is the full-lattice
+    convolution with nothing cut off, so translating f moves D with it.
+    Returns the cells in index order and the one the first restart starts
+    from: the identity, or on lattices the centre of D, which moves with D
+    and is the identity when supp f is centred at the origin.
+    """
+    model = f.group
+    carrier = model.carrier
+    if not isinstance(carrier, _LatticeCarrier):
+        return np.arange(model.n), model.identity
+    support = carrier.coords[np.flatnonzero(f.values)]
+    first = np.maximum(-carrier.radius, -carrier.radius - support.min(axis=0))
+    last = np.minimum(carrier.radius, carrier.radius - support.max(axis=0))
+    coords = carrier.coords
+    cells = np.flatnonzero(np.all((coords >= first) & (coords <= last), axis=1))
+    return cells, int(carrier.from_coords((first + last) // 2))
+
+
 def _boyd(f: GFunction, exp: Exponent, cfg: IterConfig) -> NormEstimate:
     model = f.group
     n = model.n
     if n > DENSE_CAP:
         raise ResourceError(f"iterative route needs n <= {DENSE_CAP}")
-    mat = conv_operator(f).weighted_matrix(exp.p).astype(np.complex128)
+    cells, centre = _boyd_cells(f)
+    mat = conv_operator(f).weighted_matrix(exp.p)[:, cells].astype(np.complex128)
     upper = weighted_l1_norm(f, exp)
 
+    m = cells.size
+    count = max(cfg.restarts, 3)
     rng = np.random.default_rng(cfg.seed)
-    starts: list[np.ndarray] = []
-    basis = np.zeros(n, dtype=np.complex128)
-    basis[model.identity] = 1.0
-    starts.append(basis)
-    starts.append(np.ones(n, dtype=np.complex128))
-    starts.append(np.abs(rng.standard_normal(n)).astype(np.complex128))
-    while len(starts) < max(cfg.restarts, 3):
-        starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    starts = starts[:max(cfg.restarts, 3)]
+    starts = np.zeros((m, count), dtype=np.complex128)
+    starts[np.searchsorted(cells, centre), 0] = 1.0
+    starts[:, 1] = 1.0
+    starts[:, 2] = np.abs(rng.standard_normal(m))
+    for k in range(3, count):
+        starts[:, k] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
-    best_gamma = 0.0
-    best_x = starts[0]
-    best_iters = 0
-    all_converged = True
-    for x0 in starts:
-        gamma, x, iters, converged = _boyd_single(mat, exp, x0, cfg)
-        all_converged &= converged
-        if gamma > best_gamma:
-            best_gamma, best_x, best_iters = gamma, x, iters
-
-    witness = GFunction(model, (model.weights ** (-1.0 / exp.p)) * best_x)
-    lower = min(best_gamma, upper)  # guard against last-ulp crossings
-    return NormEstimate(lower, upper, METHOD_BOYD, iterations=best_iters,
-                        converged=all_converged, witness=witness)
+    gamma, x, iters, converged, matvecs = _boyd_block(mat, exp, starts, cfg)
+    best = int(np.argmax(gamma))  # the first restart with the largest ratio
+    vec = np.zeros(n, dtype=np.complex128)
+    vec[cells] = x[:, best]
+    witness = GFunction(model, (model.weights ** (-1.0 / exp.p)) * vec)
+    lower = min(float(gamma[best]), upper)  # guard against last-ulp crossings
+    return NormEstimate(lower, upper, METHOD_BOYD, iterations=int(iters[best]),
+                        converged=bool(np.all(converged)), witness=witness,
+                        matvecs=matvecs)
 
 
-def _boyd_single(mat: np.ndarray, exp: Exponent, x0: np.ndarray, cfg: IterConfig):
+def _boyd_block(mat: np.ndarray, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
+    """Boyd's power iteration for the plain p-norm of ``mat``, run on every
+    column of ``starts`` at once.
+
+    A column freezes once its ratio moves by at most tol * max(1, ratio)
+    between two steps, once the ratio is 0, or once the dual step vanishes.
+    Returns per column the last ratio, vector, step count and convergence
+    flag, and the number of products with ``mat`` or its adjoint.
+    """
     p, q = exp.p, exp.q
-    norm0 = _plain_pnorm(x0, p)
-    if norm0 == 0:
-        return 0.0, x0, 0, True
-    x = x0 / norm0
-    gamma_prev = -math.inf
-    converged = False
-    iters = 0
-    for iters in range(1, cfg.max_iters + 1):
-        y = mat @ x
-        gamma = _plain_pnorm(y, p)
-        if gamma == 0.0:
-            return 0.0, x, iters, True
-        if abs(gamma - gamma_prev) <= cfg.tol * max(1.0, gamma):
-            converged = True
+    adjoint = mat.conj().T
+    k = starts.shape[1]
+    x = starts / _plain_pnorm(starts, p)
+    gamma = np.zeros(k)
+    gamma_prev = np.full(k, -math.inf)
+    iters = np.zeros(k, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    active = np.ones(k, dtype=bool)
+    matvecs = 0
+    for step in range(1, cfg.max_iters + 1):
+        cols = np.flatnonzero(active)
+        if cols.size == 0:
             break
-        gamma_prev = gamma
-        z = mat.conj().T @ _signed_power(y, p - 1.0)
-        x_new = _signed_power(z, q - 1.0)
+        y = mat @ x[:, cols]
+        g = _plain_pnorm(y, p)
+        iters[cols] = step
+        gamma[cols] = g
+        done = (g == 0.0) | (np.abs(g - gamma_prev[cols]) <= cfg.tol * np.maximum(1.0, g))
+        converged[cols[done]] = True
+        active[cols[done]] = False
+        gamma_prev[cols] = g
+        go = cols[~done]
+        x_new = _signed_power(adjoint @ _signed_power(y[:, ~done], p - 1.0), q - 1.0)
+        matvecs += cols.size + go.size
         nrm = _plain_pnorm(x_new, p)
-        if nrm == 0.0:
-            break
-        x = x_new / nrm
-    gamma = _plain_pnorm(mat @ x, p)
-    return gamma, x, iters, converged
+        moved = nrm > 0
+        x[:, go[moved]] = x_new[:, moved] / nrm[moved]
+        active[go[~moved]] = False
+    cols = np.flatnonzero(active)  # out of steps: rate the last update
+    if cols.size:
+        gamma[cols] = _plain_pnorm(mat @ x[:, cols], p)
+        matvecs += cols.size
+    return gamma, x, iters, converged, matvecs
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,88 @@ def test_boyd_bracket_and_convergence_flag():
     assert est.lower > 0.25 * exact2
 
 
+def _sequential_boyd(mat, exp, x0, cfg):
+    """One restart of the power iteration as a plain loop: the reference
+    the block engine must reproduce column by column."""
+    def pnorm(v):
+        return float(np.sum(np.abs(v) ** exp.p) ** (1.0 / exp.p))
+
+    def signed_power(v, e):
+        mag = np.abs(v)
+        return mag ** e * np.where(mag > 0, v / np.where(mag > 0, mag, 1.0), 0.0)
+
+    x = x0 / pnorm(x0)
+    gamma_prev = -math.inf
+    for _ in range(cfg.max_iters):
+        y = mat @ x
+        gamma = pnorm(y)
+        if gamma == 0.0 or abs(gamma - gamma_prev) <= cfg.tol * max(1.0, gamma):
+            return gamma
+        gamma_prev = gamma
+        x_new = signed_power(mat.conj().T @ signed_power(y, exp.p - 1.0), exp.q - 1.0)
+        if pnorm(x_new) == 0.0:
+            break
+        x = x_new / pnorm(x_new)
+    return pnorm(mat @ x)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:256", "dihedral:64", "symmetric:5",
+                                  "affine:0.125:1:0.125:1"])
+def test_block_engine_matches_sequential_restarts(spec):
+    from ltp.suite import _random_probe
+    from ltp.tempered import _boyd_block
+    G = ltp.build_group(spec)
+    f = _random_probe(G, np.random.default_rng(2))
+    exp = ltp.Exponent.of(1.5)
+    cfg = IterConfig()
+    mat = ltp.conv_operator(f).weighted_matrix(exp.p).astype(np.complex128)
+    rng = np.random.default_rng(cfg.seed)
+    starts = np.zeros((G.n, cfg.restarts), dtype=np.complex128)
+    starts[G.identity, 0] = 1.0
+    starts[:, 1] = 1.0
+    starts[:, 2] = np.abs(rng.standard_normal(G.n))
+    for k in range(3, cfg.restarts):
+        starts[:, k] = rng.standard_normal(G.n) + 1j * rng.standard_normal(G.n)
+    gamma = _boyd_block(mat, exp, starts, cfg)[0]
+    expected = [_sequential_boyd(mat, exp, starts[:, k], cfg) for k in range(cfg.restarts)]
+    np.testing.assert_allclose(gamma, expected, rtol=1e-14, atol=0)
+    assert tempered_norm(f, exp.p).lower == pytest.approx(max(expected), rel=1e-14)
+
+
+def test_boyd_work_count_repeats_for_the_same_seed():
+    G = ltp.build_group("z2:8")
+    f = ltp.random_function(G, 7, support_radius=2)
+    first = tempered_norm(f, 1.5, cfg=IterConfig(seed=3))
+    again = tempered_norm(f, 1.5, cfg=IterConfig(seed=3))
+    assert first.matvecs == again.matvecs
+    assert first.iterations == again.iterations
+    # every restart makes at least two products per step of the best one
+    assert first.matvecs >= 2 * first.iterations > 0
+
+
+@pytest.mark.parametrize("spec", ["z:64", "z2:8", "r:0.05:4"])
+def test_lattice_boyd_witness_is_leak_free(spec):
+    G = ltp.build_group(spec)
+    radius = float(np.max(np.abs(G.coords()))) / 4.0
+    f = ltp.random_function(G, 5, support_radius=radius)
+    est = tempered_norm(f, 1.5)
+    assert est.method == "boyd_iteration" and est.witness is not None
+    image = ltp.convolve(est.witness, f)
+    assert image.leak == 0.0
+    ratio = ltp.lp_norm(image, 1.5) / ltp.lp_norm(est.witness, 1.5)
+    assert ratio == pytest.approx(est.lower, rel=1e-12)
+
+
+def test_exact_l1_runs_past_the_dense_operator_cap():
+    G = ltp.build_group("z:2100")
+    assert G.n == 4201
+    f = ltp.random_function(G, 1, support_radius=3)
+    est = tempered_norm(f, 1)
+    assert est.lower == pytest.approx(upper_bound_weighted_l1(f, 1), rel=1e-12)
+    ratio = ltp.lp_norm(ltp.convolve(est.witness, f), 1) / ltp.lp_norm(est.witness, 1)
+    assert ratio == pytest.approx(est.lower, rel=1e-12)
+
+
 def test_wl1_bound_method():
     G = ltp.build_group("cyclic:8@counting")
     f = ltp.random_function(G, 11)
@@ -218,6 +300,32 @@ def test_dirac_scaling_unimodular():
         assert ratio == pytest.approx(1.0, abs=1e-9)
     ratio, _ = ltp.dirac_scaling_check(f, G.identity, 2)
     assert ratio == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("spec", ["z:64", "z2:8", "r:0.05:4"])
+def test_dirac_scaling_lattice_p15_is_translation_invariant(spec):
+    # The window section is not translation-equivariant; the eroded box is,
+    # so the iterated ratio repeats to rounding under f -> f * delta_x.
+    from ltp.suite import _scaling_points, _support_radius
+    G = ltp.build_group(spec)
+    x = _scaling_points(G)[0]
+    for seed in range(10):
+        for positive in (True, False):
+            f = ltp.random_function(G, seed, positive=positive,
+                                    support_radius=_support_radius(G))
+            ratio, expected = ltp.dirac_scaling_check(f, x, 1.5)
+            assert expected == 1.0
+            assert abs(ratio - 1.0) <= 1e-12, (seed, positive, ratio)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", ["z:64", "z2:8", "r:0.05:4"])
+def test_dirac_scaling_passes_over_suite_seeds(spec):
+    G = ltp.build_group(spec)
+    for seed in range(30):
+        report = ltp.run_suite(G.spec, [1.5], seed=seed, model=G)
+        status = {check.name: check.status for check in report.checks}
+        assert status["dirac-scaling@p=1.5"] == "pass", seed
 
 
 def test_dirac_scaling_affine_coarse():
