@@ -9,6 +9,7 @@ import ltp
 from ltp.cli import main, parse_function_source
 from ltp.report import CheckResult, SuiteReport, emit_report
 from ltp.suite import REGISTRY, coverage_gaps, registry_self_test, run_suite
+from ltp.tempered import IterConfig, tempered_norm
 
 
 def test_registry_covers_every_anchor():
@@ -183,6 +184,24 @@ def test_cli_parse_errors_exit_2(capsys):
     assert main(["norm", "--group", "cyclic:4", "--f", "1,burp", "--p", "2"]) == 2
     assert main(["norm", "--group", "cyclic:4", "--f", "1,2", "--p", "2"]) == 2
     capsys.readouterr()
+
+
+def test_cli_norm_honours_small_restart_counts(capsys):
+    model = ltp.build_group("dihedral:6")
+    f = ltp.random_function(model, 3)
+    lowers = []
+    for restarts in (1, 2, 3):
+        rc = main(["norm", "--group", "dihedral:6", "--f", "random:3", "--p", "1.5",
+                   "--restarts", str(restarts)])
+        assert rc == 0
+        lowers.append(float(capsys.readouterr().out.split("lower=")[1].splitlines()[0]))
+        cfg = IterConfig(restarts=restarts)
+        assert lowers[-1] == tempered_norm(f, 1.5, cfg=cfg).lower
+    assert lowers[0] != lowers[2]  # one restart is not silently run as three
+    for restarts in ("0", "-2"):
+        assert main(["norm", "--group", "dihedral:6", "--f", "random:3", "--p", "1.5",
+                     "--restarts", restarts]) == 2
+        assert "restarts must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_resource_errors_exit_3(capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ltp
-from ltp.errors import DomainError, GridTooCoarse
+from ltp.errors import DomainError, GridTooCoarse, ResourceError
 from ltp.tempered import (IterConfig, quasi_identity_blowup, tempered_norm,
                           upper_bound_weighted_l1)
 
@@ -197,7 +197,7 @@ def _sequential_boyd(mat, exp, x0, cfg):
                                   "affine:0.125:1:0.125:1"])
 def test_block_engine_matches_sequential_restarts(spec):
     from ltp.suite import _random_probe
-    from ltp.tempered import _boyd_block
+    from ltp.tempered import _boyd_block, _DenseProduct
     G = ltp.build_group(spec)
     f = _random_probe(G, np.random.default_rng(2))
     exp = ltp.Exponent.of(1.5)
@@ -210,10 +210,84 @@ def test_block_engine_matches_sequential_restarts(spec):
     starts[:, 2] = np.abs(rng.standard_normal(G.n))
     for k in range(3, cfg.restarts):
         starts[:, k] = rng.standard_normal(G.n) + 1j * rng.standard_normal(G.n)
-    gamma = _boyd_block(mat, exp, starts, cfg)[0]
+    gamma = _boyd_block(_DenseProduct(mat), exp, starts, cfg)[0]
     expected = [_sequential_boyd(mat, exp, starts[:, k], cfg) for k in range(cfg.restarts)]
     np.testing.assert_allclose(gamma, expected, rtol=1e-14, atol=0)
     assert tempered_norm(f, exp.p).lower == pytest.approx(max(expected), rel=1e-14)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:256", "cyclic:512",
+                                  "product:cyclic:16+cyclic:16"])
+@pytest.mark.parametrize("complex_valued", [True, False])
+def test_circulant_product_equals_the_dense_matrix(spec, complex_valued):
+    from ltp.tempered import _CirculantProduct
+    G = ltp.build_group(spec)
+    f = ltp.random_function(G, 9, complex_valued=complex_valued)
+    mat = ltp.conv_operator(f).weighted_matrix(1.5)
+    product = _CirculantProduct(f)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((G.n, 5)) + 1j * rng.standard_normal((G.n, 5))
+    for got, want in ((product.apply(x), mat @ x),
+                      (product.adjoint(x), mat.conj().T @ x)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:256", "product:cyclic:16+cyclic:16"])
+def test_block_engine_circulant_matches_dense(spec):
+    # the FFT product changes the cost of a step, not the steps taken
+    from ltp.suite import _random_probe
+    from ltp.tempered import _boyd_block, _boyd_starts, _CirculantProduct, _DenseProduct
+    G = ltp.build_group(spec)
+    f = _random_probe(G, np.random.default_rng(2))
+    exp = ltp.Exponent.of(1.5)
+    cfg = IterConfig()
+    starts = _boyd_starts(G.n, G.identity, cfg.restarts, cfg.seed)
+    mat = ltp.conv_operator(f).weighted_matrix(exp.p).astype(np.complex128)
+    dense = _boyd_block(_DenseProduct(mat), exp, starts, cfg)
+    fft = _boyd_block(_CirculantProduct(f), exp, starts, cfg)
+    np.testing.assert_allclose(fft[0], dense[0], rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(fft[2], dense[2])
+    assert fft[4] == dense[4]
+
+
+def test_boyd_runs_past_the_dense_cap_on_cyclic_models():
+    G = ltp.build_group("cyclic:8192")
+    f = ltp.random_function(G, 1)
+    est = tempered_norm(f, 1.5)
+    assert est.method == "boyd_iteration" and est.converged
+    ratio = ltp.lp_norm(ltp.convolve(est.witness, f), 1.5) / ltp.lp_norm(est.witness, 1.5)
+    assert ratio == pytest.approx(est.lower, rel=1e-12)
+    # without a circulant structure the dense matrix is still capped
+    Z = ltp.build_group("z:2100")
+    with pytest.raises(ResourceError):
+        tempered_norm(ltp.random_function(Z, 1, support_radius=3), 1.5)
+
+
+def test_restart_spread_reports_the_ratios_of_all_restarts():
+    from ltp.tempered import _boyd_block, _boyd_starts, _DenseProduct
+    G = ltp.build_group("dihedral:6")
+    f = ltp.random_function(G, 3)
+    exp = ltp.Exponent.of(1.5)
+    cfg = IterConfig()
+    est = tempered_norm(f, exp.p, cfg=cfg)
+    mat = ltp.conv_operator(f).weighted_matrix(exp.p).astype(np.complex128)
+    gamma = _boyd_block(_DenseProduct(mat), exp,
+                        _boyd_starts(G.n, G.identity, cfg.restarts, cfg.seed), cfg)[0]
+    assert est.restart_spread == pytest.approx((gamma.max() - gamma.min()) / gamma.max(),
+                                               rel=1e-12)
+    assert est.restart_spread > 0.5  # the all-ones start settles far below the rest
+    assert tempered_norm(f, exp.p, cfg=IterConfig(restarts=1)).restart_spread == 0.0
+
+
+def test_restarts_below_three_are_honoured():
+    G = ltp.build_group("dihedral:6")
+    f = ltp.random_function(G, 3)
+    runs = [tempered_norm(f, 1.5, cfg=IterConfig(restarts=r)) for r in (1, 2, 3)]
+    assert runs[0].matvecs < runs[1].matvecs < runs[2].matvecs
+    assert runs[0].lower <= runs[1].lower < runs[2].lower
+    for bad in (0, -2):
+        with pytest.raises(DomainError):
+            IterConfig(restarts=bad)
 
 
 def test_boyd_work_count_repeats_for_the_same_seed():
