@@ -8,8 +8,9 @@ M[x, y] = w_y K[x, y] with kernel K[x, y] = f(y^{-1} x).
 Finite abelian models convolve by FFT over the declared cyclic factors.
 Every other route (direct convolution, the operator matrix, the exact p = 1
 column supremum) reads K from one column-block generator,
-:func:`_kernel_blocks`: a gather through the division table
-idx[x, y] = y^{-1} x, or cell-averaged quadrature on the affine grid.
+:func:`_kernel_blocks`: coordinate differences on the lattices (z, z2, r),
+cell-averaged quadrature on the affine grid, and a gather through the
+division table idx[x, y] = y^{-1} x on the other finite models.
 
 Every result carries the fraction of product mass dropped at a truncation
 boundary in its ``leak`` metadata.
@@ -42,10 +43,11 @@ def _kernel_blocks(model: GroupModel, values: np.ndarray):
     ``values`` holds f on the model's cells; K is 0 where y^{-1} x leaves
     the window.  This is the only code that knows the kernel of each
     carrier; callers consume it one 256-column block at a time, so no n x n
-    kernel exists unless a caller assembles one.  On the affine grid the u
-    shift u_x - u_y is exact, and the b argument e^{-u_y} (b_x - b_y) is
-    averaged over the compressed image of each source cell (see
-    ``averaged_rows``).
+    kernel exists unless a caller assembles one.  Lattices read f(x - y)
+    from coordinate differences and need no division table.  On the affine
+    grid the u shift u_x - u_y is exact, and the b argument
+    e^{-u_y} (b_x - b_y) is averaged over the compressed image of each
+    source cell (see ``averaged_rows``).
     """
     n = model.n
     carrier = model.carrier
@@ -61,6 +63,20 @@ def _kernel_blocks(model: GroupModel, values: np.ndarray):
             tau_c = comp * (b[:, None] - b[cols][None, :])
             tau_h = 0.5 * comp * carrier.h_b
             return carrier.averaged_rows(ext, cum, rows, tau_c - tau_h, tau_c + tau_h)
+    elif isinstance(carrier, _LatticeCarrier):
+        # K[x, y] = f(x - y) read from f zero-padded by R on every side of
+        # each axis: the per-axis difference x_a - y_a + 2R indexes the
+        # padded copy, and differences that leave the window land on the pad
+        side, radius, dim = carrier.side, carrier.radius, carrier.dim
+        wide = 2 * side - 1
+        ext = np.zeros((wide,) * dim, dtype=values.dtype)
+        ext[(slice(radius, radius + side),) * dim] = values.reshape((side,) * dim)
+        ext = ext.reshape(-1)
+        offset = (carrier.coords + radius) @ (wide ** np.arange(dim - 1, -1, -1))
+        rows = offset + 2 * radius * int(np.sum(wide ** np.arange(dim)))
+
+        def block(cols):
+            return ext[rows[:, None] - offset[cols]]
     else:
         idx = model.division_table()
         padded = np.concatenate([values, [0.0]])  # -1 sentinel gathers the zero pad

@@ -10,6 +10,7 @@ import pytest
 import ltp
 from ltp.convolve import conv_operator
 from ltp.errors import ModelMismatchError
+from ltp.groups import KIND_FINITE
 
 
 def naive_convolve(model, g, f):
@@ -112,6 +113,63 @@ def test_exact_l1_witness_attains_lower(spec):
         witness = est.witness
         ratio = ltp.lp_norm(ltp.convolve(witness, f), 1) / ltp.lp_norm(witness, 1)
         assert ratio == pytest.approx(est.lower, rel=1e-12)
+
+
+def lattice_kernel(model, f):
+    """K[x, y] = f(x - y) on a truncated lattice, 0 where x - y leaves the
+    window, read from coordinates by a dictionary lookup."""
+    coords = [tuple(c) for c in model.carrier.coords]
+    index = {c: i for i, c in enumerate(coords)}
+    out = np.zeros((model.n, model.n), dtype=f.values.dtype)
+    for x, cx in enumerate(coords):
+        for y, cy in enumerate(coords):
+            t = index.get(tuple(a - b for a, b in zip(cx, cy)))
+            if t is not None:
+                out[x, y] = f.values[t]
+    return out
+
+
+@pytest.fixture
+def no_lattice_division_table(monkeypatch):
+    original = ltp.GroupModel.division_table
+
+    def refusing(model):
+        if model.kind != KIND_FINITE:
+            raise AssertionError(f"division table read on {model.name}")
+        return original(model)
+
+    monkeypatch.setattr(ltp.GroupModel, "division_table", refusing)
+
+
+@pytest.mark.parametrize("spec", ["z:64", "z2:8", "r:0.05:4"])
+def test_lattice_kernel_reads_coordinates_not_the_division_table(spec, no_lattice_division_table):
+    G = ltp.build_group(spec)
+    rng = np.random.default_rng(17)
+    for f in (ltp.random_function(G, rng), ltp.random_function(G, rng, complex_valued=False)):
+        kernel = lattice_kernel(G, f)
+        assert np.array_equal(conv_operator(f).matrix(), kernel * G.weights[None, :])
+        g = ltp.random_function(G, rng)
+        expected = kernel @ (G.weights * g.values)
+        got = ltp.convolve(g, f, path="direct").values
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        columns = G.weights @ np.abs(kernel)
+        assert ltp.tempered_norm(f, 1).lower == pytest.approx(np.max(columns), rel=1e-13)
+
+
+def test_lattice_convolution_runs_past_the_division_table_cap(no_lattice_division_table):
+    G = ltp.build_group("z2:50")
+    assert G.n == 10201
+    f = ltp.random_function(G, 3, support_radius=2)
+    g = ltp.random_function(G, 4, support_radius=2)
+    got = ltp.convolve(g, f)
+    coords = G.carrier.coords
+    expected = np.zeros(G.n, dtype=np.complex128)
+    for y in np.flatnonzero(g.values):
+        for t in np.flatnonzero(f.values):
+            x = int(G.carrier.from_coords(coords[y] + coords[t]))
+            expected[x] += G.weights[y] * g.values[y] * f.values[t]
+    assert got.leak == 0.0
+    assert np.max(np.abs(got.values - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_convolving_with_dirac_measure_is_translation():

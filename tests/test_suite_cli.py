@@ -31,6 +31,20 @@ def test_suite_cyclic16_all_pass():
     assert "restricted-isometry" in names
 
 
+# Boyd calls of one run_suite pass at p = 1.5, seed 0: every check that reads
+# only the upper end of a bracket takes it without the iteration.  When a
+# check changes the norms it asks for, recount with this test's counter
+# (print ``boyd_calls``) and state the old and new counts with that change.
+BOYD_CALLS_AT_P15 = {"circle:64": 52, "affine:0.125:1:0.125:1": 8}
+
+
+def test_suite_boyd_call_counts_are_pinned(boyd_calls):
+    for spec, expected in BOYD_CALLS_AT_P15.items():
+        del boyd_calls[:]
+        run_suite(spec, [1.5], seed=0)
+        assert len(boyd_calls) == expected, spec
+
+
 def test_suite_probability_side_skips_discrete_checks():
     report = run_suite("cyclic:16@probability", [2.0], seed=7)
     assert report.summary["fail"] == 0

@@ -13,7 +13,7 @@ import pytest
 import ltp
 from ltp.errors import DomainError, GridTooCoarse, ResourceError
 from ltp.tempered import (IterConfig, quasi_identity_blowup, tempered_norm,
-                          upper_bound_weighted_l1)
+                          tempered_upper, upper_bound_weighted_l1)
 
 
 def dft_max_oracle(model, values):
@@ -342,9 +342,47 @@ def test_method_validation():
         tempered_norm(f, 2, method="exact_l1")
     with pytest.raises(DomainError):
         tempered_norm(f, 2, method="nonsense")
+    with pytest.raises(DomainError):
+        tempered_norm(f, 1, method="boyd_iteration")
     D = ltp.build_group("dihedral:3")
     with pytest.raises(DomainError):
         tempered_norm(ltp.random_function(D, 0), 2, method="spectral_abelian")
+
+
+# ---------------------------------------------------------------------------
+# The upper end alone
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["cyclic:256", "dihedral:64", "z:64", "z2:8", "r:0.05:4",
+                                  "affine:0.125:1:0.125:1"])
+def test_tempered_upper_equals_the_norm_upper(spec, boyd_calls):
+    G = ltp.build_group(spec)
+    functions = {"complex": ltp.random_function(G, 21),
+                 "real": ltp.random_function(G, 22, complex_valued=False),
+                 "zero": ltp.GFunction(G, np.zeros(G.n))}
+    for p in (1, 1.5, 2, 3):
+        for method in ("auto", "boyd_iteration", "bound_weighted_l1"):
+            for kind, f in functions.items():
+                if p == 1 and method == "boyd_iteration":
+                    for fn in (tempered_norm, tempered_upper):
+                        with pytest.raises(DomainError):
+                            fn(f, p, method=method)
+                    continue
+                expected = tempered_norm(f, p, method=method).upper
+                del boyd_calls[:]
+                got = tempered_upper(f, p, method=method)
+                assert got == expected, (p, method, kind)
+                assert boyd_calls == [], (p, method, kind)
+
+
+def test_tempered_upper_runs_past_the_dense_cap(boyd_calls):
+    G = ltp.build_group("z:2100")
+    f = ltp.random_function(G, 4, support_radius=3)
+    with pytest.raises(ResourceError):
+        tempered_norm(f, 1.5)
+    assert tempered_upper(f, 1.5) == upper_bound_weighted_l1(f, 1.5)
+    assert boyd_calls == ["z:2100"]
 
 
 def test_submultiplicative_action():
