@@ -122,34 +122,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    path = getattr(args, "config", "")
-    if not path:
-        return
+def _config_flags(path: str, args: argparse.Namespace) -> list[str]:
+    """The config file's values for the options of the parsed command, as
+    flags: each key is a flag's name."""
     config = _load_config(path)
     mapping = {"group": "group", "p": "p", "seed": "seed", "out": "out",
                "format": "format", "f": "source", "method": "method",
                "restarts": "restarts", "epsilon": "epsilon",
                "c-radius": "c_radius", "timings": "timings"}
+    flags = []
     for key, attr in mapping.items():
-        if key in config and hasattr(args, attr):
-            current = getattr(args, attr)
-            # flags given on the command line win over the config file
-            default = _CONFIG_DEFAULTS.get(attr)
-            if current == default or current in (None, ""):
-                value = config[key]
-                if attr in ("seed", "restarts", "c_radius"):
-                    value = int(value)
-                elif attr == "epsilon":
-                    value = float(value)
-                elif attr == "timings":
-                    value = value.lower() in ("1", "true", "yes")
-                setattr(args, attr, value)
-
-
-_CONFIG_DEFAULTS = {"group": None, "p": "2", "seed": 0, "out": "", "format": "json",
-                    "source": None, "method": "auto", "restarts": 8,
-                    "epsilon": 0.1, "c_radius": 1, "timings": False}
+        if key not in config or not hasattr(args, attr):
+            continue
+        if key != "timings":
+            flags.append(f"--{key}={config[key]}")
+        elif config[key].lower() in ("1", "true", "yes"):
+            flags.append("--timings")
+    return flags
 
 
 def _cmd_suite(args) -> int:
@@ -162,7 +151,10 @@ def _cmd_suite(args) -> int:
     report = run_suite(args.group, _parse_p_list(args.p), seed=args.seed,
                        tol_overrides=overrides, timings=args.timings)
     if args.out:
-        emit_report(report, args.out, args.format)
+        try:
+            emit_report(report, args.out, args.format)
+        except OSError as exc:  # an unwritable path is a usage error
+            raise SpecParseError(str(exc)) from exc
     else:
         if args.format == "json":
             print(report.to_json())
@@ -247,11 +239,15 @@ def main(argv: list[str] | None = None) -> int:
             argv = sys.argv[1:]
         argv, tol_flags = _extract_tol_flags(list(argv))
         args = parser.parse_args(argv)
+        if args.config:
+            # the config file's flags go in ahead of the command line's, which
+            # win as the later ones, and are parsed and checked like them
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config, args) + argv[at:])
         if tol_flags:
             if not hasattr(args, "tol"):
                 raise SpecParseError("--tol-<checkname> applies to the suite command")
             args.tol.extend(tol_flags)
-        _apply_config(args)
         if getattr(args, "group", None) in (None, ""):
             raise SpecParseError("missing --group (flag or config file)")
         if args.command in ("norm", "spectral") and not getattr(args, "source", None):

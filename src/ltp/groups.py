@@ -43,6 +43,10 @@ DEFAULT_ELEMENT_CAP = 1 << 20
 _EXACT_LIMIT = 512
 _SAMPLED_TRIPLES = 4096
 _TABLE_BLOCK = 256  # division-table columns per vectorized op call
+# Affine validation tolerances: modular multiplicativity at the snapped
+# product, and the empirical modular estimate against Delta = e^{-u}.
+_AFFINE_TOL_MULT = 1e-12
+_AFFINE_TOL_MODULAR = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +792,7 @@ def _check_light(model: GroupModel):
             reached[products] = True
 
 
-def _check_affine(model: GroupModel, tol_mult: float = 1e-12, tol_modular: float = 1e-2):
+def _check_affine(model: GroupModel):
     rng = np.random.default_rng(1)
     i = rng.integers(0, model.n, 2048)
     j = rng.integers(0, model.n, 2048)
@@ -801,14 +805,14 @@ def _check_affine(model: GroupModel, tol_mult: float = 1e-12, tol_modular: float
         lhs = model.modular[prod[ok]]
         rhs = model.modular[i[ok]] * model.modular[j[ok]]
         rel = np.abs(lhs - rhs) / rhs
-        if rel.max() > tol_mult:
+        if rel.max() > _AFFINE_TOL_MULT:
             raise GroupValidationError(
                 f"modular multiplicativity off by {rel.max():.3e}")
 
     worst = _affine_modular_residual(model)
-    if worst > tol_modular:
+    if worst > _AFFINE_TOL_MODULAR:
         raise GroupValidationError(
-            f"empirical modular estimate off by {worst:.3e} (tolerance {tol_modular})")
+            f"empirical modular estimate off by {worst:.3e} (tolerance {_AFFINE_TOL_MODULAR})")
 
 
 def _affine_modular_residual(model: GroupModel) -> float:

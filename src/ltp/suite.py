@@ -166,7 +166,7 @@ def _needs_probability_finite(model):
 
 
 def _needs_dual(model):
-    if model.kind != KIND_FINITE or model.cyclic_factors is None:
+    if model.cyclic_factors is None:
         return "dual not built: model is not a declared product of cyclic groups"
     if model.n > DUAL_CAP:
         return f"dual not built: n={model.n} beyond the character-table cap"
@@ -572,7 +572,7 @@ def _run_spectral_agreement(ctx: SuiteContext):
     worst = 0.0
     for _ in range(8):
         f = _random_probe(ctx.model, ctx.rng)
-        via_transform = tempered_norm_spectral(dual, f, "group")
+        via_transform = tempered_norm_spectral(dual, f)
         via_svd = tempered_norm(f, 2, method="exact_svd").value
         worst = max(worst, abs(via_transform - via_svd))
     return worst, 0.0, "max |fhat| vs largest singular value of the weighted operator"

@@ -5,8 +5,9 @@ Routes:
 
 * p = 1: exact weighted column supremum of the operator (attained by a
   single-cell witness); equals ||f||_1 on unimodular models.
-* p = 2, finite abelian: max |fhat| over the character table (the operator
-  is normal with the transform values as eigenvalues).
+* p = 2, finite abelian: max |w0 fhat| read from the FFT of the circulant
+  operator (the operator is normal with the transform values as
+  eigenvalues); the witness is the character of the largest one.
 * p = 2, translation-invariant lattices (truncated Z, Z^2, and the real-line
   grid): supremum of the symbol over the dual torus, located by a padded FFT
   scan plus Newton polish.  For window-supported data this is the operator
@@ -29,8 +30,8 @@ Routes:
   of the window (for a full-window support D is the identity alone).
 
   The model supplies the products.  Finite models with cyclic factors and
-  at least 256 cells apply w0 times the circulant of f by FFT over the
-  factor axes (the adjoint with the conjugate transform) and build no
+  at least 256 cells apply the circulant operator of ``convolve`` (FFT over
+  the factor axes, the adjoint with the conjugate transform) and build no
   n x n matrix, so n may exceed the dense cap.  Below 256 cells the dense
   product is cheaper: for an n x 8 block on one core, numpy's FFT against
   the dense product took 28 vs 9 us at n = 64, 33 vs 26 us at n = 128 and
@@ -54,9 +55,9 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import DomainError, GridTooCoarse, LtpError, ResourceError
-from .groups import (KIND_FINITE, KIND_QUADRATURE, GroupModel,
-                     _AffineCarrier, _LatticeCarrier)
-from .convolve import DENSE_CAP, _fft_shape, _kernel_blocks, conv_operator, convolve
+from .groups import KIND_QUADRATURE, GroupModel, _AffineCarrier, _LatticeCarrier
+from .convolve import (DENSE_CAP, _CirculantProduct, _kernel_blocks, conv_operator,
+                       convolve)
 from .space import (Exponent, GFunction, lp_norm, point_modular, translate,
                     weighted_l1_norm, RIGHT_DIRAC)
 
@@ -163,7 +164,7 @@ def tempered_norm(f: GFunction, p, cfg: IterConfig | None = None,
     if resolved == METHOD_EXACT_L1:
         return _exact_l1(f)
     if resolved == METHOD_SPECTRAL:
-        if model.kind == KIND_FINITE:
+        if model.cyclic_factors is not None:
             return _spectral_finite_abelian(f)
         return _symbol_supremum(f)
     if resolved == METHOD_EXACT_SVD:
@@ -198,11 +199,10 @@ def _resolve_method(model: GroupModel, exp: Exponent, method: str) -> str:
 
 
 def _has_spectral_route(model: GroupModel) -> bool:
-    if model.kind == KIND_FINITE and model.cyclic_factors is not None:
-        return True
-    # constant-weight translation-invariant lattice (truncated Z/Z^2 and the
-    # real-line grid): the symbol supremum is exact for window-supported data
-    return isinstance(model.carrier, _LatticeCarrier)
+    # finite models with cyclic factors read the circulant symbol; on the
+    # constant-weight translation-invariant lattices (truncated Z/Z^2 and the
+    # real-line grid) the symbol supremum is exact for window-supported data
+    return model.cyclic_factors is not None or isinstance(model.carrier, _LatticeCarrier)
 
 
 # ---------------------------------------------------------------------------
@@ -232,35 +232,12 @@ def _exact_l1(f: GFunction) -> NormEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _finite_transform(f: GFunction) -> np.ndarray:
-    factors = f.group.cyclic_factors
-    w0 = float(f.group.weights[0])
-    return w0 * np.fft.fftn(f.values.reshape(factors)).reshape(-1)
-
-
 def _spectral_finite_abelian(f: GFunction) -> NormEstimate:
-    model = f.group
-    fhat = _finite_transform(f)
-    k = int(np.argmax(np.abs(fhat)))
-    value = float(np.abs(fhat[k]))
-    witness = GFunction(model, _character_vector(model, k))
+    product = _CirculantProduct(f)
+    k = int(np.argmax(np.abs(product.symbol)))
+    value = float(np.abs(product.symbol.flat[k]))
+    witness = GFunction(f.group, product.character(k))
     return NormEstimate(value, value, METHOD_SPECTRAL, witness=witness)
-
-
-def _character_vector(model: GroupModel, k: int) -> np.ndarray:
-    """chi_k as a vector over the carrier, mixed-radix character index k."""
-    factors = model.cyclic_factors
-    chi = np.ones(1, dtype=np.complex128)
-    remaining = k
-    total = int(np.prod(factors))
-    for size in factors:
-        total //= size
-        digit = remaining // total
-        remaining %= total
-        j = np.arange(size)
-        part = np.exp(2j * np.pi * ((digit * j) % size) / size)
-        chi = np.kron(chi, part)
-    return chi
 
 
 # ---------------------------------------------------------------------------
@@ -417,40 +394,11 @@ class _DenseProduct:
         return self._adjoint @ y
 
 
-class _CirculantProduct:
-    """Products with the right-convolution operator of f on a finite model
-    with cyclic factors: M x = w0 ifftn(fhat fftn(x)) over the factor axes,
-    and M^H uses conj(fhat).  The Haar weights are constant there, so M is
-    already its own p-weighted similarity, for every p."""
-
-    def __init__(self, f: GFunction):
-        self.shape = tuple(f.group.cyclic_factors)
-        self.axes = tuple(range(len(self.shape)))
-        self.symbol = _finite_transform(f).reshape(self.shape + (1,))
-
-    def _multiply(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-        # one 1-D transform per factor, last axis first as fftn orders them:
-        # the same values without fftn's per-call setup
-        y = x.reshape(self.shape + (-1,))
-        for axis in reversed(self.axes):
-            y = np.fft.fft(y, axis=axis)
-        y = symbol * y
-        for axis in reversed(self.axes):
-            y = np.fft.ifft(y, axis=axis)
-        return y.reshape(x.shape)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._multiply(x, self.symbol)
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self._multiply(y, self.symbol.conj())
-
-
 def _boyd_product(f: GFunction, exp: Exponent, cells: np.ndarray):
     """The cheapest product the model supplies for the iteration on
     ``cells``: FFT on large cyclic models, else the dense weighted matrix."""
     model = f.group
-    if _fft_shape(model) is not None and model.n >= _FFT_MIN_N:
+    if model.cyclic_factors is not None and model.n >= _FFT_MIN_N:
         return _CirculantProduct(f)
     if model.n > DENSE_CAP:
         raise ResourceError(f"iterative route needs n <= {DENSE_CAP}")

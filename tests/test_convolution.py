@@ -59,7 +59,8 @@ def test_direct_path_matches_naive(spec):
 
 
 @pytest.mark.parametrize("spec", ["cyclic:8", "cyclic:12@probability",
-                                  "product:cyclic:2+cyclic:8", "circle:10"])
+                                  "product:cyclic:2+cyclic:8", "circle:10",
+                                  "product:cyclic:2+cyclic:3+cyclic:4"])
 def test_spectral_path_matches_direct(spec):
     G = ltp.build_group(spec)
     rng = np.random.default_rng(7)

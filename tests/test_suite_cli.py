@@ -4,6 +4,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 import ltp
 from ltp.cli import main, parse_function_source
@@ -249,6 +250,38 @@ def test_cli_config_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "lower=2.0" in out
+
+
+def test_cli_flags_win_over_the_config_file(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    out = tmp_path / "r.json"
+    config.write_text(f"group=cyclic:8@counting\np=2\nseed=7\nout={out}\n")
+    assert main(["suite", "--config", str(config)]) == 0
+    assert json.loads(out.read_text())["seed"] == 7
+    assert main(["suite", "--config", str(config), "--seed", "0"]) == 0
+    assert json.loads(out.read_text())["seed"] == 0
+    config.write_text("group=dihedral:6\nf=random:3\np=1.5\nrestarts=3\n")
+    capsys.readouterr()
+    f = ltp.random_function(ltp.build_group("dihedral:6"), 3)
+    for argv, restarts in ((["--restarts", "8"], 8), ([], 3)):
+        assert main(["norm", "--config", str(config)] + argv) == 0
+        lower = float(capsys.readouterr().out.split("lower=")[1].splitlines()[0])
+        assert lower == tempered_norm(f, 1.5, cfg=IterConfig(restarts=restarts)).lower
+    # config values are checked like the flags they stand for
+    config.write_text("group=cyclic:4@counting\nformat=xml\n")
+    with pytest.raises(SystemExit) as exited:
+        main(["suite", "--config", str(config)])
+    assert exited.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+
+def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    rc = main(["suite", "--group", "cyclic:4@counting", "--p", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: cannot write report") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_spelled_tolerance_override(tmp_path, capsys):

@@ -154,6 +154,25 @@ def test_witness_attains_lower_bound():
             assert ratio >= est.lower * (1 - 1e-9) - 1e-12
 
 
+@pytest.mark.parametrize("spec", ["cyclic:256@counting", "circle:64",
+                                  "product:cyclic:8+cyclic:16",
+                                  "product:cyclic:2+cyclic:3+cyclic:4"])
+def test_spectral_witness_is_the_top_character(spec):
+    # the p = 2 witness on finite abelian models is the row of the
+    # independent character table at the largest transform value, and its
+    # Rayleigh ratio under the direct convolution is the norm
+    from ltp.spectral import build_dual, fourier
+    G = ltp.build_group(spec)
+    f = ltp.random_function(G, 5)
+    est = tempered_norm(f, 2)
+    dual = build_dual(G)
+    k = int(np.argmax(np.abs(fourier(dual, f).values)))
+    assert np.max(np.abs(est.witness.values - dual.characters[k])) <= 1e-14
+    image = ltp.convolve(est.witness, f, path="direct")
+    ratio = ltp.lp_norm(image, 2) / ltp.lp_norm(est.witness, 2)
+    assert abs(ratio - est.lower) <= 1e-12 * est.lower
+
+
 def test_boyd_bracket_and_convergence_flag():
     G = ltp.build_group("cyclic:6@counting")
     rng = np.random.default_rng(4)
@@ -220,7 +239,7 @@ def test_block_engine_matches_sequential_restarts(spec):
                                   "product:cyclic:16+cyclic:16"])
 @pytest.mark.parametrize("complex_valued", [True, False])
 def test_circulant_product_equals_the_dense_matrix(spec, complex_valued):
-    from ltp.tempered import _CirculantProduct
+    from ltp.convolve import _CirculantProduct
     G = ltp.build_group(spec)
     f = ltp.random_function(G, 9, complex_valued=complex_valued)
     mat = ltp.conv_operator(f).weighted_matrix(1.5)
@@ -236,7 +255,8 @@ def test_circulant_product_equals_the_dense_matrix(spec, complex_valued):
 def test_block_engine_circulant_matches_dense(spec):
     # the FFT product changes the cost of a step, not the steps taken
     from ltp.suite import _random_probe
-    from ltp.tempered import _boyd_block, _boyd_starts, _CirculantProduct, _DenseProduct
+    from ltp.convolve import _CirculantProduct
+    from ltp.tempered import _boyd_block, _boyd_starts, _DenseProduct
     G = ltp.build_group(spec)
     f = _random_probe(G, np.random.default_rng(2))
     exp = ltp.Exponent.of(1.5)
