@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .errors import LtpError, ResourceError, SpecParseError
 from .groups import build_group
-from .report import emit_report
+from .report import check_writable, emit_report
 from .space import GFunction, box_function, dirac, gauss_function, random_function
 from .spectral import build_dual, fourier, plancherel_restricted_isometry
 from .suite import run_suite
@@ -148,6 +148,11 @@ def _cmd_suite(args) -> int:
         if not value:
             raise SpecParseError(f"tolerance override needs NAME=TOL, got {item!r}")
         overrides[name] = float(value)
+    if args.out:
+        try:
+            check_writable(args.out)  # fail before the suite runs, not after
+        except OSError as exc:  # an unwritable path is a usage error
+            raise SpecParseError(str(exc)) from exc
     report = run_suite(args.group, _parse_p_list(args.p), seed=args.seed,
                        tol_overrides=overrides, timings=args.timings)
     if args.out:

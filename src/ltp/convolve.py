@@ -9,11 +9,13 @@ On finite models with declared cyclic factors the map is diagonalised by
 the characters, and one circulant operator, :class:`_CirculantProduct`,
 holds the only FFT code for them: ``convolve``, the p = 2 route (its
 symbol and eigen-characters) and the products of Boyd's iteration all read
-from it.  Every other route (direct convolution, the operator matrix, the
-exact p = 1 column supremum) reads K from one column-block generator,
-:func:`_kernel_blocks`: coordinate differences on the lattices (z, z2, r),
-cell-averaged quadrature on the affine grid, and a gather through the
-division table idx[x, y] = y^{-1} x on the other finite models.
+from it.  It also places lattice data on a periodic embedding, whose symbol
+the lattice p = 2 scan reads.  Every other route (direct convolution, the
+operator matrix, the exact p = 1 column supremum) reads K from one
+column-block generator, :func:`_kernel_blocks`: coordinate differences on
+the lattices (z, z2, r), cell-averaged quadrature on the affine grid, and a
+gather through the division table idx[x, y] = y^{-1} x on the other finite
+models.
 
 Every result carries the fraction of product mass dropped at a truncation
 boundary in its ``leak`` metadata.
@@ -142,13 +144,25 @@ class _CirculantProduct:
     M x = w0 ifft(fhat fft(x)) over the factor axes, and M^H uses conj(fhat).
     The Haar weights are constant there, so M is already its own p-weighted
     similarity, for every p.  ``symbol[k] = w0 fhat[k]`` is the eigenvalue
-    of M on the character ``character(k)``."""
+    of M on the character ``character(k)``.
 
-    def __init__(self, f: GFunction):
-        self.shape = tuple(f.group.cyclic_factors)
+    With ``torus`` (one period per axis) f lives on a lattice model (z, z2,
+    r) and is placed on the periodic embedding Z_torus: cell x sits at
+    x mod torus.  ``symbol`` is then w0 fhat sampled at the frequencies
+    2 pi m / torus of the dual torus."""
+
+    def __init__(self, f: GFunction, torus: tuple[int, ...] | None = None):
+        model = f.group
+        if torus is None:
+            self.shape = tuple(model.cyclic_factors)
+            grid = f.values.reshape(self.shape)
+        else:
+            self.shape = tuple(torus)
+            grid = np.zeros(self.shape, dtype=np.complex128)
+            grid[tuple((model.carrier.coords % self.shape).T)] = f.values
         self.axes = tuple(range(len(self.shape)))
-        w0 = float(f.group.weights[0])
-        self.symbol = w0 * np.fft.fftn(f.values.reshape(self.shape))[..., None]
+        w0 = float(model.weights[0])
+        self.symbol = w0 * np.fft.fftn(grid)[..., None]
 
     def _over_axes(self, transform, y: np.ndarray) -> np.ndarray:
         # one 1-D transform per factor, last axis first as fftn orders them:

@@ -159,8 +159,7 @@ def averaging_inequality_check(f: GFunction, cert: FolnerCertificate, p,
         observed=violation, expected=0.0, tolerance=tol, notes=notes)
 
 
-def positive_norm_equality(f: GFunction, p, tol: float | None = None,
-                           method: str = "auto") -> CheckResult:
+def positive_norm_equality(f: GFunction, p, tol: float | None = None) -> CheckResult:
     """On amenable desk models the tempered norm of a positive function is
     exactly its weighted-L1 norm (plain ||f||_1 when unimodular).
     """
@@ -170,7 +169,7 @@ def positive_norm_equality(f: GFunction, p, tol: float | None = None,
     model = f.group
     if tol is None:
         tol = 1e-6 if model.kind == KIND_FINITE else 1e-3
-    est = tempered_norm(f, exp, method=method)
+    est = tempered_norm(f, exp)
     target = weighted_l1_norm(f, exp)
     notes = f"method={est.method} lower={est.lower:.12g} upper={est.upper:.12g}"
     return CheckResult.build(

@@ -621,7 +621,7 @@ class GroupModel:
 # ---------------------------------------------------------------------------
 
 
-def build_group(spec: GroupSpec | str, *, validate: bool = True,
+def build_group(spec: GroupSpec | str, *,
                 element_cap: int = DEFAULT_ELEMENT_CAP) -> GroupModel:
     """Construct a :class:`GroupModel` from a spec (object or grammar string).
 
@@ -648,8 +648,7 @@ def build_group(spec: GroupSpec | str, *, validate: bool = True,
     model = GroupModel(kind=kind, spec=spec, carrier=carrier,
                        weights=weights, modular=modular,
                        normalization=spec.normalization)
-    if validate:
-        validate_group(model)
+    validate_group(model)
     return model
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -154,6 +155,22 @@ def _flat(value) -> str:
 
 
 FORMATS = ("json", "csv", "markdown")
+
+
+def check_writable(path: str) -> None:
+    """Raise the error of :func:`emit_report` when ``path`` cannot be
+    written, without creating or changing anything: its directory must
+    exist and be writable, and so must the file if it exists."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(directory):
+        reason = f"no directory {directory!r}"
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise IOError(f"cannot write report to {path!r}: {reason}")
 
 
 def emit_report(report: SuiteReport, path: str, fmt: str = "json") -> None:

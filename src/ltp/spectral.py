@@ -204,7 +204,14 @@ def plancherel_restricted_isometry(dual: DualModel, f: GFunction) -> tuple[float
     operators (the dual side's from the dual operator itself, not via the
     cross identity), so the comparison is a genuine two-route check.
     """
+    norm_f, sup_f, sup_fhat, norm_fhat = restricted_isometry_terms(dual, f)
+    return norm_f + sup_f, sup_fhat + norm_fhat
+
+
+def restricted_isometry_terms(dual: DualModel, f: GFunction):
+    """The four terms ||f||_2^T, ||f||_inf, ||fhat||_inf and ||fhat||_2^T,
+    each computed once; the cross identities pair the first with the third
+    and the second with the fourth."""
     fhat = fourier(dual, f)
-    lhs = tempered_norm(f, 2, method="exact_svd").value + ess_sup(f)
-    rhs = ess_sup(fhat) + tempered_norm(fhat, 2, method="exact_svd").value
-    return lhs, rhs
+    return (tempered_norm(f, 2, method="exact_svd").value, ess_sup(f),
+            ess_sup(fhat), tempered_norm(fhat, 2, method="exact_svd").value)

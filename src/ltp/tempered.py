@@ -9,11 +9,15 @@ Routes:
   operator (the operator is normal with the transform values as
   eigenvalues); the witness is the character of the largest one.
 * p = 2, translation-invariant lattices (truncated Z, Z^2, and the real-line
-  grid): supremum of the symbol over the dual torus, located by a padded FFT
-  scan plus Newton polish.  For window-supported data this is the operator
-  norm on the full (untruncated) lattice, which is what the truncated model
-  stands for; the window-section SVD is available explicitly and is a lower
-  bound of it.
+  grid): supremum of the symbol over the dual torus, bracketed by one FFT
+  scan on the periodic embedding of the circulant operator.  ``lower`` is
+  the largest sampled symbol value; ``upper`` widens it by a second-order
+  Bernstein bound, or is the weighted-L1 value when that is smaller.  For
+  window-supported data the supremum is the operator norm on the full
+  (untruncated) lattice, which is what the truncated model stands for; the
+  window-section SVD is available explicitly and is a lower bound of it.
+  ``lower`` is attained by a character of the periodic embedding, not by a
+  function on the window, so the route returns no witness.
 * p = 2, general (nonabelian finite, affine quadrature): largest singular
   value of the weighted similarity D^{1/2} M D^{-1/2}, from the top
   eigenpair of M^H M (dense up to 1024 cells, a deterministic Lanczos
@@ -68,7 +72,7 @@ _FFT_MIN_N = 256
 # Smallest normal double: magnitudes are floored here before a negative
 # power, which keeps |y|^(p-2) finite and makes y |y|^(p-2) vanish at y = 0.
 _TINY = np.finfo(np.float64).tiny
-_POLISH_RTOL = 4.0 * np.finfo(np.float64).eps
+_EPS = np.finfo(np.float64).eps
 
 METHOD_EXACT_SVD = "exact_svd"
 METHOD_SPECTRAL = "spectral_abelian"
@@ -98,6 +102,8 @@ class NormEstimate:
     ``lower`` is always an attained (or exactly computed) value;
     ``upper`` is never below the true norm.  ``witness``, when present, is
     a g whose Rayleigh ratio ||g*f||_p / ||g||_p meets the lower bound.
+    The lattice p = 2 route has none: its ``lower`` is a value of the
+    symbol, attained on the periodic embedding and not on the window.
     On the iterative route ``iterations`` counts the steps of the restart
     that gave ``lower``, ``matvecs`` the operator products of all
     restarts, and ``restart_spread`` the spread (max - min) / max of the
@@ -246,83 +252,38 @@ def _spectral_finite_abelian(f: GFunction) -> NormEstimate:
 
 
 def _symbol_supremum(f: GFunction) -> NormEstimate:
-    model = f.group
-    carrier: _LatticeCarrier = model.carrier
-    w0 = float(model.weights[0])
-    support = np.nonzero(f.values)[0]
-    coords = carrier.to_coords(support).astype(np.float64)
-    if coords.ndim == 1:
-        coords = coords[:, None]
-    vals = f.values[support]
-    dim = carrier.dim
+    """sup |w0 fhat| over the dual torus, bracketed by one FFT scan.
 
-    pad = 4096 if dim == 1 else 512
+    The scan samples the symbol at the frequencies 2 pi m / pad of each
+    axis, so its maximum ``top`` is a value of the symbol: the lower end.
+    |fhat|^2 has frequencies within +-d_a on axis a, d_a the extent of
+    supp f along it.  On the segment from the maximiser to its nearest grid
+    node, at most pi / pad away on each axis and parametrised over [0, 1],
+    its frequencies are at most eta = pi sum_a d_a / pad, so its second
+    derivative is at most eta^2 sup^2 (Bernstein's inequality, applied
+    twice).  The gradient vanishes at the maximiser, so the node keeps
+    |fhat|^2 >= (1 - eta^2 / 2) sup^2, which gives the upper end
+    (top + rounding) / sqrt(1 - eta^2 / 2).  The weighted-L1 value bounds
+    the norm as well and is used alone when eta^2 >= 2.
+    """
+    carrier: _LatticeCarrier = f.group.carrier
+    pad = 4096 if carrier.dim == 1 else 512
     while pad < 4 * carrier.side:
         pad *= 2
-    grid = np.zeros((pad,) * dim, dtype=np.complex128)
-    cells = tuple((coords[:, a].astype(np.int64) % pad) for a in range(dim))
-    np.add.at(grid, cells, vals)
-    samples = np.fft.fftn(grid)
-    mags = np.abs(samples).reshape(-1)
-
-    order = np.argsort(mags)[::-1][:8]
-    best = 0.0
-    two_pi = 2.0 * math.pi
-    for flat in order:
-        pos = np.unravel_index(int(flat), (pad,) * dim)
-        theta0 = np.array([two_pi * m / pad for m in pos])
-        best = max(best, _polish_symbol(coords, vals, theta0, two_pi / pad))
-    return NormEstimate(w0 * best, w0 * best, METHOD_SPECTRAL)
-
-
-def _symbol_eval(coords, vals, theta):
-    phase = np.exp(-1j * (coords @ theta))
-    s = np.sum(vals * phase)
-    ds = np.sum(vals[:, None] * (-1j * coords) * phase[:, None], axis=0)
-    d2 = -(coords[:, :, None] * coords[:, None, :])
-    d2s = np.sum(vals[:, None, None] * d2 * phase[:, None, None], axis=0)
-    m = float(np.abs(s) ** 2)
-    grad = 2.0 * np.real(np.conj(s) * ds)
-    hess = 2.0 * np.real(np.conj(ds)[:, None] * ds[None, :] + np.conj(s) * d2s)
-    return m, grad, hess
-
-
-def _polish_symbol(coords, vals, theta0, bin_width) -> float:
-    """Maximize |sum f_k exp(-i k.theta)|^2 by safeguarded Newton ascent.
-
-    A step is taken only on a strict gain, and the ascent ends once a gain
-    is within rounding of m (4 eps m): beyond that, steps only walk along
-    the flat top of the peak.  For the same reason a step is halved only
-    while its predicted gain grad . step exceeds 4 eps m.
-    """
-    theta = np.asarray(theta0, dtype=np.float64)
-    m, grad, hess = _symbol_eval(coords, vals, theta)
-    for _ in range(60):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= 1e-13 * max(1.0, m):
-            break
-        step = None
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or np.linalg.norm(step) > 2.0 * bin_width or np.dot(step, grad) <= 0:
-            step = grad * (bin_width / gnorm)
-        for _ in range(30):
-            if np.dot(grad, step) <= _POLISH_RTOL * m:
-                return math.sqrt(m)
-            m2, g2, h2 = _symbol_eval(coords, vals, theta + step)
-            if m2 > m:
-                break
-            step = 0.5 * step
-        else:
-            break
-        gain = m2 - m
-        theta = theta + step
-        m, grad, hess = m2, g2, h2
-        if gain <= _POLISH_RTOL * m:
-            break
-    return math.sqrt(m)
+    product = _CirculantProduct(f, (pad,) * carrier.dim)
+    top = float(np.max(np.abs(product.symbol)))
+    support = carrier.coords[np.flatnonzero(f.values)]
+    eta = math.pi * float(np.sum(support.max(axis=0) - support.min(axis=0))) / pad
+    upper = upper_bound_weighted_l1(f, 2.0)
+    if eta * eta < 2.0:
+        # FFT rounding, in the 2-norm over all N = pad^dim outputs: at most
+        # 8 eps log2(N) sqrt(N) ||w0 f||_2 (Higham, Accuracy and Stability
+        # of Numerical Algorithms, 2nd ed., Thm 24.2)
+        size = product.symbol.size
+        rounding = (8.0 * _EPS * math.log2(size) * math.sqrt(size)
+                    * float(f.group.weights[0]) * float(np.linalg.norm(f.values)))
+        upper = min(upper, (top + rounding) / math.sqrt(1.0 - 0.5 * eta * eta))
+    return NormEstimate(min(top, upper), upper, METHOD_SPECTRAL)
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +488,7 @@ def _boyd_block(product, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
 # ---------------------------------------------------------------------------
 
 
-def dirac_scaling_check(f: GFunction, x, p, max_leak: float = 1e-6,
-                        method: str = "auto") -> tuple[float, float]:
+def dirac_scaling_check(f: GFunction, x, p) -> tuple[float, float]:
     """Measure ||f * delta_x||_p^T / ||f||_p^T and return it with the
     predicted value Delta(x)^{-1/q} (1 on unimodular models).
 
@@ -540,13 +500,13 @@ def dirac_scaling_check(f: GFunction, x, p, max_leak: float = 1e-6,
     everywhere else.
     """
     exp = Exponent.of(p)
-    shifted = translate(f, x, RIGHT_DIRAC, max_leak=max_leak)
+    shifted = translate(f, x, RIGHT_DIRAC)
     if isinstance(f.group.carrier, _AffineCarrier):
-        num = tempered_upper(shifted, exp, method=method)
-        den = tempered_upper(f, exp, method=method)
+        num = tempered_upper(shifted, exp)
+        den = tempered_upper(f, exp)
     else:
-        num = tempered_norm(shifted, exp, method=method).value
-        den = tempered_norm(f, exp, method=method).value
+        num = tempered_norm(shifted, exp).value
+        den = tempered_norm(f, exp).value
     if den == 0.0:
         raise DomainError("dirac scaling needs a nonzero f")
     delta = point_modular(f.group, x)
@@ -575,8 +535,8 @@ def re_im_closure_check(f: GFunction, p, tol: float = 1e-9):
                              notes=notes)
 
 
-def quasi_identity_blowup(model: GroupModel, p, count: int, big_k: float = 1.0) -> list[float]:
-    """Lower bounds n^{1 - 1/p} / K for the Lp size of a hypothetical left
+def quasi_identity_blowup(model: GroupModel, p, count: int) -> list[float]:
+    """Lower bounds n^{1 - 1/p} for the Lp size of a hypothetical left
     quasi identity, using shrinking neighborhoods U_n with measure < 1/n.
 
     Requires a real-line quadrature model whose cell is small enough to
@@ -595,5 +555,5 @@ def quasi_identity_blowup(model: GroupModel, p, count: int, big_k: float = 1.0) 
         if not (step < 1.0 / n):
             raise GridTooCoarse(
                 f"no neighborhood of measure < 1/{n} is representable at step {step}")
-        bounds.append(n ** (1.0 - 1.0 / exp.p) / big_k)
+        bounds.append(n ** (1.0 - 1.0 / exp.p))
     return bounds

@@ -4,11 +4,14 @@ The reference oracle is a literal triple-loop sum over the carrier,
 independent of the library's gather/FFT paths.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ltp
-from ltp.convolve import conv_operator
+from ltp.convolve import _CirculantProduct, conv_operator
 from ltp.errors import ModelMismatchError
 from ltp.groups import KIND_FINITE
 
@@ -71,6 +74,40 @@ def test_spectral_path_matches_direct(spec):
         fast = ltp.convolve(g, f, path="spectral")
         scale = max(ltp.lp_norm(direct, 2), 1e-30)
         assert ltp.lp_norm(direct - fast, 2) / scale < 1e-10
+
+
+@pytest.mark.parametrize("spec", ["z:64", "z2:8"])
+def test_torus_symbol_matches_character_sum(spec):
+    # the lattice symbol on the periodic embedding against the direct sum
+    # w0 sum_k f(k) exp(-i k . theta) at grid frequencies theta = 2 pi m / pad
+    G = ltp.build_group(spec)
+    dim = G.carrier.dim
+    pad = 4096 if dim == 1 else 512
+    f = ltp.random_function(G, 11, support_radius=G.carrier.radius / 2)
+    symbol = _CirculantProduct(f, (pad,) * dim).symbol[..., 0]
+    rng = np.random.default_rng(5)
+    scale = float(np.sum(np.abs(f.values)))
+    for m in rng.integers(0, pad, size=(6, dim)):
+        theta = 2.0 * np.pi * m / pad
+        direct = G.weights[0] * np.sum(f.values * np.exp(-1j * (G.carrier.coords @ theta)))
+        assert abs(symbol[tuple(m)] - direct) <= 1e-12 * scale
+
+
+def test_fft_code_lives_in_the_circulant_product_only():
+    def fft_lines(tree):
+        return {node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name) and node.value.id == "np"}
+
+    src = Path(ltp.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in src.glob("*.py")}
+    circulant = next(node for node in trees["convolve.py"].body
+                     if isinstance(node, ast.ClassDef) and node.name == "_CirculantProduct")
+    found = {name: fft_lines(tree) for name, tree in trees.items()}
+    assert fft_lines(circulant)
+    assert {name: lines for name, lines in found.items() if lines} == \
+        {"convolve.py": fft_lines(circulant)}
 
 
 def test_operator_matrix_is_circulant_with_first_column_f():

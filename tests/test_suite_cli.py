@@ -275,13 +275,23 @@ def test_cli_flags_win_over_the_config_file(tmp_path, capsys):
     assert "invalid choice: 'xml'" in capsys.readouterr().err
 
 
-def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):
+def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
     out = tmp_path / "missing" / "r.json"
     rc = main(["suite", "--group", "cyclic:4@counting", "--p", "2", "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: cannot write report") and err.count("\n") == 1
     assert not out.exists()
+    # the path is checked before the suite runs, not after
+    def suite_must_not_run(*args, **kwargs):
+        raise AssertionError("run_suite called before the output path was checked")
+
+    monkeypatch.setattr("ltp.cli.run_suite", suite_must_not_run)
+    for target in (out, tmp_path):
+        rc = main(["suite", "--group", "cyclic:4@counting", "--p", "2", "--out", str(target)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: cannot write report") and err.count("\n") == 1
 
 
 def test_cli_spelled_tolerance_override(tmp_path, capsys):
