@@ -28,8 +28,8 @@ EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 
 
-def _load_config(path: str) -> dict:
-    values: dict[str, str] = {}
+def _load_config(path: str) -> list[tuple[str, str]]:
+    pairs = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
@@ -39,10 +39,10 @@ def _load_config(path: str) -> dict:
                 if "=" not in line:
                     raise SpecParseError(f"config line without '=': {line!r}")
                 key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                pairs.append((key.strip(), value.strip()))
     except OSError as exc:
         raise SpecParseError(f"cannot read config {path!r}: {exc}") from exc
-    return values
+    return pairs
 
 
 def parse_function_source(model, source: str) -> GFunction:
@@ -96,8 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="include wall-clock runtime_ms (breaks byte-determinism)")
     suite.add_argument("--config", default="", help="key=value file mirroring the flags")
     suite.add_argument("--tol", action="append", default=[], metavar="NAME=TOL",
-                       help="per-check tolerance override; the spelled form "
-                            "--tol-<checkname> VALUE is accepted too")
+                       help="per-check tolerance override, repeatable")
 
     norm = sub.add_parser("norm", help="certified tempered norm of one function")
     norm.add_argument("--group", help="group spec")
@@ -124,19 +123,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_flags(path: str, args: argparse.Namespace) -> list[str]:
     """The config file's values for the options of the parsed command, as
-    flags: each key is a flag's name."""
-    config = _load_config(path)
+    flags: each key is a flag's name.  Keys of other commands' flags are
+    ignored; a key that is no command's flag is an error."""
     mapping = {"group": "group", "p": "p", "seed": "seed", "out": "out",
                "format": "format", "f": "source", "method": "method",
                "restarts": "restarts", "epsilon": "epsilon",
-               "c-radius": "c_radius", "timings": "timings"}
+               "c-radius": "c_radius", "timings": "timings", "tol": "tol"}
     flags = []
-    for key, attr in mapping.items():
-        if key not in config or not hasattr(args, attr):
+    for key, value in _load_config(path):
+        if key not in mapping:
+            raise SpecParseError(f"unknown config key {key!r}")
+        if not hasattr(args, mapping[key]):
             continue
         if key != "timings":
-            flags.append(f"--{key}={config[key]}")
-        elif config[key].lower() in ("1", "true", "yes"):
+            flags.append(f"--{key}={value}")
+        elif value.lower() in ("1", "true", "yes"):
             flags.append("--timings")
     return flags
 
@@ -213,46 +214,16 @@ def _cmd_folner(args) -> int:
     return EXIT_OK
 
 
-def _extract_tol_flags(argv: list[str]) -> tuple[list[str], list[str]]:
-    """Rewrite --tol-<checkname> VALUE (or =VALUE) into --tol NAME=VALUE."""
-    rest: list[str] = []
-    collected: list[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg.startswith("--tol-"):
-            body = arg[len("--tol-"):]
-            if "=" in body:
-                name, _, value = body.partition("=")
-            else:
-                name = body
-                i += 1
-                if i >= len(argv):
-                    raise SpecParseError(f"--tol-{name} needs a value")
-                value = argv[i]
-            collected.append(f"{name}={value}")
-        else:
-            rest.append(arg)
-        i += 1
-    return rest, collected
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        if argv is None:
-            argv = sys.argv[1:]
-        argv, tol_flags = _extract_tol_flags(list(argv))
+        argv = list(sys.argv[1:] if argv is None else argv)
         args = parser.parse_args(argv)
         if args.config:
             # the config file's flags go in ahead of the command line's, which
             # win as the later ones, and are parsed and checked like them
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_flags(args.config, args) + argv[at:])
-        if tol_flags:
-            if not hasattr(args, "tol"):
-                raise SpecParseError("--tol-<checkname> applies to the suite command")
-            args.tol.extend(tol_flags)
         if getattr(args, "group", None) in (None, ""):
             raise SpecParseError("missing --group (flag or config file)")
         if args.command in ("norm", "spectral") and not getattr(args, "source", None):

@@ -37,7 +37,7 @@ class CheckResult:
 
     ``expected`` may be a scalar (pass iff |observed - expected| <= tolerance)
     or a two-element interval [lo, hi] (pass iff observed lies inside, with
-    the tolerance widening both ends).  ``observed`` may be a scalar or pair.
+    the tolerance widening both ends).
     """
 
     name: str
@@ -65,9 +65,7 @@ class CheckResult:
         if isinstance(expected, (list, tuple)):
             lo, hi = expected
             return (lo - tolerance) <= observed <= (hi + tolerance)
-        obs = observed if not isinstance(observed, (list, tuple)) else max(
-            abs(o - expected) for o in observed) + expected
-        return abs(obs - expected) <= tolerance
+        return abs(observed - expected) <= tolerance
 
     @property
     def passed(self) -> bool:

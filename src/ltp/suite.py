@@ -112,7 +112,6 @@ class SuiteContext:
     model: GroupModel
     p: Exponent | None
     rng: np.random.Generator
-    tol: float
 
 
 @dataclass
@@ -417,8 +416,7 @@ def _run_re_im(ctx: SuiteContext):
     worst = 0.0
     for _ in range(12):
         f = _random_probe(ctx.model, ctx.rng)
-        result = re_im_closure_check(f, ctx.p, tol=ctx.tol)
-        worst = max(worst, result.observed)
+        worst = max(worst, re_im_closure_check(f, ctx.p))
     return worst, 0.0, "||Re f||_p^T and ||Im f||_p^T vs 2 ||f||_p^T"
 
 
@@ -442,7 +440,7 @@ def _run_quasi_identity(ctx: SuiteContext):
     monotone = all(b2 >= b1 - 1e-15 for b1, b2 in zip(bounds, bounds[1:]))
     if not monotone:
         worst = max(worst, 1.0)
-    note = f"n=1..{count}: lower bounds n^(1-1/p)/K grow without bound"
+    note = f"n=1..{count}: lower bounds n^(1-1/p) grow without bound"
     return worst, 0.0, note
 
 
@@ -463,8 +461,8 @@ def _run_positive_cone(ctx: SuiteContext):
     worst = 0.0
     for _ in range(8):
         f = _random_probe(model, ctx.rng, positive=True, concentration=concentration)
-        result = positive_norm_equality(f, ctx.p, tol=ctx.tol)
-        worst = max(worst, abs(result.observed - result.expected))
+        norm, target = positive_norm_equality(f, ctx.p)
+        worst = max(worst, abs(norm - target))
     return worst, 0.0, note
 
 
@@ -480,8 +478,8 @@ def _run_folner_averaging(ctx: SuiteContext):
     worst = 0.0
     for _ in range(6):
         f = _random_probe(ctx.model, ctx.rng, positive=True)
-        result = averaging_inequality_check(f, cert, ctx.p, tol=ctx.tol)
-        worst = max(worst, result.observed)
+        lower, pairing, upper = averaging_inequality_check(f, cert, ctx.p)
+        worst = max(worst, lower - pairing, pairing - upper)
     return worst, 0.0, "averaging chain violation over random positive f"
 
 
@@ -655,7 +653,7 @@ REGISTRY: list[CheckDef] = [
     CheckDef("submultiplicative-action", "||g*f||_p <= ||g||_p ||f||_p^T",
              ("tempered-norm-definition",), _run_submultiplicative, per_p=True,
              requires=_needs_finite),
-    CheckDef("quasi-identity-blowup", "lower bounds n^(1-1/p)/K rule out a quasi identity",
+    CheckDef("quasi-identity-blowup", "lower bounds n^(1-1/p) rule out a quasi identity",
              ("quasi-identity",), _run_quasi_identity, per_p=True,
              requires=_needs_real_line, tol=1e-12),
     CheckDef("positive-cone-equality", "||f||_p^T = integral f Delta^(-1/q) for f >= 0",
@@ -760,8 +758,7 @@ def _execute_check(check: CheckDef, model: GroupModel, p: float | None,
                    seed: int, tol: float, timings: bool) -> CheckResult:
     name = _task_name(check, p)
     rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-    ctx = SuiteContext(model=model, p=None if p is None else Exponent.of(p),
-                       rng=rng, tol=tol)
+    ctx = SuiteContext(model=model, p=None if p is None else Exponent.of(p), rng=rng)
     started = time.perf_counter()
     try:
         observed, expected, notes = check.runner(ctx)

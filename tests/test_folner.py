@@ -61,26 +61,26 @@ def test_window_too_small():
 def test_averaging_dirac():
     G = ltp.build_group("z:64@counting")
     cert = find_folner(G, 1, 0.1)
-    result = averaging_inequality_check(ltp.dirac(G), cert, 2)
-    assert result.passed
+    lower, pairing, upper = averaging_inequality_check(ltp.dirac(G), cert, 2)
+    assert max(0.0, lower - pairing, pairing - upper) <= 1e-9
     # for f = delta_e the pairing is the self-overlap ratio 1 >= 1 - eps
-    assert "pairing=1" in result.notes
+    assert pairing == pytest.approx(1.0, abs=1e-12)
 
 
 def test_averaging_box_function():
     G = ltp.build_group("z:64@counting")
     cert = find_folner(G, 2, 0.1)
     f = ltp.box_function(G, 2)
-    result = averaging_inequality_check(f, cert, 2)
-    assert result.passed
-    assert result.observed == 0.0
+    lower, pairing, upper = averaging_inequality_check(f, cert, 2)
+    assert max(0.0, lower - pairing, pairing - upper) == 0.0
 
 
 def test_averaging_zero_function():
     G = ltp.build_group("z:64@counting")
     cert = find_folner(G, 1, 0.1)
     zero = ltp.GFunction(G, np.zeros(G.n))
-    assert averaging_inequality_check(zero, cert, 2).passed
+    lower, pairing, upper = averaging_inequality_check(zero, cert, 2)
+    assert max(0.0, lower - pairing, pairing - upper) <= 1e-9
 
 
 def test_averaging_rejects_complex():
@@ -93,25 +93,25 @@ def test_averaging_rejects_complex():
 def test_positive_equality_finite_example():
     G = ltp.build_group("cyclic:8@counting")
     f = ltp.GFunction(G, [1, 1, 1, 0, 0, 0, 0, 0])
-    result = positive_norm_equality(f, 2, tol=1e-9)
-    assert result.passed
-    assert result.observed == pytest.approx(3.0, abs=1e-9)
-    assert result.expected == pytest.approx(3.0, abs=1e-12)
+    norm, target = positive_norm_equality(f, 2)
+    assert abs(norm - target) <= 1e-9
+    assert norm == pytest.approx(3.0, abs=1e-9)
+    assert target == pytest.approx(3.0, abs=1e-12)
 
 
 def test_positive_equality_truncated_geometric():
     G = ltp.build_group("z:64@counting")
     vals = np.array([2.0 ** (-abs(k)) for k in range(-64, 65)])
-    result = positive_norm_equality(ltp.GFunction(G, vals), 2, tol=1e-3)
-    assert result.passed
-    assert result.observed == pytest.approx(3.0, abs=1e-3)
+    norm, target = positive_norm_equality(ltp.GFunction(G, vals), 2)
+    assert abs(norm - target) <= 1e-3
+    assert norm == pytest.approx(3.0, abs=1e-3)
 
 
 def test_positive_equality_dirac():
     G = ltp.build_group("z:32@counting")
-    result = positive_norm_equality(ltp.dirac(G), 2)
-    assert result.passed
-    assert result.observed == pytest.approx(1.0, abs=1e-12)
+    norm, target = positive_norm_equality(ltp.dirac(G), 2)
+    assert abs(norm - target) <= 1e-3
+    assert norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_positive_equality_rejects_signed():
@@ -126,6 +126,8 @@ def test_positive_equality_random_batch():
     Z = ltp.build_group("z:64@counting")
     for _ in range(50):
         f = ltp.random_function(G, rng, positive=True)
-        assert positive_norm_equality(f, 2, tol=1e-6).passed
+        norm, target = positive_norm_equality(f, 2)
+        assert abs(norm - target) <= 1e-6
         g = ltp.random_function(Z, rng, positive=True, support_radius=16)
-        assert positive_norm_equality(g, 2, tol=1e-3).passed
+        norm, target = positive_norm_equality(g, 2)
+        assert abs(norm - target) <= 1e-3

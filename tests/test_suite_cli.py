@@ -1,7 +1,9 @@
 """The theorem suite, report emission, determinism, and the CLI."""
 
+import ast
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,15 +296,53 @@ def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: cannot write report") and err.count("\n") == 1
 
 
-def test_cli_spelled_tolerance_override(tmp_path, capsys):
+def test_cli_tolerance_override(tmp_path, capsys):
     out = tmp_path / "t.json"
     rc = main(["suite", "--group", "cyclic:8@counting", "--p", "2",
-               "--out", str(out), "--tol-holder-pairing", "0.5"])
+               "--out", str(out), "--tol", "holder-pairing=0.5"])
     capsys.readouterr()
     assert rc == 0
     data = json.loads(out.read_text())
     by_name = {c["name"]: c for c in data["checks"]}
     assert by_name["holder-pairing@p=2"]["tolerance"] == 0.5
+
+
+def test_cli_config_rejects_unknown_keys_and_passes_tolerances(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("group=cyclic:4@counting\nsead=7\n")
+    assert main(["suite", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key 'sead'\n"
+    # keys of other commands' flags are ignored, tolerances are passed on
+    out = tmp_path / "t.json"
+    config.write_text(f"group=cyclic:8@counting\np=2\nf=1,0\nout={out}\n"
+                      "tol=holder-pairing=0.5\ntol=left-invariance=0.25\n")
+    assert main(["suite", "--config", str(config)]) == 0
+    by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert by_name["holder-pairing@p=2"]["tolerance"] == 0.5
+    assert by_name["left-invariance@p=2"]["tolerance"] == 0.25
+    assert main(["suite", "--config", str(config), "--tol", "holder-pairing=0.75"]) == 0
+    by_name = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert by_name["holder-pairing@p=2"]["tolerance"] == 0.75
+
+
+def test_only_the_harness_imports_report():
+    def imports_report(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = {alias.name for alias in node.names}
+                if module.endswith("report") or (module in ("", "ltp") and "report" in names):
+                    return True
+            elif isinstance(node, ast.Import):
+                if any(alias.name == "ltp.report" for alias in node.names):
+                    return True
+        return False
+
+    src = Path(ltp.__file__).resolve().parent
+    importers = {path.name for path in src.glob("*.py")
+                 if imports_report(ast.parse(path.read_text(encoding="utf-8")))}
+    assert importers <= {"suite.py", "cli.py", "__init__.py"}
+    assert "suite.py" in importers
 
 
 def test_cli_spectral(capsys):
