@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .errors import LtpError, ResourceError, SpecParseError
 from .groups import build_group
-from .report import check_writable, emit_report
+from .report import check_writable, emit_report, render_report
 from .space import GFunction, box_function, dirac, gauss_function, random_function
 from .spectral import build_dual, fourier, plancherel_restricted_isometry
 from .suite import run_suite
@@ -162,12 +162,7 @@ def _cmd_suite(args) -> int:
         except OSError as exc:  # an unwritable path is a usage error
             raise SpecParseError(str(exc)) from exc
     else:
-        if args.format == "json":
-            print(report.to_json())
-        elif args.format == "csv":
-            print(report.to_csv(), end="")
-        else:
-            print(report.to_markdown())
+        print(render_report(report, args.format), end="")
     summary = report.summary
     print(f"# pass={summary['pass']} fail={summary['fail']} skipped={summary['skipped']}",
           file=sys.stderr)

@@ -171,16 +171,20 @@ def check_writable(path: str) -> None:
     raise IOError(f"cannot write report to {path!r}: {reason}")
 
 
-def emit_report(report: SuiteReport, path: str, fmt: str = "json") -> None:
-    """Write the report to ``path`` in the requested format."""
+def render_report(report: SuiteReport, fmt: str = "json") -> str:
+    """The report's text in the requested format, as written to a file."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     if fmt == "json":
-        text = report.to_json() + "\n"
-    elif fmt == "csv":
-        text = report.to_csv()
-    else:
-        text = report.to_markdown()
+        return report.to_json() + "\n"
+    if fmt == "csv":
+        return report.to_csv()
+    return report.to_markdown()
+
+
+def emit_report(report: SuiteReport, path: str, fmt: str = "json") -> None:
+    """Write the report to ``path`` in the requested format."""
+    text = render_report(report, fmt)
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

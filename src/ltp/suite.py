@@ -29,7 +29,7 @@ from .groups import (COUNTING, KIND_FINITE, KIND_LATTICE, KIND_QUADRATURE,
                      _LatticeCarrier, build_group, validate_group,
                      _affine_validation_points, _affine_modular_residual)
 from .convolve import associativity_check, convolve
-from .folner import averaging_inequality_check, find_folner
+from .folner import averaging_inequality_check, find_folner, positive_norm_equality
 from .report import FAIL, CheckResult, SuiteReport
 from .space import (Exponent, GFunction, dirac, dirac_measure, ess_sup,
                     estimate_modular, inner, lp_norm, modular_reflect,
@@ -40,10 +40,8 @@ from .spectral import (DUAL_CAP, build_dual, character_orthogonality_residual,
                        mult_operator_norm, parseval_check, plancherel_residual,
                        product_theorem_check, restricted_isometry_terms,
                        roundtrip_residual, tempered_norm_spectral)
-from .tempered import (quasi_identity_blowup, re_im_closure_check, tempered_norm,
-                       tempered_upper)
-
-DEFAULT_KIND_TOL = {KIND_FINITE: 1e-9, KIND_LATTICE: 1e-6, KIND_QUADRATURE: 5e-2}
+from .tempered import (dirac_scaling_check, quasi_identity_blowup, re_im_closure_check,
+                       tempered_norm, tempered_upper, upper_bound_weighted_l1)
 
 
 class SkipCheck(Exception):
@@ -116,20 +114,31 @@ class SuiteContext:
 
 @dataclass
 class CheckDef:
+    """One statement and the models it applies to.
+
+    ``runner`` measures one draw and returns the measurement, or
+    ``(measurement, note)`` when the note depends on the draw.  The suite
+    runs ``draws`` of them, keeps the largest of 0 and the measurements,
+    and judges it against ``expected`` within ``tol``: one value for every
+    model with exact arithmetic, ``affine_tol`` on the interpolated affine
+    grid where a check needs its own.
+    """
     name: str
     ref: str
     anchors: tuple[str, ...]
-    runner: Callable[[SuiteContext], tuple]
+    runner: Callable[[SuiteContext], float | tuple[float, str]]
+    note: str = ""
+    draws: int = 1
     per_p: bool = False
     requires: Callable[[GroupModel], str | None] | None = None
-    tol: dict | float | None = None
+    tol: float = 1e-9
+    affine_tol: float | None = None
+    expected: float | tuple[float, float] = 0.0
 
     def tolerance_for(self, model: GroupModel) -> float:
-        if isinstance(self.tol, dict):
-            return self.tol.get(model.kind, DEFAULT_KIND_TOL[model.kind])
-        if self.tol is not None:
-            return float(self.tol)
-        return DEFAULT_KIND_TOL[model.kind]
+        if self.affine_tol is not None and isinstance(model.carrier, _AffineCarrier):
+            return self.affine_tol
+        return self.tol
 
 
 # -- requirement helpers ----------------------------------------------------
@@ -190,43 +199,36 @@ def _needs_folner_window(model):
     return None
 
 
-# -- runners ----------------------------------------------------------------
+# -- runners: each measures one draw ----------------------------------------
 
 
 def _run_identity_translation(ctx: SuiteContext):
     f = _random_probe(ctx.model, ctx.rng)
-    worst = 0.0
-    for side in (LEFT_DIRAC, RIGHT_DIRAC):
-        g = translate(f, ctx.model.identity, side)
-        worst = max(worst, float(np.max(np.abs(g.values - f.values))))
-    return worst, 0.0, "translation by the identity, both sides"
+    return max(float(np.max(np.abs(translate(f, ctx.model.identity, side).values - f.values)))
+               for side in (LEFT_DIRAC, RIGHT_DIRAC))
 
 
 def _run_group_axioms(ctx: SuiteContext):
     try:
         validate_group(ctx.model)
     except AssertionError as exc:
-        return 1.0, 0.0, f"axiom violation: {exc}"
-    return 0.0, 0.0, "identity/inverse/associativity re-verified"
+        return 1.0, f"axiom violation: {exc}"
+    return 0.0
 
 
 def _run_left_invariance(ctx: SuiteContext):
     f = _random_probe(ctx.model, ctx.rng)
     base = lp_norm(f, ctx.p)
-    worst = 0.0
-    for x in _scaling_points(ctx.model):
-        shifted = translate(f, x, LEFT_DIRAC)
-        worst = max(worst, abs(lp_norm(shifted, ctx.p) - base))
-    return worst, 0.0, "||delta_x * f||_p == ||f||_p over sampled x"
+    return max(abs(lp_norm(translate(f, x, LEFT_DIRAC), ctx.p) - base)
+               for x in _scaling_points(ctx.model))
 
 
 def _run_modular_consistency(ctx: SuiteContext):
     model = ctx.model
     if isinstance(model.carrier, _AffineCarrier):
-        return (_affine_modular_residual(model), 0.0,
+        return (_affine_modular_residual(model),
                 "empirical vs stored modular on sampled points")
-    est = estimate_modular(model, model.identity)
-    return abs(est - 1.0), 0.0, "real-line model is unimodular"
+    return abs(estimate_modular(model, model.identity) - 1.0)
 
 
 def _run_modular_multiplicativity(ctx: SuiteContext):
@@ -237,11 +239,10 @@ def _run_modular_multiplicativity(ctx: SuiteContext):
     prod = np.asarray(model.op(i, j))
     ok = prod >= 0
     if not np.any(ok):
-        return 0.0, 0.0, "no in-window products sampled"
+        return 0.0, "no in-window products sampled"
     lhs = model.modular[prod[ok]]
     rhs = model.modular[i[ok]] * model.modular[j[ok]]
-    worst = float(np.max(np.abs(lhs - rhs) / rhs))
-    return worst, 0.0, "Delta(xy) = Delta(x) Delta(y) on sampled pairs"
+    return float(np.max(np.abs(lhs - rhs) / rhs))
 
 
 def _run_l1_linf_split(ctx: SuiteContext):
@@ -252,20 +253,15 @@ def _run_l1_linf_split(ctx: SuiteContext):
     sup_violation = max(0.0, ess_sup(bounded) - 1.0)
     support_violation = float(np.max(
         np.where(np.abs(f.values) <= 1.0, np.abs(tail.values), 0.0)))
-    worst = max(residual, sup_violation, support_violation)
-    return worst, 0.0, "f = f chi_A + f chi_complement with A = {|f| <= 1}"
+    return max(residual, sup_violation, support_violation)
 
 
 def _run_holder(ctx: SuiteContext):
-    worst = 0.0
-    for _ in range(8):
-        f = _random_probe(ctx.model, ctx.rng)
-        g = _random_probe(ctx.model, ctx.rng)
-        lhs = abs(inner(f, g))
-        q = ctx.p.q
-        rhs = lp_norm(f, ctx.p) * (ess_sup(g) if math.isinf(q) else lp_norm(g, q))
-        worst = max(worst, lhs - rhs)
-    return max(worst, 0.0), 0.0, "|<f, g>| <= ||f||_p ||g||_q"
+    f = _random_probe(ctx.model, ctx.rng)
+    g = _random_probe(ctx.model, ctx.rng)
+    lhs = abs(inner(f, g))
+    q = ctx.p.q
+    return lhs - lp_norm(f, ctx.p) * (ess_sup(g) if math.isinf(q) else lp_norm(g, q))
 
 
 def _run_reflect_norm(ctx: SuiteContext):
@@ -273,45 +269,35 @@ def _run_reflect_norm(ctx: SuiteContext):
     reflected = modular_reflect(f, ctx.p, max_leak=0.2)
     diff = abs(lp_norm(reflected, ctx.p) - lp_norm(f, ctx.p))
     scale = max(lp_norm(f, ctx.p), 1e-30)
-    return diff / scale, 0.0, f"||f~||_p vs ||f||_p, leak={reflected.leak:.2e}"
+    return diff / scale, f"||f~||_p vs ||f||_p, leak={reflected.leak:.2e}"
 
 
 def _run_conv_cross_path(ctx: SuiteContext):
-    worst = 0.0
-    for _ in range(4):
-        f = _random_probe(ctx.model, ctx.rng)
-        g = _random_probe(ctx.model, ctx.rng)
-        direct = convolve(g, f, path="direct")
-        fast = convolve(g, f, path="spectral")
-        scale = max(lp_norm(direct, 2), 1e-30)
-        worst = max(worst, lp_norm(direct - fast, 2) / scale)
-    return worst, 0.0, "direct vs spectral convolution, relative L2"
+    f = _random_probe(ctx.model, ctx.rng)
+    g = _random_probe(ctx.model, ctx.rng)
+    direct = convolve(g, f, path="direct")
+    fast = convolve(g, f, path="spectral")
+    return lp_norm(direct - fast, 2) / max(lp_norm(direct, 2), 1e-30)
 
 
 def _run_associativity(ctx: SuiteContext):
-    worst = 0.0
-    for _ in range(4):
-        f = _random_probe(ctx.model, ctx.rng)
-        g = _random_probe(ctx.model, ctx.rng)
-        h = _random_probe(ctx.model, ctx.rng)
-        for func in (f, g, h):
-            func.values /= max(lp_norm(func, 2), 1e-30)
-        worst = max(worst, associativity_check(f, g, h))
-    return worst, 0.0, "||(f*g)*h - f*(g*h)||_2 on normalized triples"
+    f = _random_probe(ctx.model, ctx.rng)
+    g = _random_probe(ctx.model, ctx.rng)
+    h = _random_probe(ctx.model, ctx.rng)
+    for func in (f, g, h):
+        func.values /= max(lp_norm(func, 2), 1e-30)
+    return associativity_check(f, g, h)
 
 
 def _run_young(ctx: SuiteContext):
-    worst = 0.0
-    for _ in range(8):
-        f = _random_probe(ctx.model, ctx.rng)
-        g = _random_probe(ctx.model, ctx.rng)
-        lhs = lp_norm(convolve(g, f), ctx.p)
-        rhs = lp_norm(g, ctx.p) * lp_norm(f, 1)
-        worst = max(worst, lhs - rhs)
-    return max(worst, 0.0), 0.0, "||g*f||_p <= ||g||_p ||f||_1"
+    f = _random_probe(ctx.model, ctx.rng)
+    g = _random_probe(ctx.model, ctx.rng)
+    lhs = lp_norm(convolve(g, f), ctx.p)
+    return lhs - lp_norm(g, ctx.p) * lp_norm(f, 1)
 
 
 def _run_dirac_calculus(ctx: SuiteContext):
+    # one f for every pair of points
     model = ctx.model
     rng = ctx.rng
     f = _random_probe(model, rng)
@@ -325,11 +311,10 @@ def _run_dirac_calculus(ctx: SuiteContext):
         dd = convolve(dirac_measure(model, x), dirac_measure(model, y))
         xy = int(model.op(x, y))
         worst = max(worst, float(np.max(np.abs(dd.values - dirac_measure(model, xy).values))))
-    return worst, 0.0, "delta_x * f is the left translation; delta_x * delta_y = delta_xy"
+    return worst
 
 
 def _run_dirac_scaling(ctx: SuiteContext):
-    from .tempered import dirac_scaling_check
     f = _random_probe(ctx.model, ctx.rng, positive=True)
     worst = 0.0
     details = []
@@ -337,98 +322,67 @@ def _run_dirac_scaling(ctx: SuiteContext):
         ratio, expected = dirac_scaling_check(f, x, ctx.p)
         worst = max(worst, abs(ratio - expected) / expected)
         details.append(f"{x}:{ratio:.6g}/{expected:.6g}")
-    return worst, 0.0, "ratio vs Delta(x)^(-1/q): " + " ".join(details)
+    return worst, "ratio vs Delta(x)^(-1/q): " + " ".join(details)
 
 
 def _run_dirac_identity_norm(ctx: SuiteContext):
     est = tempered_norm(dirac(ctx.model), ctx.p)
     worst = max(abs(est.lower - 1.0), abs(est.upper - 1.0))
-    return worst, 0.0, f"||delta_e||_p^T = 1 (method={est.method})"
+    return worst, f"||delta_e||_p^T = 1 (method={est.method})"
 
 
 def _run_discrete_lower(ctx: SuiteContext):
-    worst = 0.0
-    for _ in range(6):
-        f = _random_probe(ctx.model, ctx.rng)
-        est = tempered_norm(f, ctx.p)
-        worst = max(worst, lp_norm(f, ctx.p) - est.lower)
-    return max(worst, 0.0), 0.0, "||f||_p <= ||f||_p^T on counting models"
+    f = _random_probe(ctx.model, ctx.rng)
+    est = tempered_norm(f, ctx.p)
+    return lp_norm(f, ctx.p) - est.lower
 
 
 def _run_compact_upper(ctx: SuiteContext):
-    worst = 0.0
-    for _ in range(6):
-        f = _random_probe(ctx.model, ctx.rng)
-        worst = max(worst, tempered_upper(f, ctx.p) - lp_norm(f, ctx.p))
-    return max(worst, 0.0), 0.0, "||f||_p^T <= ||f||_p on probability models"
+    f = _random_probe(ctx.model, ctx.rng)
+    return tempered_upper(f, ctx.p) - lp_norm(f, ctx.p)
 
 
 def _run_finite_equivalence(ctx: SuiteContext):
     model = ctx.model
-    n = model.n
     q = ctx.p.q
-    growth = 1.0 if math.isinf(q) else n ** (1.0 / q)
-    if model.normalization == COUNTING:
-        c_lower, c_upper = 1.0, growth
-    else:
-        c_lower, c_upper = growth, 1.0
-    worst = 0.0
-    for _ in range(6):
-        f = _random_probe(model, ctx.rng)
-        est = tempered_norm(f, ctx.p)
-        plain = lp_norm(f, ctx.p)
-        worst = max(worst, plain - c_lower * est.lower)
-        worst = max(worst, est.upper - c_upper * plain)
+    growth = 1.0 if math.isinf(q) else model.n ** (1.0 / q)
+    c_lower, c_upper = (1.0, growth) if model.normalization == COUNTING else (growth, 1.0)
+    f = _random_probe(model, ctx.rng)
+    est = tempered_norm(f, ctx.p)
+    plain = lp_norm(f, ctx.p)
     note = f"||f||_p <= {c_lower:g} ||f||_p^T and ||f||_p^T <= {c_upper:g} ||f||_p"
-    return max(worst, 0.0), 0.0, note
+    return max(plain - c_lower * est.lower, est.upper - c_upper * plain), note
 
 
 def _run_l1_identity(ctx: SuiteContext):
-    worst = 0.0
-    for _ in range(6):
-        f = _random_probe(ctx.model, ctx.rng)
-        est = tempered_norm(f, 1)
-        scale = max(lp_norm(f, 1), 1e-30)
-        worst = max(worst, abs(est.value - lp_norm(f, 1)) / scale)
-    return worst, 0.0, "||f||_1^T = ||f||_1 (relative)"
+    f = _random_probe(ctx.model, ctx.rng)
+    est = tempered_norm(f, 1)
+    scale = max(lp_norm(f, 1), 1e-30)
+    return abs(est.value - lp_norm(f, 1)) / scale
 
 
 def _run_l1_inclusion(ctx: SuiteContext):
-    worst = 0.0
-    for _ in range(6):
-        f = _random_probe(ctx.model, ctx.rng)
-        est = tempered_norm(f, ctx.p)
-        worst = max(worst, est.value - lp_norm(f, 1))
-    return max(worst, 0.0), 0.0, "||f||_p^T <= ||f||_1 on discrete counting models"
+    f = _random_probe(ctx.model, ctx.rng)
+    est = tempered_norm(f, ctx.p)
+    return est.value - lp_norm(f, 1)
 
 
 def _run_weighted_l1_upper(ctx: SuiteContext):
-    from .tempered import upper_bound_weighted_l1
-    worst = 0.0
-    for _ in range(8):
-        f = _random_probe(ctx.model, ctx.rng)
-        est = tempered_norm(f, ctx.p)
-        worst = max(worst, est.lower - upper_bound_weighted_l1(f, ctx.p))
-    return max(worst, 0.0), 0.0, "tempered lower bound <= integral |f| Delta^(-1/q)"
+    f = _random_probe(ctx.model, ctx.rng)
+    est = tempered_norm(f, ctx.p)
+    return est.lower - upper_bound_weighted_l1(f, ctx.p)
 
 
 def _run_re_im(ctx: SuiteContext):
-    worst = 0.0
-    for _ in range(12):
-        f = _random_probe(ctx.model, ctx.rng)
-        worst = max(worst, re_im_closure_check(f, ctx.p))
-    return worst, 0.0, "||Re f||_p^T and ||Im f||_p^T vs 2 ||f||_p^T"
+    return re_im_closure_check(_random_probe(ctx.model, ctx.rng), ctx.p)
 
 
 def _run_submultiplicative(ctx: SuiteContext):
-    worst = 0.0
-    for _ in range(6):
-        f = _random_probe(ctx.model, ctx.rng)
-        g = _random_probe(ctx.model, ctx.rng)
-        upper = tempered_upper(f, ctx.p)
-        lhs = lp_norm(convolve(g, f), ctx.p)
-        worst = max(worst, lhs - lp_norm(g, ctx.p) * upper)
-    return max(worst, 0.0), 0.0, "||g*f||_p <= ||g||_p ||f||_p^T"
+    f = _random_probe(ctx.model, ctx.rng)
+    g = _random_probe(ctx.model, ctx.rng)
+    upper = tempered_upper(f, ctx.p)
+    lhs = lp_norm(convolve(g, f), ctx.p)
+    return lhs - lp_norm(g, ctx.p) * upper
 
 
 def _run_quasi_identity(ctx: SuiteContext):
@@ -440,151 +394,107 @@ def _run_quasi_identity(ctx: SuiteContext):
     monotone = all(b2 >= b1 - 1e-15 for b1, b2 in zip(bounds, bounds[1:]))
     if not monotone:
         worst = max(worst, 1.0)
-    note = f"n=1..{count}: lower bounds n^(1-1/p) grow without bound"
-    return worst, 0.0, note
+    return worst, f"n=1..{count}: lower bounds n^(1-1/p) grow without bound"
+
+
+_POSITIVE_CONE_NOTE = "||f||_p^T = integral f Delta^(-1/q) for positive f"
 
 
 def _run_positive_cone(ctx: SuiteContext):
-    from .folner import positive_norm_equality
     model = ctx.model
     if model.kind != KIND_FINITE and ctx.p.p not in (1.0, 2.0):
         raise SkipCheck("outside the exact-route regime: the iterative lower "
                         "bound on a window section undershoots for general p")
-    note = "||f||_p^T = integral f Delta^(-1/q) for positive f"
-    concentration = 0.45
-    if model.kind == KIND_QUADRATURE:
-        # experimental regime: the window-section lower bound carries a
-        # Folner-type deficit that grows with the support, so the equality
-        # is asserted for concentrated data only
-        note += " (experimental: concentrated support, section deficit vs tolerance)"
-        concentration = 0.25
-    worst = 0.0
-    for _ in range(8):
-        f = _random_probe(model, ctx.rng, positive=True, concentration=concentration)
-        norm, target = positive_norm_equality(f, ctx.p)
-        worst = max(worst, abs(norm - target))
-    return worst, 0.0, note
+    # on the affine grid the window-section lower bound carries a
+    # Folner-type deficit that grows with the support, so the equality is
+    # asserted for concentrated data only
+    affine = isinstance(model.carrier, _AffineCarrier)
+    f = _random_probe(model, ctx.rng, positive=True, concentration=0.25 if affine else 0.45)
+    norm, target = positive_norm_equality(f, ctx.p)
+    if affine:
+        return abs(norm - target), _POSITIVE_CONE_NOTE + \
+            " (experimental: concentrated support, section deficit vs tolerance)"
+    return abs(norm - target)
 
 
 def _run_folner_certificate(ctx: SuiteContext):
     cert = find_folner(ctx.model, 1, 0.1)
-    note = (f"L={cert.box_radius}, worst ratio {cert.worst_ratio:.6f} "
-            f"(recount matches closed form)")
-    return cert.worst_ratio, [0.9, 1.0], note
+    return cert.worst_ratio, (f"L={cert.box_radius}, worst ratio {cert.worst_ratio:.6f} "
+                              f"(recount matches closed form)")
 
 
 def _run_folner_averaging(ctx: SuiteContext):
+    # one certificate for every f
     cert = find_folner(ctx.model, 1, 0.1)
     worst = 0.0
     for _ in range(6):
         f = _random_probe(ctx.model, ctx.rng, positive=True)
         lower, pairing, upper = averaging_inequality_check(f, cert, ctx.p)
         worst = max(worst, lower - pairing, pairing - upper)
-    return worst, 0.0, "averaging chain violation over random positive f"
+    return worst
 
 
 def _run_character_orthogonality(ctx: SuiteContext):
-    return character_orthogonality_residual(build_dual(ctx.model)), 0.0, \
-        "sum_j w_j chi_k chi_l-bar = c delta_kl"
+    return character_orthogonality_residual(build_dual(ctx.model))
 
 
 def _run_plancherel(ctx: SuiteContext):
-    dual = build_dual(ctx.model)
-    worst = 0.0
-    for _ in range(8):
-        f = _random_probe(ctx.model, ctx.rng)
-        worst = max(worst, plancherel_residual(dual, f))
-    return worst, 0.0, "||f||_2 = ||fhat||_2"
+    return plancherel_residual(build_dual(ctx.model), _random_probe(ctx.model, ctx.rng))
 
 
 def _run_roundtrip(ctx: SuiteContext):
-    dual = build_dual(ctx.model)
-    worst = 0.0
-    for _ in range(8):
-        f = _random_probe(ctx.model, ctx.rng)
-        worst = max(worst, roundtrip_residual(dual, f))
-    return worst, 0.0, "inverse transform of the transform returns f"
+    return roundtrip_residual(build_dual(ctx.model), _random_probe(ctx.model, ctx.rng))
 
 
-def _unit(ctx, f: GFunction) -> GFunction:
-    return GFunction(ctx.model, f.values / max(lp_norm(f, 2), 1e-30))
+def _unit(f: GFunction) -> GFunction:
+    return GFunction(f.group, f.values / max(lp_norm(f, 2), 1e-30))
 
 
 def _run_conv_theorem(ctx: SuiteContext):
-    dual = build_dual(ctx.model)
-    worst = 0.0
-    for _ in range(6):
-        f = _unit(ctx, _random_probe(ctx.model, ctx.rng))
-        g = _unit(ctx, _random_probe(ctx.model, ctx.rng))
-        worst = max(worst, convolution_theorem_check(dual, f, g))
-    return worst, 0.0, "(f*g)^ = fhat ghat"
+    f = _unit(_random_probe(ctx.model, ctx.rng))
+    g = _unit(_random_probe(ctx.model, ctx.rng))
+    return convolution_theorem_check(build_dual(ctx.model), f, g)
 
 
 def _run_product_theorem(ctx: SuiteContext):
-    dual = build_dual(ctx.model)
-    worst = 0.0
-    for _ in range(6):
-        f = _unit(ctx, _random_probe(ctx.model, ctx.rng))
-        g = _unit(ctx, _random_probe(ctx.model, ctx.rng))
-        worst = max(worst, product_theorem_check(dual, f, g))
-    return worst, 0.0, "(fg)^ = fhat * ghat"
+    f = _unit(_random_probe(ctx.model, ctx.rng))
+    g = _unit(_random_probe(ctx.model, ctx.rng))
+    return product_theorem_check(build_dual(ctx.model), f, g)
 
 
 def _run_parseval(ctx: SuiteContext):
     dual = build_dual(ctx.model)
-    worst = 0.0
-    for _ in range(6):
-        f = _unit(ctx, _random_probe(ctx.model, ctx.rng))
-        g_vals = ctx.rng.standard_normal(ctx.model.n) + 1j * ctx.rng.standard_normal(ctx.model.n)
-        g = GFunction(dual.dual_group, g_vals)
-        g = GFunction(dual.dual_group, g.values / max(lp_norm(g, 2), 1e-30))
-        worst = max(worst, parseval_check(dual, f, g))
-    return worst, 0.0, "<f, g-check> = <fhat, g>"
+    f = _unit(_random_probe(ctx.model, ctx.rng))
+    g_vals = ctx.rng.standard_normal(ctx.model.n) + 1j * ctx.rng.standard_normal(ctx.model.n)
+    return parseval_check(dual, f, _unit(GFunction(dual.dual_group, g_vals)))
 
 
 def _run_inverse_product(ctx: SuiteContext):
     dual = build_dual(ctx.model)
-    worst = 0.0
-    for _ in range(6):
-        vals = ctx.rng.standard_normal((2, ctx.model.n)) \
-            + 1j * ctx.rng.standard_normal((2, ctx.model.n))
-        f = GFunction(dual.dual_group, vals[0])
-        g = GFunction(dual.dual_group, vals[1])
-        f = GFunction(dual.dual_group, f.values / max(lp_norm(f, 2), 1e-30))
-        g = GFunction(dual.dual_group, g.values / max(lp_norm(g, 2), 1e-30))
-        worst = max(worst, inverse_product_check(dual, f, g))
-    return worst, 0.0, "(fg)-check = f-check * g-check"
+    vals = ctx.rng.standard_normal((2, ctx.model.n)) \
+        + 1j * ctx.rng.standard_normal((2, ctx.model.n))
+    f, g = (_unit(GFunction(dual.dual_group, v)) for v in vals)
+    return inverse_product_check(dual, f, g)
 
 
 def _run_mult_operator(ctx: SuiteContext):
-    worst = 0.0
-    for _ in range(8):
-        f = _random_probe(ctx.model, ctx.rng)
-        worst = max(worst, abs(mult_operator_norm(f) - ess_sup(f)))
-    return worst, 0.0, "||M_f|| = ||f||_inf with an attaining witness"
+    f = _random_probe(ctx.model, ctx.rng)
+    return abs(mult_operator_norm(f) - ess_sup(f))
 
 
 def _run_spectral_agreement(ctx: SuiteContext):
     dual = build_dual(ctx.model)
-    worst = 0.0
-    for _ in range(8):
-        f = _random_probe(ctx.model, ctx.rng)
-        via_transform = tempered_norm_spectral(dual, f)
-        via_svd = tempered_norm(f, 2, method="exact_svd").value
-        worst = max(worst, abs(via_transform - via_svd))
-    return worst, 0.0, "max |fhat| vs largest singular value of the weighted operator"
+    f = _random_probe(ctx.model, ctx.rng)
+    via_transform = tempered_norm_spectral(dual, f)
+    return abs(via_transform - tempered_norm(f, 2, method="exact_svd").value)
 
 
 def _run_restricted_isometry(ctx: SuiteContext):
-    dual = build_dual(ctx.model)
-    worst = 0.0
-    for _ in range(8):
-        f = _random_probe(ctx.model, ctx.rng)
-        norm_f, sup_f, sup_fhat, norm_fhat = restricted_isometry_terms(dual, f)
-        # the identity and the two cross identities behind its sum
-        worst = max(worst, abs((norm_f + sup_f) - (sup_fhat + norm_fhat)),
-                    abs(norm_f - sup_fhat), abs(norm_fhat - sup_f))
-    return worst, 0.0, "||f||_2^T + ||f||_inf = ||fhat||_inf + ||fhat||_2^T (and cross identities)"
+    f = _random_probe(ctx.model, ctx.rng)
+    norm_f, sup_f, sup_fhat, norm_fhat = restricted_isometry_terms(build_dual(ctx.model), f)
+    # the identity and the two cross identities behind its sum
+    return max(abs((norm_f + sup_f) - (sup_fhat + norm_fhat)),
+               abs(norm_f - sup_fhat), abs(norm_fhat - sup_f))
 
 
 # ---------------------------------------------------------------------------
@@ -593,108 +503,131 @@ def _run_restricted_isometry(ctx: SuiteContext):
 
 REGISTRY: list[CheckDef] = [
     CheckDef("identity-translation", "delta_e * f = f",
-             ("convolution-definition",), _run_identity_translation, tol=0.0),
+             ("convolution-definition",), _run_identity_translation,
+             note="translation by the identity, both sides", tol=0.0),
     CheckDef("group-axioms", "associativity, identity, inverses on the carrier",
              ("convolution-definition",), _run_group_axioms,
+             note="identity/inverse/associativity re-verified",
              requires=_needs_finite, tol=0.0),
     CheckDef("left-invariance", "||delta_x * f||_p = ||f||_p",
-             ("lp-norm-invariance",), _run_left_invariance, per_p=True,
-             requires=_needs_finite, tol={KIND_FINITE: 1e-12}),
+             ("lp-norm-invariance",), _run_left_invariance,
+             note="||delta_x * f||_p == ||f||_p over sampled x", per_p=True,
+             requires=_needs_finite, tol=1e-12),
     CheckDef("modular-consistency", "empirical Delta matches the stored closed form",
              ("modular-reflection",), _run_modular_consistency,
-             requires=_needs_quadrature, tol={KIND_QUADRATURE: 1e-2}),
+             note="real-line model is unimodular",
+             requires=_needs_quadrature, tol=1e-12, affine_tol=1e-2),
     CheckDef("modular-multiplicativity", "Delta(xy) = Delta(x) Delta(y)",
              ("modular-reflection",), _run_modular_multiplicativity,
-             requires=_needs_quadrature, tol={KIND_QUADRATURE: 1e-12}),
+             note="Delta(xy) = Delta(x) Delta(y) on sampled pairs",
+             requires=_needs_quadrature, tol=1e-12),
     CheckDef("l1-linf-split", "f = f chi_A + f chi_{G minus A}, A = {|f| <= 1}",
-             ("l1-linf-decomposition",), _run_l1_linf_split, tol=0.0),
+             ("l1-linf-decomposition",), _run_l1_linf_split,
+             note="f = f chi_A + f chi_complement with A = {|f| <= 1}", tol=0.0),
     CheckDef("holder-pairing", "|<f, g>| <= ||f||_p ||g||_q",
-             ("lp-norm-invariance",), _run_holder, per_p=True, tol={KIND_FINITE: 1e-12}),
+             ("lp-norm-invariance",), _run_holder, note="|<f, g>| <= ||f||_p ||g||_q",
+             draws=8, per_p=True, tol=1e-12, affine_tol=5e-2),
     CheckDef("reflect-norm-identity", "||Delta^(-1/p) f(. ^-1)||_p = ||f||_p",
              ("modular-reflection",), _run_reflect_norm, per_p=True,
-             tol={KIND_FINITE: 1e-12, KIND_LATTICE: 1e-12, KIND_QUADRATURE: 1e-2}),
+             tol=1e-12, affine_tol=1e-2),
     CheckDef("conv-cross-path", "direct and spectral convolution agree",
              ("convolution-definition",), _run_conv_cross_path,
+             note="direct vs spectral convolution, relative L2", draws=4,
              requires=_needs_dual, tol=1e-10),
     CheckDef("associativity", "(f*g)*h = f*(g*h)",
              ("convolution-definition",), _run_associativity,
+             note="||(f*g)*h - f*(g*h)||_2 on normalized triples", draws=4,
              requires=_needs_finite, tol=1e-10),
     CheckDef("young-inequality", "||g*f||_p <= ||g||_p ||f||_1",
-             ("unimodular-young-bound",), _run_young, per_p=True,
-             requires=_needs_unimodular, tol={KIND_FINITE: 1e-12, KIND_LATTICE: 1e-12}),
+             ("unimodular-young-bound",), _run_young, note="||g*f||_p <= ||g||_p ||f||_1",
+             draws=8, per_p=True, requires=_needs_unimodular, tol=1e-12),
     CheckDef("dirac-calculus", "delta translations and products",
              ("convolution-definition",), _run_dirac_calculus,
+             note="delta_x * f is the left translation; delta_x * delta_y = delta_xy",
              requires=_needs_finite, tol=1e-12),
     CheckDef("dirac-scaling", "||f * delta_x||_p^T / ||f||_p^T = Delta(x)^(-1/q)",
-             ("dirac-translation-scaling",), _run_dirac_scaling, per_p=True),
+             ("dirac-translation-scaling",), _run_dirac_scaling, per_p=True,
+             affine_tol=5e-2),
     CheckDef("dirac-identity-norm", "||delta_e||_p^T = 1",
              ("quasi-identity",), _run_dirac_identity_norm, per_p=True,
              requires=_needs_counting),
     CheckDef("discrete-lower-bound", "||f||_p <= ||f||_p^T",
-             ("discrete-norm-domination",), _run_discrete_lower, per_p=True,
+             ("discrete-norm-domination",), _run_discrete_lower,
+             note="||f||_p <= ||f||_p^T on counting models", draws=6, per_p=True,
              requires=_needs_counting),
     CheckDef("compact-upper-bound", "||f||_p^T <= ||f||_p",
-             ("compact-norm-domination",), _run_compact_upper, per_p=True,
+             ("compact-norm-domination",), _run_compact_upper,
+             note="||f||_p^T <= ||f||_p on probability models", draws=6, per_p=True,
              requires=_needs_probability_finite),
     CheckDef("finite-norm-equivalence", "two-sided norm equivalence with explicit constants",
-             ("finite-norm-equivalence",), _run_finite_equivalence, per_p=True,
+             ("finite-norm-equivalence",), _run_finite_equivalence, draws=6, per_p=True,
              requires=_needs_finite),
     CheckDef("l1-identity", "||f||_1^T = ||f||_1",
-             ("p1-norm-identity",), _run_l1_identity,
-             tol={KIND_FINITE: 1e-12, KIND_LATTICE: 1e-12, KIND_QUADRATURE: 5e-2}),
+             ("p1-norm-identity",), _run_l1_identity, note="||f||_1^T = ||f||_1 (relative)",
+             draws=6, tol=1e-12, affine_tol=5e-2),
     CheckDef("l1-inclusion-discrete", "||f||_p^T <= ||f||_1 on discrete models",
-             ("l1-inclusion-discrete",), _run_l1_inclusion, per_p=True,
+             ("l1-inclusion-discrete",), _run_l1_inclusion,
+             note="||f||_p^T <= ||f||_1 on discrete counting models", draws=6, per_p=True,
              requires=_needs_counting),
     CheckDef("weighted-l1-upper", "||f||_p^T <= integral |f| Delta^(-1/q)",
-             ("weighted-l1-domination", "tempered-norm-definition"),
-             _run_weighted_l1_upper, per_p=True, tol=1e-9),
+             ("weighted-l1-domination", "tempered-norm-definition"), _run_weighted_l1_upper,
+             note="tempered lower bound <= integral |f| Delta^(-1/q)", draws=8, per_p=True),
     CheckDef("re-im-closure", "||Re f||_p^T <= 2 ||f||_p^T, same for Im",
-             ("re-im-closure",), _run_re_im, per_p=True, requires=_needs_finite),
+             ("re-im-closure",), _run_re_im,
+             note="||Re f||_p^T and ||Im f||_p^T vs 2 ||f||_p^T", draws=12, per_p=True,
+             requires=_needs_finite),
     CheckDef("submultiplicative-action", "||g*f||_p <= ||g||_p ||f||_p^T",
-             ("tempered-norm-definition",), _run_submultiplicative, per_p=True,
+             ("tempered-norm-definition",), _run_submultiplicative,
+             note="||g*f||_p <= ||g||_p ||f||_p^T", draws=6, per_p=True,
              requires=_needs_finite),
     CheckDef("quasi-identity-blowup", "lower bounds n^(1-1/p) rule out a quasi identity",
              ("quasi-identity",), _run_quasi_identity, per_p=True,
              requires=_needs_real_line, tol=1e-12),
     CheckDef("positive-cone-equality", "||f||_p^T = integral f Delta^(-1/q) for f >= 0",
-             ("positive-cone-characterization",), _run_positive_cone, per_p=True,
-             tol={KIND_FINITE: 1e-6, KIND_LATTICE: 1e-3}),
+             ("positive-cone-characterization",), _run_positive_cone,
+             note=_POSITIVE_CONE_NOTE, draws=8, per_p=True, tol=1e-6, affine_tol=5e-2),
     CheckDef("folner-certificate", "|xK n K| / |K| > 1 - eps for a box K",
              ("positive-cone-characterization",), _run_folner_certificate,
-             requires=_needs_folner_window, tol=0.0),
-    CheckDef("folner-averaging", "(1-eps) int_C f~ <= <f~*g, h> <= ||f||_p^T",
-             ("positive-cone-characterization",), _run_folner_averaging, per_p=True,
-             requires=_needs_folner_window, tol={KIND_LATTICE: 1e-9}),
+             requires=_needs_folner_window, tol=0.0, expected=(0.9, 1.0)),
+    CheckDef("folner-averaging",
+             "(1-eps) int_C f~ <= <f~*g, h> <= ||g||_p ||f||_p^T ||h||_q",
+             ("positive-cone-characterization",), _run_folner_averaging,
+             note="averaging chain violation over random positive f", per_p=True,
+             requires=_needs_folner_window),
     CheckDef("character-orthogonality", "character rows are orthogonal",
              ("restricted-transform-isometry",), _run_character_orthogonality,
-             requires=_needs_dual, tol=1e-12),
+             note="sum_j w_j chi_k chi_l-bar = c delta_kl", requires=_needs_dual, tol=1e-12),
     CheckDef("plancherel-norm", "||f||_2 = ||fhat||_2",
              ("restricted-transform-isometry",), _run_plancherel,
-             requires=_needs_dual, tol=1e-12),
+             note="||f||_2 = ||fhat||_2", draws=8, requires=_needs_dual, tol=1e-12),
     CheckDef("fourier-roundtrip", "inverse transform inverts the transform",
              ("restricted-transform-isometry",), _run_roundtrip,
+             note="inverse transform of the transform returns f", draws=8,
              requires=_needs_dual, tol=1e-12),
     CheckDef("conv-theorem", "(f*g)^ = fhat ghat",
-             ("transform-of-convolution",), _run_conv_theorem,
-             requires=_needs_dual, tol=1e-10),
+             ("transform-of-convolution",), _run_conv_theorem, note="(f*g)^ = fhat ghat",
+             draws=6, requires=_needs_dual, tol=1e-10),
     CheckDef("product-theorem", "(fg)^ = fhat * ghat",
-             ("transform-of-product",), _run_product_theorem,
-             requires=_needs_dual, tol=1e-10),
+             ("transform-of-product",), _run_product_theorem, note="(fg)^ = fhat * ghat",
+             draws=6, requires=_needs_dual, tol=1e-10),
     CheckDef("parseval-pairing", "<f, g-check> = <fhat, g>",
-             ("parseval-duality",), _run_parseval,
-             requires=_needs_dual, tol=1e-10),
+             ("parseval-duality",), _run_parseval, note="<f, g-check> = <fhat, g>",
+             draws=6, requires=_needs_dual, tol=1e-10),
     CheckDef("inverse-product", "(fg)-check = f-check * g-check",
              ("inverse-transform-product",), _run_inverse_product,
-             requires=_needs_dual, tol=1e-10),
+             note="(fg)-check = f-check * g-check", draws=6, requires=_needs_dual, tol=1e-10),
     CheckDef("mult-operator-norm", "||M_f|| = ||f||_inf",
-             ("multiplication-operator-norm",), _run_mult_operator, tol=1e-12),
+             ("multiplication-operator-norm",), _run_mult_operator,
+             note="||M_f|| = ||f||_inf with an attaining witness", draws=8, tol=1e-12),
     CheckDef("spectral-svd-agreement", "max |fhat| equals the exact operator norm",
              ("transform-sup-equals-tempered",), _run_spectral_agreement,
-             requires=_needs_dual, tol=1e-9),
+             note="max |fhat| vs largest singular value of the weighted operator", draws=8,
+             requires=_needs_dual),
     CheckDef("restricted-isometry",
              "||f||_2^T + ||f||_inf = ||fhat||_inf + ||fhat||_2^T",
              ("restricted-transform-isometry",), _run_restricted_isometry,
-             requires=_needs_dual, tol=1e-9),
+             note="||f||_2^T + ||f||_inf = ||fhat||_inf + ||fhat||_2^T (and cross identities)",
+             draws=8, requires=_needs_dual),
 ]
 
 # Every claim exercised by the suite must keep at least one registered check;
@@ -755,15 +688,26 @@ def _task_name(check: CheckDef, p: float | None) -> str:
 
 
 def _execute_check(check: CheckDef, model: GroupModel, p: float | None,
-                   seed: int, tol: float, timings: bool) -> CheckResult:
+                   seed: int, overrides: dict, timings: bool) -> CheckResult:
+    """Run the check's draws and judge the worst of them, a NaN included,
+    against its expected value within its tolerance or the override."""
     name = _task_name(check, p)
+    reason = check.requires(model) if check.requires else None
+    if reason is not None:
+        return CheckResult.skip(name, check.ref, reason)
+    tol = float(overrides.get(check.name, check.tolerance_for(model)))
     rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
     ctx = SuiteContext(model=model, p=None if p is None else Exponent.of(p), rng=rng)
     started = time.perf_counter()
     try:
-        observed, expected, notes = check.runner(ctx)
-        result = CheckResult.build(name, check.ref, observed=observed,
-                                   expected=expected, tolerance=tol, notes=notes)
+        worst, notes = 0.0, check.note
+        for _ in range(check.draws):
+            measured = check.runner(ctx)
+            if isinstance(measured, tuple):
+                measured, notes = measured
+            worst = np.maximum(worst, measured)
+        result = CheckResult.build(name, check.ref, observed=float(worst),
+                                   expected=check.expected, tolerance=tol, notes=notes)
     except SkipCheck as exc:
         result = CheckResult.skip(name, check.ref, str(exc))
     except Exception as exc:  # a failing or broken check must not abort the suite
@@ -790,19 +734,12 @@ def run_suite(spec: GroupSpec | str, p_list=(2.0,), seed: int = 0,
     overrides = tol_overrides or {}
     p_values = [float(p) for p in p_list] or [2.0]
 
-    tasks = []
-    for check in REGISTRY:
-        exponents = p_values if check.per_p else [None]
-        for p in exponents:
-            tasks.append((check, p))
+    tasks = [(check, p) for check in REGISTRY
+             for p in (p_values if check.per_p else [None])]
 
     def run_one(task):
         check, p = task
-        reason = check.requires(model) if check.requires else None
-        tol = float(overrides.get(check.name, check.tolerance_for(model)))
-        if reason is not None:
-            return CheckResult.skip(_task_name(check, p), check.ref, reason)
-        return _execute_check(check, model, p, seed, tol, timings)
+        return _execute_check(check, model, p, seed, overrides, timings)
 
     workers = int(os.environ.get("LTP_THREADS", "1") or "1")
     if workers > 1:

@@ -15,7 +15,8 @@ Routes:
   Bernstein bound, or is the weighted-L1 value when that is smaller.  For
   window-supported data the supremum is the operator norm on the full
   (untruncated) lattice, which is what the truncated model stands for; the
-  window-section SVD is available explicitly and is a lower bound of it.
+  window-section SVD is available explicitly and is a lower bound of it, so
+  that route takes the weighted-L1 value as its upper end there.
   ``lower`` is attained by a character of the periodic embedding, not by a
   function on the window, so the route returns no witness.
 * p = 2, general (nonabelian finite, affine quadrature): largest singular
@@ -59,7 +60,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import DomainError, GridTooCoarse, LtpError, ResourceError
-from .groups import KIND_QUADRATURE, GroupModel, _AffineCarrier, _LatticeCarrier
+from .groups import KIND_FINITE, KIND_QUADRATURE, GroupModel, _AffineCarrier, _LatticeCarrier
 from .convolve import (DENSE_CAP, _CirculantProduct, _kernel_blocks, conv_operator,
                        convolve)
 from .space import (Exponent, GFunction, imag_part, lp_norm, point_modular,
@@ -311,9 +312,10 @@ def _exact_svd(f: GFunction) -> NormEstimate:
     sigma = float(math.sqrt(max(float(lam[0]), 0.0)))
     witness_vec = vec[:, 0]
     witness = GFunction(model, scale_back * witness_vec)
-    if model.kind == KIND_QUADRATURE:
-        # the singular value is exact for the window section only; the true
-        # norm of the modeled group lies between it and the weighted-L1 bound
+    if model.kind != KIND_FINITE:
+        # the singular value is exact for the window section only; the norm
+        # of the lattice or group the window stands for lies between it and
+        # the weighted-L1 bound
         upper = max(sigma, weighted_l1_norm(f, 2.0))
         return NormEstimate(sigma, upper, METHOD_EXACT_SVD, witness=witness)
     return NormEstimate(sigma, sigma, METHOD_EXACT_SVD, witness=witness)

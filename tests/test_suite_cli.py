@@ -11,7 +11,8 @@ import pytest
 import ltp
 from ltp.cli import main, parse_function_source
 from ltp.report import CheckResult, SuiteReport, emit_report
-from ltp.suite import REGISTRY, coverage_gaps, registry_self_test, run_suite
+from ltp.suite import (REGISTRY, CheckDef, _execute_check, coverage_gaps,
+                       registry_self_test, run_suite)
 from ltp.tempered import IterConfig, tempered_norm
 
 
@@ -46,6 +47,38 @@ def test_suite_boyd_call_counts_are_pinned(boyd_calls):
         del boyd_calls[:]
         run_suite(spec, [1.5], seed=0)
         assert len(boyd_calls) == expected, spec
+
+
+def test_exact_models_share_each_check_tolerance():
+    models = [ltp.build_group(spec) for spec in ("cyclic:8", "z:8", "z2:2", "r:0.5:2")]
+    for check in REGISTRY:
+        assert len({check.tolerance_for(model) for model in models}) == 1, check.name
+
+
+def test_a_nan_draw_fails_the_check():
+    draws = iter([float("nan"), 0.0, 0.0])
+    check = CheckDef("nan-draw", "a draw that measures NaN", (),
+                     lambda ctx: next(draws), draws=3)
+    result = _execute_check(check, ltp.build_group("cyclic:4"), None, 0, {}, False)
+    assert result.status == "fail"
+    assert np.isnan(result.observed)
+
+
+def test_suite_catches_an_overstated_symbol_bracket_on_the_real_line(monkeypatch):
+    # both ends 2% high is a false certificate on r, whose arithmetic is exact
+    from ltp import tempered
+
+    exact = tempered._symbol_supremum
+
+    def overstated(f):
+        est = exact(f)
+        return tempered.NormEstimate(1.02 * est.lower, 1.02 * est.upper, est.method)
+
+    assert run_suite("r:0.05:4", [2.0], seed=0).ok
+    monkeypatch.setattr(tempered, "_symbol_supremum", overstated)
+    report = run_suite("r:0.05:4", [2.0], seed=0)
+    failed = {c.name for c in report.checks if c.status == "fail"}
+    assert "positive-cone-equality@p=2" in failed
 
 
 def test_suite_probability_side_skips_discrete_checks():
@@ -243,6 +276,16 @@ def test_cli_suite_stdout_json(capsys):
     assert rc == 0
     data = json.loads(captured.out)
     assert data["seed"] == 0
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_cli_stdout_holds_the_bytes_of_the_out_file(tmp_path, capsys, fmt):
+    out = tmp_path / "r.txt"
+    args = ["suite", "--group", "cyclic:4@counting", "--p", "2", "--format", fmt]
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
 def test_cli_config_file(tmp_path, capsys):

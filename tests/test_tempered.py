@@ -562,3 +562,34 @@ def test_quasi_identity_grid_too_coarse():
         quasi_identity_blowup(G, 2, 5)
     with pytest.raises(DomainError):
         quasi_identity_blowup(ltp.build_group("cyclic:4"), 2, 3)
+
+
+@pytest.mark.parametrize("spec, radius", [("z:64", 64), ("z2:8", 8)])
+def test_exact_svd_upper_covers_the_lattice_norm(spec, radius):
+    # the window-section singular value is only a lower bound of the norm on
+    # the lattice the window stands for, so its upper end must not stop there
+    G = ltp.build_group(spec)
+    f = ltp.random_function(G, np.random.default_rng(0), support_radius=radius / 4)
+    section = tempered_norm(f, 2, method="exact_svd")
+    symbol = tempered_norm(f, 2)
+    assert section.lower < symbol.lower
+    assert section.upper >= symbol.lower
+
+
+def test_exact_svd_lanczos_branch_matches_dense_eigh():
+    # n = 1026 lies between the dense cap and the Lanczos cap
+    from scipy.linalg import eigh
+
+    from ltp.convolve import DENSE_CAP, conv_operator
+    from ltp.tempered import _SVD_DENSE_CAP
+
+    G = ltp.build_group("dihedral:513")
+    assert _SVD_DENSE_CAP < G.n <= DENSE_CAP
+    f = ltp.random_function(G, np.random.default_rng(4))
+    est = tempered_norm(f, 2, method="exact_svd")
+    mat = conv_operator(f).weighted_matrix(2)
+    top = eigh(mat.conj().T @ mat, eigvals_only=True, subset_by_index=[G.n - 1, G.n - 1])
+    sigma = math.sqrt(top[0])
+    assert est.lower == pytest.approx(sigma, rel=1e-12)
+    ratio = ltp.lp_norm(ltp.convolve(est.witness, f), 2) / ltp.lp_norm(est.witness, 2)
+    assert ratio == pytest.approx(sigma, rel=1e-12)
