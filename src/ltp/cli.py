@@ -182,6 +182,8 @@ def _cmd_norm(args) -> int:
         print(f"  upper={est.upper!r}")
         print(f"  iterations={est.iterations}")
         print(f"  converged={est.converged}")
+        print(f"  matvecs={est.matvecs}")
+        print(f"  restart_spread={est.restart_spread!r}")
     return EXIT_OK
 
 

@@ -50,13 +50,13 @@ def _kernel_blocks(model: GroupModel, values: np.ndarray):
     n = model.n
     carrier = model.carrier
     if isinstance(carrier, _AffineCarrier):
-        iu_all, _ = carrier.split(np.arange(n))
         u = carrier.coords[:, 0]
         b = carrier.coords[:, 1]
+        u_steps = np.rint(u / carrier.h_u).astype(np.int64)
         ext, cum = carrier.b_prefix(values)
 
         def block(cols):
-            rows = iu_all[:, None] - iu_all[cols][None, :] + carrier.k_u
+            rows = u_steps[:, None] - u_steps[cols][None, :] + carrier.k_u
             comp = np.exp(-u[cols])[None, :]
             tau_c = comp * (b[:, None] - b[cols][None, :])
             tau_h = 0.5 * comp * carrier.h_b
@@ -99,8 +99,8 @@ def _product_leak(g: GFunction, f: GFunction) -> float:
     support_f = np.nonzero(mf)[0]
     carrier = model.carrier
     if isinstance(carrier, _LatticeCarrier):
-        cg = carrier.to_coords(support_g)[:, None, :]
-        cf = carrier.to_coords(support_f)[None, :, :]
+        cg = carrier.coords[support_g][:, None, :]
+        cf = carrier.coords[support_f][None, :, :]
         out = np.any(np.abs(cg + cf) > carrier.radius, axis=2)
     else:  # the affine grid, the only other windowed carrier
         ug, bg = carrier.coords[support_g].T[:, :, None]

@@ -58,8 +58,7 @@ def _closed_form_overlap(side: int, shift: np.ndarray) -> int:
     return int(np.prod(remaining))
 
 
-def _recount_overlap(carrier: _LatticeCarrier, k_coords: np.ndarray,
-                     shift: np.ndarray) -> int:
+def _recount_overlap(k_coords: np.ndarray, shift: np.ndarray) -> int:
     shifted = {tuple(c) for c in (k_coords + shift)}
     original = {tuple(c) for c in k_coords}
     return len(shifted & original)
@@ -82,9 +81,7 @@ def find_folner(model: GroupModel, c: np.ndarray | int, epsilon: float) -> Folne
         c_indices = np.asarray(c, dtype=np.int64)
     if c_indices.size == 0:
         raise ValueError("C must be nonempty")
-    c_coords = carrier.to_coords(c_indices)
-    if c_coords.ndim == 1:
-        c_coords = c_coords[:, None]
+    c_coords = carrier.coords[c_indices]
     c_reach = int(np.max(np.abs(c_coords)))
 
     for radius in range(0, carrier.radius + 1):
@@ -100,11 +97,9 @@ def find_folner(model: GroupModel, c: np.ndarray | int, epsilon: float) -> Folne
                     f"certified box L={radius} plus C radius {c_reach} exceeds "
                     f"the window radius {carrier.radius}")
             k_indices = _box_indices(carrier, radius)
-            k_coords = carrier.to_coords(k_indices)
-            if k_coords.ndim == 1:
-                k_coords = k_coords[:, None]
+            k_coords = carrier.coords[k_indices]
             for shift in c_coords:
-                counted = _recount_overlap(carrier, k_coords, shift)
+                counted = _recount_overlap(k_coords, shift)
                 closed = _closed_form_overlap(side, shift)
                 if counted != closed:
                     raise AssertionError(

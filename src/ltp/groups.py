@@ -36,7 +36,7 @@ KIND_QUADRATURE = "quadrature"
 COUNTING = "counting"
 PROBABILITY = "probability"
 
-DEFAULT_ELEMENT_CAP = 1 << 20
+ELEMENT_CAP = 1 << 20  # largest carrier build_group makes
 
 # Finite models up to this size are validated exactly on their division
 # table; larger ones and lattices on seeded samples, with no n x n table.
@@ -321,8 +321,10 @@ class _ProductCarrier(_Carrier):
 class _LatticeCarrier(_Carrier):
     """Truncated Z^d box [-R, R]^d; addition with an out-of-window sentinel.
 
-    ``step`` is the length of one lattice unit: 1 on Z and Z^2, the grid
-    step h on the real-line quadrature r:h:B.
+    ``coords[i]`` holds the integer coordinates of cell i, the carrier's
+    only chart; ``from_coords`` is its inverse.  ``step`` is the length of
+    one lattice unit: 1 on Z and Z^2, the grid step h on the real-line
+    quadrature r:h:B.
     """
 
     def __init__(self, dim: int, radius: int, step: float = 1.0):
@@ -338,13 +340,6 @@ class _LatticeCarrier(_Carrier):
         grids = np.meshgrid(*[np.arange(-radius, radius + 1)] * dim, indexing="ij")
         self.coords = np.stack([g.reshape(-1) for g in grids], axis=1)
 
-    def to_coords(self, i):
-        i = np.asarray(i)
-        parts = []
-        for stride in self.strides:
-            parts.append((i // stride) % self.side - self.radius)
-        return np.stack(parts, axis=-1)
-
     def from_coords(self, coords):
         coords = np.asarray(coords)
         inside = np.all(np.abs(coords) <= self.radius, axis=-1)
@@ -355,20 +350,23 @@ class _LatticeCarrier(_Carrier):
     def op(self, i, j):
         i = np.asarray(i)
         j = np.asarray(j)
-        out = self.from_coords(self.to_coords(i) + self.to_coords(j))
+        out = self.from_coords(self.coords[i] + self.coords[j])
         return np.where((i == OUT_OF_WINDOW) | (j == OUT_OF_WINDOW), OUT_OF_WINDOW, out)
 
     def inv(self, i):
         i = np.asarray(i)
-        out = self.from_coords(-self.to_coords(i))
+        out = self.from_coords(-self.coords[i])
         return np.where(i == OUT_OF_WINDOW, OUT_OF_WINDOW, out)
 
 
 class _AffineCarrier(_Carrier):
     """Grid for the ax+b group in coordinates (u, b) with a = exp(u).
 
-    Product (u1,b1)(u2,b2) = (u1+u2, exp(u1)*b2 + b1): exact on the u grid,
-    generally off-grid in b.  Index-level op/inv snap b to the nearest cell;
+    ``coords[i]`` is the (u, b) of cell i and the carrier's only chart:
+    op, inv and every caller read a cell's position there, and ``snap``
+    maps exact coordinates back to the nearest cell.  Product
+    (u1,b1)(u2,b2) = (u1+u2, exp(u1)*b2 + b1): exact on the u grid,
+    generally off-grid in b, so op/inv snap b to the nearest cell;
     interpolation-based evaluation is available through ``interp`` for the
     paths that need sub-cell accuracy.
     """
@@ -388,31 +386,12 @@ class _AffineCarrier(_Carrier):
         iu, ib = np.divmod(np.arange(self.n), self.n_b)
         self.coords = np.stack([self.u_values[iu], self.b_values[ib]], axis=1)
 
-    # index <-> (u, b) helpers -------------------------------------------
-
-    def split(self, i):
-        i = np.asarray(i)
-        return i // self.n_b, i % self.n_b
-
-    def u_of(self, i):
-        iu, _ = self.split(i)
-        return (iu - self.k_u) * self.h_u
-
-    def b_of(self, i):
-        _, ib = self.split(i)
-        return (ib - self.k_b) * self.h_b
-
-    def index_from(self, iu, ib):
-        iu = np.asarray(iu)
-        ib = np.asarray(ib)
-        inside = (iu >= 0) & (iu < self.n_u) & (ib >= 0) & (ib < self.n_b)
-        return np.where(inside, iu * self.n_b + ib, OUT_OF_WINDOW)
-
     def snap(self, u, b):
         """Nearest grid index for exact coordinates (u, b); -1 outside."""
         iu = np.rint(np.asarray(u) / self.h_u).astype(np.int64) + self.k_u
         ib = np.rint(np.asarray(b) / self.h_b).astype(np.int64) + self.k_b
-        return self.index_from(iu, ib)
+        inside = (iu >= 0) & (iu < self.n_u) & (ib >= 0) & (ib < self.n_b)
+        return np.where(inside, iu * self.n_b + ib, OUT_OF_WINDOW)
 
     def product_coords(self, u1, b1, u2, b2):
         return u1 + u2, np.exp(u1) * b2 + b1
@@ -423,15 +402,14 @@ class _AffineCarrier(_Carrier):
     def op(self, i, j):
         i = np.asarray(i)
         j = np.asarray(j)
-        u1, b1 = self.u_of(i), self.b_of(i)
-        u2, b2 = self.u_of(j), self.b_of(j)
-        u, b = self.product_coords(u1, b1, u2, b2)
+        u, b = self.product_coords(self.coords[i, 0], self.coords[i, 1],
+                                   self.coords[j, 0], self.coords[j, 1])
         out = self.snap(u, b)
         return np.where((i == OUT_OF_WINDOW) | (j == OUT_OF_WINDOW), OUT_OF_WINDOW, out)
 
     def inv(self, i):
         i = np.asarray(i)
-        u, b = self.inverse_coords(self.u_of(i), self.b_of(i))
+        u, b = self.inverse_coords(self.coords[i, 0], self.coords[i, 1])
         out = self.snap(u, b)
         return np.where(i == OUT_OF_WINDOW, OUT_OF_WINDOW, out)
 
@@ -621,17 +599,16 @@ class GroupModel:
 # ---------------------------------------------------------------------------
 
 
-def build_group(spec: GroupSpec | str, *,
-                element_cap: int = DEFAULT_ELEMENT_CAP) -> GroupModel:
+def build_group(spec: GroupSpec | str) -> GroupModel:
     """Construct a :class:`GroupModel` from a spec (object or grammar string).
 
     Raises :class:`SpecParseError` on bad descriptors and
-    :class:`ResourceError` when the carrier would exceed ``element_cap``.
+    :class:`ResourceError` when the carrier would exceed ``ELEMENT_CAP``.
     """
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
 
-    carrier, kind = _make_carrier(spec, element_cap)
+    carrier, kind = _make_carrier(spec)
     n = carrier.n
 
     if isinstance(carrier, _AffineCarrier):
@@ -652,13 +629,13 @@ def build_group(spec: GroupSpec | str, *,
     return model
 
 
-def _make_carrier(spec: GroupSpec, element_cap: int):
+def _make_carrier(spec: GroupSpec):
     family = spec.family
 
     def check_cap(n: int):
-        if n > element_cap:
+        if n > ELEMENT_CAP:
             raise ResourceError(
-                f"carrier for {spec.text!r} has {n} elements, exceeding the cap {element_cap}")
+                f"carrier for {spec.text!r} has {n} elements, exceeding the cap {ELEMENT_CAP}")
 
     if family in ("cyclic", "circle"):
         n = spec.params[0]
@@ -674,7 +651,7 @@ def _make_carrier(spec: GroupSpec, element_cap: int):
         check_cap(math.factorial(big_n))
         return _SymmetricCarrier(big_n), KIND_FINITE
     if family == "product":
-        children = [_make_carrier(f, element_cap)[0] for f in spec.factors]
+        children = [_make_carrier(f)[0] for f in spec.factors]
         carrier = _ProductCarrier(children)
         check_cap(carrier.n)
         return carrier, KIND_FINITE

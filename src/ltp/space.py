@@ -284,7 +284,8 @@ def _affine_point(model: GroupModel, x) -> tuple[float, float]:
     """Exact (u, b) coordinates of a point of the affine model."""
     kind, value = resolve_point(model, x)
     if kind == "index":
-        return float(model.carrier.u_of(value)), float(model.carrier.b_of(value))
+        u, b = model.carrier.coords[value]
+        return float(u), float(b)
     return value
 
 

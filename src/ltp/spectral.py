@@ -15,15 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NotAbelianError, ResourceError
-from .groups import (COUNTING, PROBABILITY, KIND_FINITE, GroupModel, GroupSpec,
-                     _CyclicCarrier, _ProductCarrier)
+from .groups import COUNTING, PROBABILITY, build_group
 from .convolve import convolve
 from .space import GFunction, ess_sup, inner, lp_norm
 from .tempered import tempered_norm
+
+if TYPE_CHECKING:
+    from .groups import GroupModel
 
 DUAL_CAP = 2048
 
@@ -32,9 +35,10 @@ DUAL_CAP = 2048
 class DualModel:
     """Character table and Plancherel normalization for a finite abelian model.
 
-    ``characters[k, j] = chi_k(x_j)``; the dual carrier is the same product
-    of cyclics with the paired Haar weights, so functions of characters are
-    ordinary :class:`GFunction` values over ``dual_group``.
+    ``characters[k, j] = chi_k(x_j)``; ``dual_group`` is the model that
+    ``build_group`` makes of the same product of cyclics with the paired
+    normalization, so functions of characters are ordinary
+    :class:`GFunction` values over it.
     """
 
     base: GroupModel
@@ -70,22 +74,11 @@ def build_dual(model: GroupModel) -> DualModel:
         tables.append(np.exp(2j * np.pi * phase))
     characters = reduce(np.kron, tables)
 
-    if model.normalization == COUNTING:
-        dual_weights = np.full(n, 1.0 / n)
-        dual_norm = PROBABILITY
-    else:
-        dual_weights = np.ones(n)
-        dual_norm = COUNTING
-
-    if len(factors) == 1:
-        dual_carrier = _CyclicCarrier(factors[0])
-    else:
-        dual_carrier = _ProductCarrier([_CyclicCarrier(m) for m in factors])
-    dual_spec = GroupSpec(f"dual({model.spec.text})", "product" if len(factors) > 1 else "cyclic",
-                          tuple(factors), dual_norm)
-    dual_group = GroupModel(kind=KIND_FINITE, spec=dual_spec, carrier=dual_carrier,
-                            weights=dual_weights, modular=np.ones(n),
-                            normalization=dual_norm, name=dual_spec.text)
+    dual_norm = PROBABILITY if model.normalization == COUNTING else COUNTING
+    text = "+".join(f"cyclic:{size}" for size in factors)
+    if len(factors) > 1:
+        text = "product:" + text
+    dual_group = build_group(f"{text}@{dual_norm}")
     dual = DualModel(base=model, dual_group=dual_group, characters=characters)
     model._cache["dual"] = dual
     return dual

@@ -3,11 +3,11 @@ statement about tempered norms, convolution, amenability, or the transform
 on whatever models it applies to.
 
 Checks declare the model properties they need (kind, normalization, an
-abelian character table); a model that lacks them yields a skipped result
-with an explanatory note rather than a failure.  Results are deterministic
-for fixed (spec, p list, seed): every check draws from its own generator
-seeded by (seed, check name), so neither registry order nor the
-LTP_THREADS worker count can change a single observed value.
+abelian character table, a regime of exponents); a model that lacks them
+yields a skipped result with an explanatory note rather than a failure.
+Results are deterministic for fixed (spec, p list, seed): every check draws
+from its own generator seeded by (seed, check name), so neither registry
+order nor the LTP_THREADS worker count can change a single observed value.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ from .spectral import (DUAL_CAP, build_dual, character_orthogonality_residual,
                        roundtrip_residual, tempered_norm_spectral)
 from .tempered import (dirac_scaling_check, quasi_identity_blowup, re_im_closure_check,
                        tempered_norm, tempered_upper, upper_bound_weighted_l1)
-
-
-class SkipCheck(Exception):
-    """Raised inside a runner when the (model, p) combination is out of the
-    check's declared regime; recorded as a skip with the message as reason."""
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +125,7 @@ class CheckDef:
     note: str = ""
     draws: int = 1
     per_p: bool = False
-    requires: Callable[[GroupModel], str | None] | None = None
+    requires: Callable[[GroupModel, Exponent | None], str | None] | None = None
     tol: float = 1e-9
     affine_tol: float | None = None
     expected: float | tuple[float, float] = 0.0
@@ -142,21 +137,23 @@ class CheckDef:
 
 
 # -- requirement helpers ----------------------------------------------------
+# Each reads the model and the exponent (None for a check not run per p) and
+# returns the reason to skip, or None.
 
 
-def _needs_finite(model):
+def _needs_finite(model, p):
     return None if model.kind == KIND_FINITE else f"needs a finite model, got {model.kind}"
 
 
-def _needs_lattice(model):
+def _needs_lattice(model, p):
     return None if model.kind == KIND_LATTICE else f"needs a truncated lattice, got {model.kind}"
 
 
-def _needs_quadrature(model):
+def _needs_quadrature(model, p):
     return None if model.kind == KIND_QUADRATURE else f"needs a quadrature model, got {model.kind}"
 
 
-def _needs_counting(model):
+def _needs_counting(model, p):
     if model.normalization != COUNTING:
         return "needs counting normalization (discrete-side statement)"
     if model.kind not in (KIND_FINITE, KIND_LATTICE):
@@ -164,7 +161,7 @@ def _needs_counting(model):
     return None
 
 
-def _needs_probability_finite(model):
+def _needs_probability_finite(model, p):
     if model.kind != KIND_FINITE:
         return "needs a finite (compact) model"
     if model.normalization != PROBABILITY:
@@ -172,7 +169,7 @@ def _needs_probability_finite(model):
     return None
 
 
-def _needs_dual(model):
+def _needs_dual(model, p):
     if model.cyclic_factors is None:
         return "dual not built: model is not a declared product of cyclic groups"
     if model.n > DUAL_CAP:
@@ -180,22 +177,29 @@ def _needs_dual(model):
     return None
 
 
-def _needs_unimodular(model):
+def _needs_unimodular(model, p):
     return None if model.is_unimodular else "needs a unimodular model"
 
 
-def _needs_real_line(model):
+def _needs_real_line(model, p):
     if model.kind == KIND_QUADRATURE and isinstance(model.carrier, _LatticeCarrier):
         return None
     return "needs a real-line quadrature model"
 
 
-def _needs_folner_window(model):
-    err = _needs_lattice(model)
+def _needs_folner_window(model, p):
+    err = _needs_lattice(model, p)
     if err:
         return err
     if model.carrier.radius < 12:
         return "window radius below 12: certified box for eps=0.1 does not fit"
+    return None
+
+
+def _needs_exact_route(model, p):
+    if model.kind != KIND_FINITE and p.p not in (1.0, 2.0):
+        return ("outside the exact-route regime: the iterative lower "
+                "bound on a window section undershoots for general p")
     return None
 
 
@@ -402,9 +406,6 @@ _POSITIVE_CONE_NOTE = "||f||_p^T = integral f Delta^(-1/q) for positive f"
 
 def _run_positive_cone(ctx: SuiteContext):
     model = ctx.model
-    if model.kind != KIND_FINITE and ctx.p.p not in (1.0, 2.0):
-        raise SkipCheck("outside the exact-route regime: the iterative lower "
-                        "bound on a window section undershoots for general p")
     # on the affine grid the window-section lower bound carries a
     # Folner-type deficit that grows with the support, so the equality is
     # asserted for concentrated data only
@@ -585,7 +586,8 @@ REGISTRY: list[CheckDef] = [
              requires=_needs_real_line, tol=1e-12),
     CheckDef("positive-cone-equality", "||f||_p^T = integral f Delta^(-1/q) for f >= 0",
              ("positive-cone-characterization",), _run_positive_cone,
-             note=_POSITIVE_CONE_NOTE, draws=8, per_p=True, tol=1e-6, affine_tol=5e-2),
+             note=_POSITIVE_CONE_NOTE, draws=8, per_p=True, requires=_needs_exact_route,
+             tol=1e-6, affine_tol=5e-2),
     CheckDef("folner-certificate", "|xK n K| / |K| > 1 - eps for a box K",
              ("positive-cone-characterization",), _run_folner_certificate,
              requires=_needs_folner_window, tol=0.0, expected=(0.9, 1.0)),
@@ -692,12 +694,13 @@ def _execute_check(check: CheckDef, model: GroupModel, p: float | None,
     """Run the check's draws and judge the worst of them, a NaN included,
     against its expected value within its tolerance or the override."""
     name = _task_name(check, p)
-    reason = check.requires(model) if check.requires else None
+    exp = None if p is None else Exponent.of(p)
+    reason = check.requires(model, exp) if check.requires else None
     if reason is not None:
         return CheckResult.skip(name, check.ref, reason)
     tol = float(overrides.get(check.name, check.tolerance_for(model)))
     rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-    ctx = SuiteContext(model=model, p=None if p is None else Exponent.of(p), rng=rng)
+    ctx = SuiteContext(model=model, p=exp, rng=rng)
     started = time.perf_counter()
     try:
         worst, notes = 0.0, check.note
@@ -708,8 +711,6 @@ def _execute_check(check: CheckDef, model: GroupModel, p: float | None,
             worst = np.maximum(worst, measured)
         result = CheckResult.build(name, check.ref, observed=float(worst),
                                    expected=check.expected, tolerance=tol, notes=notes)
-    except SkipCheck as exc:
-        result = CheckResult.skip(name, check.ref, str(exc))
     except Exception as exc:  # a failing or broken check must not abort the suite
         result = CheckResult(name, check.ref, FAIL, None, None, tol, 0.0,
                              f"error: {type(exc).__name__}: {exc}")

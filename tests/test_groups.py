@@ -1,7 +1,9 @@
 """Group model construction, validation, translation, and the modular
 estimate."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,23 @@ def test_grammar_accepts(text, family, normalization):
 def test_grammar_rejects(text):
     with pytest.raises(SpecParseError):
         parse_group_spec(text)
+
+
+def test_only_groups_builds_models_and_carriers():
+    # every model comes from build_group: no other module calls GroupModel,
+    # GroupSpec or a carrier class
+    builders = {"GroupModel", "GroupSpec"} | {
+        name for name, value in vars(ltp.groups).items()
+        if isinstance(value, type) and issubclass(value, ltp.groups._Carrier)}
+    callers = set()
+    for path in Path(ltp.groups.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in builders:
+                    callers.add(path.name)
+    assert callers == {"groups.py"}
 
 
 def test_element_cap():

@@ -60,6 +60,17 @@ def test_product_characters_orthogonal():
                            dual.characters[:, x] * dual.characters[:, y], atol=1e-14)
 
 
+@pytest.mark.parametrize("spec", ["cyclic:16", "circle:8", "product:cyclic:2+cyclic:12",
+                                  "product:circle:4+cyclic:6@probability"])
+def test_dual_rebuilds_from_its_spec_text(spec):
+    dual_group = build_dual(ltp.build_group(spec)).dual_group
+    for source in (dual_group.spec.text, dual_group.spec):
+        rebuilt = ltp.build_group(source)
+        assert rebuilt.n == dual_group.n
+        assert np.array_equal(rebuilt.weights, dual_group.weights)
+        assert rebuilt.cyclic_factors == dual_group.cyclic_factors
+
+
 def test_not_abelian_and_cap():
     with pytest.raises(NotAbelianError):
         build_dual(ltp.build_group("dihedral:3"))

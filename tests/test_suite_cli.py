@@ -254,6 +254,25 @@ def test_cli_norm_honours_small_restart_counts(capsys):
         assert "restarts must be at least 1" in capsys.readouterr().err
 
 
+def _printed(out: str, key: str) -> str:
+    return out.split(f"  {key}=")[1].splitlines()[0]
+
+
+def test_cli_norm_reports_the_work_of_the_iteration(capsys):
+    model = ltp.build_group("dihedral:6")
+    est = tempered_norm(ltp.random_function(model, 3), 1.5)
+    assert main(["norm", "--group", "dihedral:6", "--f", "random:3", "--p", "1.5"]) == 0
+    out = capsys.readouterr().out
+    assert est.matvecs > 0 and est.restart_spread > 0
+    assert int(_printed(out, "matvecs")) == est.matvecs
+    assert float(_printed(out, "restart_spread")) == est.restart_spread
+    # the p = 2 route does no iteration
+    assert main(["norm", "--group", "dihedral:6", "--f", "random:3", "--p", "2"]) == 0
+    out = capsys.readouterr().out
+    assert _printed(out, "matvecs") == "0"
+    assert _printed(out, "restart_spread") == "0.0"
+
+
 def test_cli_resource_errors_exit_3(capsys):
     assert main(["norm", "--group", "z:600000", "--f", "dirac", "--p", "2"]) == 3
     capsys.readouterr()
