@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ResourceError
 from .groups import (KIND_FINITE, GroupModel, _AffineCarrier, _LatticeCarrier)
-from .space import GFunction, lp_norm
+from .space import Exponent, GFunction, lp_norm
 
 DENSE_CAP = 4096
 _CHUNK = 256
@@ -98,14 +98,8 @@ def _product_leak(g: GFunction, f: GFunction) -> float:
     support_g = np.nonzero(mg)[0]
     support_f = np.nonzero(mf)[0]
     carrier = model.carrier
-    if isinstance(carrier, _LatticeCarrier):
-        cg = carrier.coords[support_g][:, None, :]
-        cf = carrier.coords[support_f][None, :, :]
-        out = np.any(np.abs(cg + cf) > carrier.radius, axis=2)
-    else:  # the affine grid, the only other windowed carrier
-        ug, bg = carrier.coords[support_g].T[:, :, None]
-        uf, bf = carrier.coords[support_f].T[:, None, :]
-        out = ~carrier.inside(*carrier.product_coords(ug, bg, uf, bf))
+    out = carrier.outside(carrier.law(carrier.points(support_g[:, None]),
+                                      carrier.points(support_f[None, :])))
     leaked = float(np.sum(mg[support_g][:, None] * mf[support_f][None, :] * out))
     return leaked / total
 
@@ -216,7 +210,6 @@ class ConvOperator:
     def weighted_matrix(self, p) -> np.ndarray:
         """D^{1/p} M D^{-1/p}: the similarity that turns the Haar-weighted
         p -> p operator norm into the plain matrix p-norm."""
-        from .space import Exponent
         exp = Exponent.of(p)
         w = self.group.weights
         scale_left = w ** (1.0 / exp.p)

@@ -39,7 +39,7 @@ class FolnerCertificate:
 
 
 def _lattice_carrier(model: GroupModel) -> _LatticeCarrier:
-    if model.kind != KIND_LATTICE or not isinstance(model.carrier, _LatticeCarrier):
+    if model.kind != KIND_LATTICE:
         raise DomainError(
             f"Folner boxes are implemented for truncated lattices, not {model.name}")
     return model.carrier

@@ -180,7 +180,14 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 
 class _Carrier:
-    """Vectorized index arithmetic.  Subclasses fill in op/inv."""
+    """Vectorized index arithmetic.  Subclasses fill in op/inv.
+
+    The transports read the group law on points: ``points`` gives the
+    point of each cell, ``law`` and ``law_inverse`` move points, ``outside``
+    flags points off the window and ``read`` evaluates cell data at points.
+    On index carriers a point is its cell index, with ``OUT_OF_WINDOW`` for
+    products that leave a truncated window.
+    """
 
     n: int
     identity: int
@@ -192,6 +199,22 @@ class _Carrier:
 
     def inv(self, i):
         raise NotImplementedError
+
+    def points(self, cells):
+        return np.asarray(cells)
+
+    def law(self, x, y):
+        return self.op(x, y)
+
+    def law_inverse(self, x):
+        return self.inv(x)
+
+    def outside(self, x):
+        return np.asarray(x) == OUT_OF_WINDOW
+
+    def read(self, values: np.ndarray, x):
+        x = np.asarray(x)
+        return np.where(x == OUT_OF_WINDOW, 0.0, values[np.clip(x, 0, None)])
 
 
 class _CyclicCarrier(_Carrier):
@@ -362,13 +385,13 @@ class _LatticeCarrier(_Carrier):
 class _AffineCarrier(_Carrier):
     """Grid for the ax+b group in coordinates (u, b) with a = exp(u).
 
-    ``coords[i]`` is the (u, b) of cell i and the carrier's only chart:
-    op, inv and every caller read a cell's position there, and ``snap``
-    maps exact coordinates back to the nearest cell.  Product
-    (u1,b1)(u2,b2) = (u1+u2, exp(u1)*b2 + b1): exact on the u grid,
-    generally off-grid in b, so op/inv snap b to the nearest cell;
-    interpolation-based evaluation is available through ``interp`` for the
-    paths that need sub-cell accuracy.
+    ``coords[i]`` is the (u, b) of cell i and the carrier's only chart.  A
+    point is a pair (u, b) of exact coordinates, scalars or arrays, off-grid
+    in general: ``points`` reads the chart, ``law`` is the product
+    (u1,b1)(u2,b2) = (u1+u2, exp(u1)*b2 + b1), exact on the u grid, and
+    ``read`` evaluates cell data at points by bilinear interpolation, the
+    one place that decides how the transports sample off-grid.  op/inv
+    ``snap`` law and law_inverse to the nearest cell.
     """
 
     def __init__(self, h_u: float, r_u: float, h_b: float, r_b: float):
@@ -393,37 +416,66 @@ class _AffineCarrier(_Carrier):
         inside = (iu >= 0) & (iu < self.n_u) & (ib >= 0) & (ib < self.n_b)
         return np.where(inside, iu * self.n_b + ib, OUT_OF_WINDOW)
 
-    def product_coords(self, u1, b1, u2, b2):
+    def points(self, cells):
+        return self.coords[cells, 0], self.coords[cells, 1]
+
+    def law(self, x, y):
+        (u1, b1), (u2, b2) = x, y
         return u1 + u2, np.exp(u1) * b2 + b1
 
-    def inverse_coords(self, u, b):
+    def law_inverse(self, x):
+        u, b = x
         return -u, -np.exp(-u) * b
+
+    def outside(self, x):
+        """Off the window, with half a cell of tolerance."""
+        u, b = x
+        return ((np.abs(u) > self.u_values[-1] + 0.5 * self.h_u)
+                | (np.abs(b) > self.b_values[-1] + 0.5 * self.h_b))
+
+    def read(self, values: np.ndarray, x):
+        """Bilinear evaluation of cell data at the points x.
+
+        Points outside the window evaluate to zero.  Linear interpolation is
+        exact at grid nodes, so on-grid points reproduce the stored values.
+        """
+        u, b = x
+        grid = values.reshape(self.n_u, self.n_b)
+        tu = np.asarray(u) / self.h_u + self.k_u
+        tb = np.asarray(b) / self.h_b + self.k_b
+        iu0 = np.floor(tu).astype(np.int64)
+        ib0 = np.floor(tb).astype(np.int64)
+        au = tu - iu0
+        ab = tb - ib0
+
+        out = np.zeros(np.broadcast_shapes(tu.shape, tb.shape), dtype=values.dtype)
+        for du, wu in ((0, 1.0 - au), (1, au)):
+            for db, wb in ((0, 1.0 - ab), (1, ab)):
+                iu = iu0 + du
+                ib = ib0 + db
+                valid = (iu >= 0) & (iu < self.n_u) & (ib >= 0) & (ib < self.n_b)
+                weight = wu * wb
+                contrib = np.where(valid, grid[np.clip(iu, 0, self.n_u - 1),
+                                               np.clip(ib, 0, self.n_b - 1)], 0)
+                out = out + weight * contrib
+        return out
 
     def op(self, i, j):
         i = np.asarray(i)
         j = np.asarray(j)
-        u, b = self.product_coords(self.coords[i, 0], self.coords[i, 1],
-                                   self.coords[j, 0], self.coords[j, 1])
-        out = self.snap(u, b)
+        out = self.snap(*self.law(self.points(i), self.points(j)))
         return np.where((i == OUT_OF_WINDOW) | (j == OUT_OF_WINDOW), OUT_OF_WINDOW, out)
 
     def inv(self, i):
         i = np.asarray(i)
-        u, b = self.inverse_coords(self.coords[i, 0], self.coords[i, 1])
-        out = self.snap(u, b)
+        out = self.snap(*self.law_inverse(self.points(i)))
         return np.where(i == OUT_OF_WINDOW, OUT_OF_WINDOW, out)
-
-    def inside(self, u, b):
-        """Window membership for exact coordinates (half-cell tolerance)."""
-        u_ok = np.abs(u) <= self.u_values[-1] + 0.5 * self.h_u
-        b_ok = np.abs(b) <= self.b_values[-1] + 0.5 * self.h_b
-        return u_ok & b_ok
 
     def b_prefix(self, values: np.ndarray):
         """Extended b-profiles and their exact running integrals per u row.
 
         The grid data is treated as piecewise linear along b with a one-cell
-        ramp to zero beyond the window (matching ``interp``); the returned
+        ramp to zero beyond the window (matching ``read``); the returned
         pair feeds :meth:`averaged_rows`.
         """
         grid = values.reshape(self.n_u, self.n_b)
@@ -463,33 +515,6 @@ class _AffineCarrier(_Carrier):
         value = (self._prefix_eval(ext, cum, r, tau_hi)
                  - self._prefix_eval(ext, cum, r, tau_lo)) / width
         return np.where(valid, value, 0)
-
-    def interp(self, values: np.ndarray, u, b):
-        """Bilinear evaluation of grid data at exact coordinates.
-
-        ``values`` is a length-n vector over indices; points outside the
-        window evaluate to zero.  Linear interpolation is exact at grid
-        nodes, so on-grid coordinates reproduce the stored values.
-        """
-        grid = values.reshape(self.n_u, self.n_b)
-        tu = np.asarray(u) / self.h_u + self.k_u
-        tb = np.asarray(b) / self.h_b + self.k_b
-        iu0 = np.floor(tu).astype(np.int64)
-        ib0 = np.floor(tb).astype(np.int64)
-        au = tu - iu0
-        ab = tb - ib0
-
-        out = np.zeros(np.broadcast_shapes(tu.shape, tb.shape), dtype=values.dtype)
-        for du, wu in ((0, 1.0 - au), (1, au)):
-            for db, wb in ((0, 1.0 - ab), (1, ab)):
-                iu = iu0 + du
-                ib = ib0 + db
-                valid = (iu >= 0) & (iu < self.n_u) & (ib >= 0) & (ib < self.n_b)
-                weight = wu * wb
-                contrib = np.where(valid, grid[np.clip(iu, 0, self.n_u - 1),
-                                               np.clip(ib, 0, self.n_b - 1)], 0)
-                out = out + weight * contrib
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -768,22 +793,28 @@ def _check_light(model: GroupModel):
             reached[products] = True
 
 
-def _check_affine(model: GroupModel):
-    rng = np.random.default_rng(1)
-    i = rng.integers(0, model.n, 2048)
-    j = rng.integers(0, model.n, 2048)
-    prod = model.op(i, j)
+def modular_multiplicativity_residual(model: GroupModel, rng, draws: int) -> float | None:
+    """max |Delta(xy) - Delta(x) Delta(y)| / (Delta(x) Delta(y)) over ``draws``
+    sampled pairs whose product stays in the window; None when no sampled
+    product does."""
+    i = rng.integers(0, model.n, draws)
+    j = rng.integers(0, model.n, draws)
+    prod = np.asarray(model.op(i, j))
     ok = prod != OUT_OF_WINDOW
-    if np.any(ok):
-        # u is exact under the product, so the stored modular value at the
-        # snapped index must satisfy the multiplicativity law essentially
-        # to machine precision.
-        lhs = model.modular[prod[ok]]
-        rhs = model.modular[i[ok]] * model.modular[j[ok]]
-        rel = np.abs(lhs - rhs) / rhs
-        if rel.max() > _AFFINE_TOL_MULT:
-            raise GroupValidationError(
-                f"modular multiplicativity off by {rel.max():.3e}")
+    if not np.any(ok):
+        return None
+    lhs = model.modular[prod[ok]]
+    rhs = model.modular[i[ok]] * model.modular[j[ok]]
+    return float(np.max(np.abs(lhs - rhs) / rhs))
+
+
+def _check_affine(model: GroupModel):
+    # u is exact under the product, so the stored modular value at the
+    # snapped index must satisfy the multiplicativity law essentially to
+    # machine precision.
+    rel = modular_multiplicativity_residual(model, np.random.default_rng(1), 2048)
+    if rel is not None and rel > _AFFINE_TOL_MULT:
+        raise GroupValidationError(f"modular multiplicativity off by {rel:.3e}")
 
     worst = _affine_modular_residual(model)
     if worst > _AFFINE_TOL_MODULAR:

@@ -3,12 +3,11 @@ transforms (reflection, modular reflection, real/imaginary/positive parts,
 L1 + Linf splitting), plus Dirac translations and the empirical modular
 estimate.
 
-On finite and lattice models the transports permute indices through the
-group law.  On the affine grid reflection, both Dirac translations and the
-modular estimate are one pull-back, :func:`_affine_pull`: each states its
-maps with the carrier's ``product_coords`` / ``inverse_coords``, reads f by
-bilinear interpolation and reports the share of mass it pushes out of the
-window.
+On every model reflection, both Dirac translations and the modular
+estimate are one pull-back, :func:`_pull`: each states its maps with the
+carrier's ``law`` / ``law_inverse`` on the carrier's points, reads f there
+with ``carrier.read`` and reports the share of mass it pushes
+``carrier.outside`` the window.
 
 Norms accumulate through numpy's pairwise summation, which keeps the tight
 tolerances used by the verification suites meaningful on carriers up to
@@ -182,11 +181,9 @@ def decompose_l1_linf(f: GFunction) -> tuple[GFunction, GFunction]:
 
 def reflect(f: GFunction, max_leak: float = DEFAULT_MAX_LEAK) -> GFunction:
     """The reflection x -> f(x^{-1})."""
-    model = f.group
-    if isinstance(model.carrier, _AffineCarrier):
-        inverse = model.carrier.inverse_coords(*model.carrier.coords.T)
-        return _affine_pull(f, inverse, inverse, 1.0, "inversion", max_leak)
-    return GFunction(model, f.values[model.inverses])
+    carrier = f.group.carrier
+    inverse = carrier.law_inverse(carrier.points(np.arange(f.group.n)))
+    return _pull(f, inverse, inverse, 1.0, "inversion", max_leak)
 
 
 def modular_reflect(f: GFunction, p, max_leak: float = DEFAULT_MAX_LEAK) -> GFunction:
@@ -228,74 +225,55 @@ LEFT_DIRAC = "left_dirac"
 RIGHT_DIRAC = "right_dirac"
 
 
-def _leak_share(f: GFunction, outside: np.ndarray) -> float:
-    """Share of f's weighted mass sitting on the cells flagged ``outside``."""
-    mass = f.group.weights * np.abs(f.values)
-    total = float(np.sum(mass))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(mass[outside])) / total
+def _pull(f: GFunction, at, push, scale, what: str, max_leak: float) -> GFunction:
+    """The transport t -> scale * f(at(t)).
 
-
-def _affine_pull(f: GFunction, at, push, scale, what: str, max_leak: float) -> GFunction:
-    """The transport t -> scale * f(at(t)) on the affine grid.
-
-    ``at`` holds, per cell t, the exact (u, b) coordinates where the result
-    reads f, evaluated by ``carrier.interp``; ``push`` holds, per cell s,
-    the exact point where f's mass at s lands (the inverse of the ``at``
-    map).  The result's ``leak`` is the share of f's weighted mass that
-    ``push`` sends out of the window; above ``max_leak`` this raises
+    ``at`` holds, per cell t, the carrier point where the result reads f,
+    evaluated by ``carrier.read``; ``push`` holds, per cell s, the point
+    where f's mass at s lands (the inverse of the ``at`` map).  The
+    result's ``leak`` is the share of f's weighted mass that ``push`` sends
+    ``carrier.outside`` the window; above ``max_leak`` this raises
     :class:`WindowLeakError`.
     """
-    carrier: _AffineCarrier = f.group.carrier
-    leak = _leak_share(f, ~carrier.inside(*push))
+    carrier = f.group.carrier
+    mass = f.group.weights * np.abs(f.values)
+    total = float(np.sum(mass))
+    leak = float(np.sum(mass[carrier.outside(push)])) / total if total else 0.0
     if leak > max_leak:
         raise WindowLeakError(
             f"{what} leaks {leak:.3e} of the mass out of the window", leak)
-    return GFunction(f.group, scale * carrier.interp(f.values, *at), leak)
+    return GFunction(f.group, scale * carrier.read(f.values, at), leak)
 
 
-def resolve_point(model: GroupModel, x):
-    """Resolve a group point given as an index, lattice coordinates, or, on
-    the affine model, an (a, b) pair with a > 0.
-
-    Returns ``("index", i)`` or ``("affine", (u, b))``; affine coordinates
-    may lie off-grid.
-    """
+def _point(model: GroupModel, x):
+    """The carrier point of x, given as an index, lattice coordinates, or,
+    on the affine model, an (a, b) pair with a > 0 (exact, maybe off-grid)."""
+    carrier = model.carrier
     if isinstance(x, (int, np.integer)):
         i = int(x)
         if not 0 <= i < model.n:
             raise DomainError(f"index {i} out of range for n={model.n}")
-        return ("index", i)
-    if isinstance(x, (tuple, list)) and isinstance(model.carrier, _AffineCarrier):
+        return carrier.points(i)
+    if isinstance(x, (tuple, list)) and isinstance(carrier, _AffineCarrier):
         a, b = float(x[0]), float(x[1])
         if a <= 0:
             raise DomainError("affine points need a > 0")
-        return ("affine", (math.log(a), b))
-    if isinstance(x, (tuple, list)) and isinstance(model.carrier, _LatticeCarrier):
-        idx = int(model.carrier.from_coords(np.asarray(x, dtype=np.int64)))
+        return math.log(a), b
+    if isinstance(x, (tuple, list)) and isinstance(carrier, _LatticeCarrier):
+        idx = carrier.from_coords(np.asarray(x, dtype=np.int64))
         if idx == OUT_OF_WINDOW:
             raise DomainError(f"lattice point {x} lies outside the window")
-        return ("index", idx)
+        return carrier.points(int(idx))
     raise DomainError(f"cannot interpret {x!r} as a point of {model.name}")
 
 
-def _affine_point(model: GroupModel, x) -> tuple[float, float]:
-    """Exact (u, b) coordinates of a point of the affine model."""
-    kind, value = resolve_point(model, x)
-    if kind == "index":
-        u, b = model.carrier.coords[value]
-        return float(u), float(b)
-    return value
-
-
 def point_modular(model: GroupModel, x) -> float:
-    """Delta at a resolved point (exact coordinates allowed on affine models)."""
-    kind, value = resolve_point(model, x)
-    if kind == "index":
-        return float(model.modular[value])
-    u, _ = value
-    return math.exp(-u)
+    """Delta at a point: e^{-u} at an affine point (u, b), the stored value
+    at a cell of every other model."""
+    point = _point(model, x)
+    if isinstance(model.carrier, _AffineCarrier):
+        return math.exp(-point[0])
+    return float(model.modular[point])
 
 
 def translate(f: GFunction, x, side: str = LEFT_DIRAC,
@@ -312,39 +290,19 @@ def translate(f: GFunction, x, side: str = LEFT_DIRAC,
     if side not in (LEFT_DIRAC, RIGHT_DIRAC):
         raise DomainError(f"side must be left_dirac or right_dirac, got {side!r}")
     model = f.group
-    if isinstance(model.carrier, _AffineCarrier):
-        carrier = model.carrier
-        x_coords = _affine_point(model, x)
-        x_inverse = carrier.inverse_coords(*x_coords)
-        t = carrier.coords.T
-        if side == LEFT_DIRAC:  # f(x^{-1} t); f's mass at t moves to x t
-            at = carrier.product_coords(*x_inverse, *t)
-            push = carrier.product_coords(*x_coords, *t)
-            scale = 1.0
-        else:  # Delta(x)^{-1} f(t x^{-1}); f's mass at t moves to t x
-            at = carrier.product_coords(*t, *x_inverse)
-            push = carrier.product_coords(*t, *x_coords)
-            scale = math.exp(x_coords[0])
-        return _affine_pull(f, at, push, scale, "translation", max_leak)
-
-    i = resolve_point(model, x)[1]
-    all_idx = np.arange(model.n)
-    inv_x = int(model.inv(i))
-    if side == LEFT_DIRAC:
-        source = np.asarray(model.op(inv_x, all_idx))
-        targets = np.asarray(model.op(i, all_idx))
+    carrier = model.carrier
+    x_point = _point(model, x)
+    x_inverse = carrier.law_inverse(x_point)
+    t = carrier.points(np.arange(model.n))
+    if side == LEFT_DIRAC:  # f(x^{-1} t); f's mass at t moves to x t
+        at = carrier.law(x_inverse, t)
+        push = carrier.law(x_point, t)
         scale = 1.0
-    else:
-        source = np.asarray(model.op(all_idx, inv_x))
-        targets = np.asarray(model.op(all_idx, i))
-        scale = 1.0 / float(model.modular[i])
-
-    values = np.where(source == OUT_OF_WINDOW, 0.0, f.values[np.clip(source, 0, None)])
-    leak = _leak_share(f, targets == OUT_OF_WINDOW)
-    if leak > max_leak:
-        raise WindowLeakError(
-            f"translation leaks {leak:.3e} of the mass out of the window", leak)
-    return GFunction(model, scale * values, leak)
+    else:  # Delta(x)^{-1} f(t x^{-1}); f's mass at t moves to t x
+        at = carrier.law(t, x_inverse)
+        push = carrier.law(t, x_point)
+        scale = 1.0 / point_modular(model, x)
+    return _pull(f, at, push, scale, "translation", max_leak)
 
 
 # ---------------------------------------------------------------------------
@@ -367,26 +325,24 @@ def estimate_modular(model: GroupModel, x, probe: GFunction | None = None,
                      max_leak: float = DEFAULT_MAX_LEAK) -> float:
     """Estimate Delta(x) as (sum w probe) / (sum w probe(. x)).
 
-    Finite and lattice models are unimodular and return exactly 1.0.  On
-    quadrature models the probe must be supported well inside the window;
+    Unimodular models (finite, lattice and real-line) return exactly 1.0.
+    On the affine grid the probe must be supported well inside the window;
     :class:`WindowLeakError` is raised when the translated support drops
     more than ``max_leak`` of its mass.
     """
-    if not isinstance(model.carrier, _AffineCarrier):
-        # finite, lattice and real-line models are unimodular
-        resolve_point(model, x)
+    x_point = _point(model, x)
+    if model.is_unimodular:
         return 1.0
 
-    carrier: _AffineCarrier = model.carrier
+    carrier = model.carrier
     if probe is None:
         probe = GFunction(model, _affine_bump_probe(carrier))
-    x_coords = _affine_point(model, x)
-    t = carrier.coords.T
+    t = carrier.points(np.arange(model.n))
     # probe(t x); the probe's mass at t moves to t x^{-1}, which must stay
     # representable for the cell to contribute
-    shifted = _affine_pull(probe, carrier.product_coords(*t, *x_coords),
-                           carrier.product_coords(*t, *carrier.inverse_coords(*x_coords)),
-                           1.0, "probe support", max_leak).values
+    shifted = _pull(probe, carrier.law(t, x_point),
+                    carrier.law(t, carrier.law_inverse(x_point)),
+                    1.0, "probe support", max_leak).values
     num = float(np.sum(model.weights * probe.values.real))
     den = float(np.sum(model.weights * shifted.real))
     if den <= 0.0:

@@ -27,7 +27,8 @@ from .errors import LtpError
 from .groups import (COUNTING, KIND_FINITE, KIND_LATTICE, KIND_QUADRATURE,
                      PROBABILITY, GroupModel, GroupSpec, _AffineCarrier,
                      _LatticeCarrier, build_group, validate_group,
-                     _affine_validation_points, _affine_modular_residual)
+                     modular_multiplicativity_residual, _affine_validation_points,
+                     _affine_modular_residual)
 from .convolve import associativity_check, convolve
 from .folner import averaging_inequality_check, find_folner, positive_norm_equality
 from .report import FAIL, CheckResult, SuiteReport
@@ -56,7 +57,7 @@ def _support_radius(model: GroupModel) -> float | None:
     return None
 
 
-def _random_probe(model: GroupModel, rng, *, positive=False, complex_valued=True,
+def _random_probe(model: GroupModel, rng, *, positive=False,
                   concentration=0.45) -> GFunction:
     """Random test function shaped for the model: unrestricted on finite
     carriers, quarter-window support on lattices, smooth modulated bump on
@@ -71,11 +72,8 @@ def _random_probe(model: GroupModel, rng, *, positive=False, complex_valued=True
         wave = 1.0 + 0.4 * np.cos(2.0 * np.pi * u / max(r_u, 1e-9) + phase_u) \
                    + 0.3 * np.cos(np.pi * b / max(r_b, 1e-9) + phase_b)
         values = _affine_bump_probe(carrier, concentration) * wave
-        if not positive:
-            values = values * np.exp(1j * phase_u) if complex_valued else values
-        return GFunction(model, np.abs(values) if positive else values)
+        return GFunction(model, np.abs(values) if positive else values * np.exp(1j * phase_u))
     return random_function(model, rng, positive=positive,
-                           complex_valued=complex_valued,
                            support_radius=_support_radius(model))
 
 
@@ -236,17 +234,10 @@ def _run_modular_consistency(ctx: SuiteContext):
 
 
 def _run_modular_multiplicativity(ctx: SuiteContext):
-    model = ctx.model
-    rng = ctx.rng
-    i = rng.integers(0, model.n, 512)
-    j = rng.integers(0, model.n, 512)
-    prod = np.asarray(model.op(i, j))
-    ok = prod >= 0
-    if not np.any(ok):
+    residual = modular_multiplicativity_residual(ctx.model, ctx.rng, 512)
+    if residual is None:
         return 0.0, "no in-window products sampled"
-    lhs = model.modular[prod[ok]]
-    rhs = model.modular[i[ok]] * model.modular[j[ok]]
-    return float(np.max(np.abs(lhs - rhs) / rhs))
+    return residual
 
 
 def _run_l1_linf_split(ctx: SuiteContext):

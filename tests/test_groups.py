@@ -393,6 +393,57 @@ def test_affine_transports_report_the_mass_they_push_out():
         assert excinfo.value.leak == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec,shift", [
+    ("z:8", (3,)), ("z2:4", (2, 1)), ("r:0.25:2", (3,)),
+])
+def test_lattice_transports_report_the_mass_they_push_out(spec, shift):
+    # The expected leaks are brute-force shares over coordinate pairs: a
+    # point sum leaves the box [-R, R]^d when one of its coordinates does.
+    G = ltp.build_group(spec)
+    coords, radius = G.carrier.coords, G.carrier.radius
+    rng = np.random.default_rng(11)
+    f = ltp.GFunction(G, rng.uniform(0.5, 1.5, G.n) * (coords[:, 0] >= radius // 2))
+    g = ltp.GFunction(G, rng.uniform(0.5, 1.5, G.n))
+    mass_f = G.weights * np.abs(f.values)
+    mass_g = G.weights * np.abs(g.values)
+
+    moved_out = np.any(np.abs(coords + np.array(shift)) > radius, axis=1)
+    expected = float(np.sum(mass_f[moved_out])) / float(np.sum(mass_f))
+    assert 0.01 < expected < 0.99
+    for side in (ltp.LEFT_DIRAC, ltp.RIGHT_DIRAC):
+        with pytest.raises(WindowLeakError) as excinfo:
+            ltp.translate(f, shift, side)
+        assert excinfo.value.leak == pytest.approx(expected, rel=1e-12)
+
+    assert ltp.reflect(f).leak == 0.0
+
+    pair_out = np.any(np.abs(coords[:, None, :] + coords[None, :, :]) > radius, axis=2)
+    pair_mass = mass_g[:, None] * mass_f[None, :]
+    expected = float(np.sum(pair_mass[pair_out])) / float(np.sum(pair_mass))
+    assert 0.01 < expected < 0.99
+    assert ltp.convolve(g, f).leak == pytest.approx(expected, rel=1e-12)
+
+
+def test_transports_name_no_carrier_class_or_kind():
+    # how a point moves and when it leaves the window is the carrier's law:
+    # the transports themselves branch on no carrier class and no model kind
+    wanted = {"space.py": {"reflect", "translate", "estimate_modular", "_pull"},
+              "convolve.py": {"_product_leak"}}
+    names = {}
+    for filename, functions in wanted.items():
+        path = Path(ltp.groups.__file__).parent / filename
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and node.name in functions:
+                names[node.name] = {
+                    sub.id if isinstance(sub, ast.Name) else sub.attr
+                    for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+    assert set(names) == set().union(*wanted.values())
+    for function, used in names.items():
+        branches = {name for name in used
+                    if name in ("_AffineCarrier", "_LatticeCarrier") or name.startswith("KIND_")}
+        assert not branches, f"{function} names {sorted(branches)}"
+
+
 def test_translate_leak_reported_below_threshold():
     G = ltp.build_group("z:8")
     f = ltp.box_function(G, 2)
