@@ -97,6 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--config", default="", help="key=value file mirroring the flags")
     suite.add_argument("--tol", action="append", default=[], metavar="NAME=TOL",
                        help="per-check tolerance override, repeatable")
+    suite.set_defaults(run=_cmd_suite)
 
     norm = sub.add_parser("norm", help="certified tempered norm of one function")
     norm.add_argument("--group", help="group spec")
@@ -106,18 +107,21 @@ def _build_parser() -> argparse.ArgumentParser:
     norm.add_argument("--restarts", type=int, default=8)
     norm.add_argument("--seed", type=int, default=0)
     norm.add_argument("--config", default="")
+    norm.set_defaults(run=_cmd_norm)
 
     spectral = sub.add_parser("spectral", help="transform a function and test the "
                                                "restricted isometry identity")
     spectral.add_argument("--group", help="abelian group spec")
     spectral.add_argument("--f", dest="source", help="function source")
     spectral.add_argument("--config", default="")
+    spectral.set_defaults(run=_cmd_spectral)
 
     folner = sub.add_parser("folner", help="certify an almost-invariant box")
     folner.add_argument("--group", help="lattice spec, e.g. z2:16")
     folner.add_argument("--c-radius", type=int, default=1)
     folner.add_argument("--epsilon", type=float, default=0.1)
     folner.add_argument("--config", default="")
+    folner.set_defaults(run=_cmd_folner)
     return parser
 
 
@@ -225,15 +229,7 @@ def main(argv: list[str] | None = None) -> int:
             raise SpecParseError("missing --group (flag or config file)")
         if args.command in ("norm", "spectral") and not getattr(args, "source", None):
             raise SpecParseError("missing --f function source")
-        if args.command == "suite":
-            return _cmd_suite(args)
-        if args.command == "norm":
-            return _cmd_norm(args)
-        if args.command == "spectral":
-            return _cmd_spectral(args)
-        if args.command == "folner":
-            return _cmd_folner(args)
-        raise SpecParseError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (SpecParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,20 +53,20 @@ _AFFINE_TOL_MODULAR = 1e-2
 # Spec grammar
 # ---------------------------------------------------------------------------
 
-_FAMILIES = ("cyclic", "circle", "dihedral", "symmetric", "product",
-             "z", "z2", "r", "affine")
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """Parsed form of a group descriptor string.
 
-    Grammar (suffix ``@counting`` or ``@probability`` optional, counting is
-    the default except for ``circle`` which defaults to probability):
+    Grammar, one ``_FAMILIES`` record per family (suffix ``@counting`` or
+    ``@probability`` optional, the family's default otherwise: probability
+    for ``circle``, counting for the rest):
 
         cyclic:N | circle:N | dihedral:N | symmetric:N
-        product:SPEC+SPEC[+SPEC...]     (factors must not be products)
+        product:SPEC+SPEC[+SPEC...]     (finite factors, not products)
         z:R | z2:R | r:H:B | affine:HU:RU:HB:RB
+
+    N and R are positive integers; the other parameters are positive finite
+    numbers in (step, radius) pairs, each radius at least its step.
     """
 
     text: str
@@ -76,23 +76,20 @@ class GroupSpec:
     factors: tuple["GroupSpec", ...] = ()
 
 
-def _parse_positive_int(token: str, what: str) -> int:
-    try:
-        value = int(token)
-    except ValueError as exc:
-        raise SpecParseError(f"{what}: expected an integer, got {token!r}") from exc
-    if value <= 0:
-        raise SpecParseError(f"{what}: must be positive, got {value}")
-    return value
+_COUNTS = ("N", "R")  # the integer parameters; every other one is a step or radius
 
 
-def _parse_positive_float(token: str, what: str) -> float:
+def _parse_param(name: str, token: str, usage: str):
+    """One parameter, named in the family's ``usage`` line: a positive
+    integer for N and R, a positive finite number for every other name."""
+    count = name in _COUNTS
     try:
-        value = float(token)
-    except ValueError as exc:
-        raise SpecParseError(f"{what}: expected a number, got {token!r}") from exc
-    if not (value > 0) or not math.isfinite(value):
-        raise SpecParseError(f"{what}: must be positive and finite, got {value}")
+        value = int(token) if count else float(token)
+    except ValueError:
+        value = None
+    if value is None or not value > 0 or not (count or math.isfinite(value)):
+        what = "a positive integer" if count else "a positive finite number"
+        raise SpecParseError(f"{usage}, {name} {what}, got {token!r}")
     return value
 
 
@@ -115,15 +112,8 @@ def parse_group_spec(text: str) -> GroupSpec:
     family, _, rest = body.partition(":")
     if family not in _FAMILIES:
         raise SpecParseError(f"unknown group family {family!r}")
-
-    if normalization is None:
-        normalization = PROBABILITY if family == "circle" else COUNTING
-
-    if family in ("cyclic", "circle", "dihedral", "symmetric"):
-        if not rest or ":" in rest:
-            raise SpecParseError(f"{family} takes exactly one integer parameter")
-        n = _parse_positive_int(rest, family)
-        return GroupSpec(raw, family, (n,), normalization)
+    record = _FAMILIES[family]
+    normalization = normalization or record.normalization
 
     if family == "product":
         if not rest:
@@ -138,45 +128,34 @@ def parse_group_spec(text: str) -> GroupSpec:
             sub = parse_group_spec(part)
             if sub.family == "product":
                 raise SpecParseError("nested products are not supported; flatten the factor list")
-            if sub.family not in ("cyclic", "circle", "dihedral", "symmetric"):
+            if _FAMILIES[sub.family].kind != KIND_FINITE:
                 raise SpecParseError(f"product factors must be finite groups, got {part!r}")
             factors.append(sub)
         return GroupSpec(raw, "product", (), normalization, tuple(factors))
 
-    if family in ("z", "z2"):
-        if not rest or ":" in rest:
-            raise SpecParseError(f"{family} takes exactly one integer radius")
-        radius = _parse_positive_int(rest, f"{family} radius")
-        return GroupSpec(raw, family, (radius,), normalization)
-
-    if family == "r":
-        parts = rest.split(":")
-        if len(parts) != 2:
-            raise SpecParseError("r takes step and radius, r:H:B")
-        h = _parse_positive_float(parts[0], "r step")
-        b = _parse_positive_float(parts[1], "r radius")
-        if b < h:
-            raise SpecParseError("r radius must be at least the step")
-        return GroupSpec(raw, "r", (h, b), normalization)
-
-    if family == "affine":
-        parts = rest.split(":")
-        if len(parts) != 4:
-            raise SpecParseError("affine takes affine:HU:RU:HB:RB")
-        hu = _parse_positive_float(parts[0], "affine u step")
-        ru = _parse_positive_float(parts[1], "affine u radius")
-        hb = _parse_positive_float(parts[2], "affine b step")
-        rb = _parse_positive_float(parts[3], "affine b radius")
-        if ru < hu or rb < hb:
-            raise SpecParseError("affine radii must be at least the matching step")
-        return GroupSpec(raw, "affine", (hu, ru, hb, rb), normalization)
-
-    raise SpecParseError(f"unhandled family {family!r}")
+    usage = f"{family} takes " + ":".join((family,) + record.params)
+    tokens = rest.split(":")
+    if len(tokens) != len(record.params):
+        raise SpecParseError(usage)
+    params = tuple(_parse_param(name, token, usage)
+                   for name, token in zip(record.params, tokens))
+    steps = [value for name, value in zip(record.params, params) if name not in _COUNTS]
+    if any(radius < step for step, radius in zip(steps[::2], steps[1::2])):
+        raise SpecParseError(f"{usage}, each radius at least its step")
+    return GroupSpec(raw, family, params, normalization)
 
 
 # ---------------------------------------------------------------------------
 # Carriers: index arithmetic for each family
 # ---------------------------------------------------------------------------
+
+
+def _capped(n: int) -> int:
+    """n, the cell count of a carrier about to be built, checked against
+    ``ELEMENT_CAP`` before the carrier allocates anything."""
+    if n > ELEMENT_CAP:
+        raise ResourceError(f"a carrier of {n} cells exceeds the cap {ELEMENT_CAP}")
+    return n
 
 
 class _Carrier:
@@ -219,7 +198,7 @@ class _Carrier:
 
 class _CyclicCarrier(_Carrier):
     def __init__(self, n: int):
-        self.n = n
+        self.n = _capped(n)
         self.identity = 0
         self.is_abelian = True
         self.cyclic_factors = (n,)
@@ -236,7 +215,7 @@ class _DihedralCarrier(_Carrier):
 
     def __init__(self, m: int):
         self.m = m
-        self.n = 2 * m
+        self.n = _capped(2 * m)
         self.identity = 0
         self.is_abelian = m <= 2
 
@@ -264,8 +243,10 @@ class _SymmetricCarrier(_Carrier):
     """
 
     def __init__(self, big_n: int):
+        if big_n > 10:
+            raise ResourceError(f"symmetric:{big_n} is far beyond desk scale")
         self.big_n = big_n
-        self.n = math.factorial(big_n)
+        self.n = _capped(math.factorial(big_n))
         self.perms = np.array(list(itertools.permutations(range(big_n))), dtype=np.int64)
         self.identity = 0
         self.is_abelian = big_n <= 2
@@ -303,7 +284,7 @@ class _ProductCarrier(_Carrier):
     def __init__(self, children: Sequence[_Carrier]):
         self.children = list(children)
         sizes = [c.n for c in self.children]
-        self.n = int(np.prod(sizes))
+        self.n = _capped(math.prod(sizes))
         strides = []
         acc = 1
         for size in reversed(sizes):
@@ -355,7 +336,7 @@ class _LatticeCarrier(_Carrier):
         self.radius = radius
         self.step = step
         self.side = 2 * radius + 1
-        self.n = self.side ** dim
+        self.n = _capped(self.side ** dim)
         self.is_abelian = True
         strides = [self.side ** (dim - 1 - k) for k in range(dim)]
         self.strides = np.array(strides, dtype=np.int64)
@@ -401,7 +382,7 @@ class _AffineCarrier(_Carrier):
         self.k_b = int(round(r_b / h_b))
         self.n_u = 2 * self.k_u + 1
         self.n_b = 2 * self.k_b + 1
-        self.n = self.n_u * self.n_b
+        self.n = _capped(self.n_u * self.n_b)
         self.u_values = self.h_u * np.arange(-self.k_u, self.k_u + 1)
         self.b_values = self.h_b * np.arange(-self.k_b, self.k_b + 1)
         self.identity = self.k_u * self.n_b + self.k_b
@@ -515,6 +496,30 @@ class _AffineCarrier(_Carrier):
         value = (self._prefix_eval(ext, cum, r, tau_hi)
                  - self._prefix_eval(ext, cum, r, tau_lo)) / width
         return np.where(valid, value, 0)
+
+
+class _Family(NamedTuple):
+    params: tuple[str, ...]  # the grammar's parameter names, in order
+    kind: str
+    carrier: Callable[..., _Carrier]  # called with the parsed parameters
+    normalization: str = COUNTING
+
+
+# The grammar: one record per family.  A product's carrier is called with
+# its factor specs.
+_FAMILIES = {
+    "cyclic": _Family(("N",), KIND_FINITE, _CyclicCarrier),
+    "circle": _Family(("N",), KIND_FINITE, _CyclicCarrier, PROBABILITY),
+    "dihedral": _Family(("N",), KIND_FINITE, _DihedralCarrier),
+    "symmetric": _Family(("N",), KIND_FINITE, _SymmetricCarrier),
+    "product": _Family((), KIND_FINITE,
+                       lambda *factors: _ProductCarrier([_make_carrier(f) for f in factors])),
+    "z": _Family(("R",), KIND_LATTICE, lambda radius: _LatticeCarrier(1, radius)),
+    "z2": _Family(("R",), KIND_LATTICE, lambda radius: _LatticeCarrier(2, radius)),
+    "r": _Family(("H", "B"), KIND_QUADRATURE,
+                 lambda h, b: _LatticeCarrier(1, int(round(b / h)), h)),
+    "affine": _Family(("HU", "RU", "HB", "RB"), KIND_QUADRATURE, _AffineCarrier),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +638,7 @@ def build_group(spec: GroupSpec | str) -> GroupModel:
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
 
-    carrier, kind = _make_carrier(spec)
+    carrier = _make_carrier(spec)
     n = carrier.n
 
     if isinstance(carrier, _AffineCarrier):
@@ -647,59 +652,15 @@ def build_group(spec: GroupSpec | str) -> GroupModel:
     if spec.normalization == PROBABILITY:
         weights = weights / weights.sum()
 
-    model = GroupModel(kind=kind, spec=spec, carrier=carrier,
+    model = GroupModel(kind=_FAMILIES[spec.family].kind, spec=spec, carrier=carrier,
                        weights=weights, modular=modular,
                        normalization=spec.normalization)
     validate_group(model)
     return model
 
 
-def _make_carrier(spec: GroupSpec):
-    family = spec.family
-
-    def check_cap(n: int):
-        if n > ELEMENT_CAP:
-            raise ResourceError(
-                f"carrier for {spec.text!r} has {n} elements, exceeding the cap {ELEMENT_CAP}")
-
-    if family in ("cyclic", "circle"):
-        n = spec.params[0]
-        check_cap(n)
-        return _CyclicCarrier(n), KIND_FINITE
-    if family == "dihedral":
-        check_cap(2 * spec.params[0])
-        return _DihedralCarrier(spec.params[0]), KIND_FINITE
-    if family == "symmetric":
-        big_n = spec.params[0]
-        if big_n > 10:
-            raise ResourceError(f"symmetric:{big_n} is far beyond desk scale")
-        check_cap(math.factorial(big_n))
-        return _SymmetricCarrier(big_n), KIND_FINITE
-    if family == "product":
-        children = [_make_carrier(f)[0] for f in spec.factors]
-        carrier = _ProductCarrier(children)
-        check_cap(carrier.n)
-        return carrier, KIND_FINITE
-    if family == "z":
-        radius = spec.params[0]
-        check_cap(2 * radius + 1)
-        return _LatticeCarrier(1, radius), KIND_LATTICE
-    if family == "z2":
-        radius = spec.params[0]
-        check_cap((2 * radius + 1) ** 2)
-        return _LatticeCarrier(2, radius), KIND_LATTICE
-    if family == "r":
-        h, b = spec.params
-        radius = int(round(b / h))
-        check_cap(2 * radius + 1)
-        return _LatticeCarrier(1, radius, h), KIND_QUADRATURE
-    if family == "affine":
-        hu, ru, hb, rb = spec.params
-        carrier = _AffineCarrier(hu, ru, hb, rb)
-        check_cap(carrier.n)
-        return carrier, KIND_QUADRATURE
-
-    raise SpecParseError(f"unhandled family {family!r}")
+def _make_carrier(spec: GroupSpec) -> _Carrier:
+    return _FAMILIES[spec.family].carrier(*spec.params, *spec.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +691,9 @@ def validate_group(model: GroupModel):
     all_idx = np.arange(n)
     e = model.identity
 
-    if model.kind in (KIND_FINITE, KIND_LATTICE) or model.spec.family == "r":
-        if not np.all(model.modular == 1.0):
-            raise GroupValidationError("discrete/compact models must be unimodular")
+    lattice = isinstance(model.carrier, _LatticeCarrier)
+    if (model.kind == KIND_FINITE or lattice) and not np.all(model.modular == 1.0):
+        raise GroupValidationError("discrete/compact models must be unimodular")
 
     # Two-sided identity and inverses: cheap for every kind (lattice/affine
     # inverses of in-window identity-products stay in window).
@@ -750,7 +711,7 @@ def validate_group(model: GroupModel):
         if n <= _EXACT_LIMIT:
             _check_light(model)
             return
-    elif model.kind == KIND_LATTICE or model.spec.family == "r":
+    elif lattice:
         if np.any(model.inverses == OUT_OF_WINDOW):
             raise GroupValidationError("lattice inversion left the window")
     else:

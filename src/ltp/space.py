@@ -246,8 +246,9 @@ def _pull(f: GFunction, at, push, scale, what: str, max_leak: float) -> GFunctio
 
 
 def _point(model: GroupModel, x):
-    """The carrier point of x, given as an index, lattice coordinates, or,
-    on the affine model, an (a, b) pair with a > 0 (exact, maybe off-grid)."""
+    """The carrier point of x, given as an index, integer lattice coordinates
+    (in cells, one per axis; also on r:H:B), or, on the affine model, an
+    (a, b) pair with a > 0 (exact, maybe off-grid)."""
     carrier = model.carrier
     if isinstance(x, (int, np.integer)):
         i = int(x)
@@ -260,7 +261,11 @@ def _point(model: GroupModel, x):
             raise DomainError("affine points need a > 0")
         return math.log(a), b
     if isinstance(x, (tuple, list)) and isinstance(carrier, _LatticeCarrier):
-        idx = carrier.from_coords(np.asarray(x, dtype=np.int64))
+        coords = np.asarray(x, dtype=np.float64)
+        if coords.shape != (carrier.dim,) or np.any(coords != np.round(coords)):
+            raise DomainError(f"lattice point {x} needs one integer coordinate per axis "
+                              f"({carrier.dim} axes)")
+        idx = carrier.from_coords(coords)
         if idx == OUT_OF_WINDOW:
             raise DomainError(f"lattice point {x} lies outside the window")
         return carrier.points(int(idx))

@@ -1,7 +1,9 @@
 """Certified computation of the tempered norm: the p -> p operator norm of
 the right-convolution map g -> g * f in Haar-weighted Lp.
 
-Routes:
+Routes, one record each in ``_ROUTES`` and in this order; the ``method``
+"auto" takes the first route that serves the model and p, and a named
+method the first route of that name that does:
 
 * p = 1: exact weighted column supremum of the operator (attained by a
   single-cell witness); equals ||f||_1 on unimodular models.
@@ -43,6 +45,8 @@ Routes:
   45 vs 106 us at n = 256.  Every other model, lattices included,
   multiplies by the dense weighted matrix: on the eroded box a padded FFT
   cost more than the dense product at the suite's lattice sizes.
+* any p, by name only: the Rayleigh ratio of g = f as ``lower`` and the
+  weighted-L1 value as ``upper``, from one convolution.
 
 Callers that read only the upper end use :func:`tempered_upper`.  On the
 iterative and bound routes it returns the weighted-L1 value without the
@@ -54,15 +58,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import DomainError, GridTooCoarse, LtpError, ResourceError
+from .errors import DomainError, GridTooCoarse, LtpError
 from .groups import KIND_FINITE, KIND_QUADRATURE, GroupModel, _AffineCarrier, _LatticeCarrier
-from .convolve import (DENSE_CAP, _CirculantProduct, _kernel_blocks, conv_operator,
-                       convolve)
+from .convolve import _CirculantProduct, _kernel_blocks, conv_operator, convolve
 from .space import (Exponent, GFunction, imag_part, lp_norm, point_modular,
                     real_part, translate, weighted_l1_norm, RIGHT_DIRAC)
 
@@ -154,7 +158,7 @@ def tempered_upper(f: GFunction, p, method: str = "auto") -> float:
     computes the norm as ``tempered_norm`` does.
     """
     exp = Exponent.of(p)
-    if _resolve_method(f.group, exp, method) in (METHOD_BOYD, METHOD_WL1_BOUND):
+    if _route(f.group, exp, method).method in (METHOD_BOYD, METHOD_WL1_BOUND):
         return upper_bound_weighted_l1(f, exp)
     return tempered_norm(f, exp, method=method).upper
 
@@ -163,53 +167,49 @@ def tempered_norm(f: GFunction, p, cfg: IterConfig | None = None,
                   method: str = "auto") -> NormEstimate:
     """Compute or bound the tempered norm of f for the exponent p."""
     exp = Exponent.of(p)
-    model = f.group
+    route = _route(f.group, exp, method)
     if f.is_zero:
-        return NormEstimate(0.0, 0.0, _resolve_method(model, exp, method))
-
-    resolved = _resolve_method(model, exp, method)
-    if resolved == METHOD_EXACT_L1:
-        return _exact_l1(f)
-    if resolved == METHOD_SPECTRAL:
-        if model.cyclic_factors is not None:
-            return _spectral_finite_abelian(f)
-        return _symbol_supremum(f)
-    if resolved == METHOD_EXACT_SVD:
-        return _exact_svd(f)
-    if resolved == METHOD_WL1_BOUND:
-        return _wl1_bound(f, exp)
-    return _boyd(f, exp, cfg or IterConfig())
+        return NormEstimate(0.0, 0.0, route.method)
+    return route.run(f, exp, cfg)
 
 
-def _resolve_method(model: GroupModel, exp: Exponent, method: str) -> str:
-    if method not in ("auto", METHOD_EXACT_SVD, METHOD_SPECTRAL, METHOD_EXACT_L1,
-                      METHOD_BOYD, METHOD_WL1_BOUND):
-        raise DomainError(f"unknown tempered-norm method {method!r}")
-    if method == METHOD_EXACT_L1 and exp.p != 1.0:
-        raise DomainError("exact_l1 applies to p = 1 only")
-    if method == METHOD_BOYD and exp.p == 1.0:
-        # the dual exponent is infinite there, and the dual step is undefined
-        raise DomainError("boyd_iteration applies to p > 1 only")
-    if method in (METHOD_EXACT_SVD, METHOD_SPECTRAL) and exp.p != 2.0:
-        raise DomainError(f"{method} applies to p = 2 only")
-    if method == METHOD_SPECTRAL and not _has_spectral_route(model):
-        raise DomainError(f"no spectral route on {model.name}")
-    if method != "auto":
-        return method
-    if exp.p == 1.0:
-        return METHOD_EXACT_L1
-    if exp.p == 2.0:
-        if _has_spectral_route(model):
-            return METHOD_SPECTRAL
-        return METHOD_EXACT_SVD
-    return METHOD_BOYD
+class _Route(NamedTuple):
+    method: str
+    serves: Callable[[GroupModel, float], bool]
+    run: Callable[[GFunction, Exponent, IterConfig | None], NormEstimate]
 
 
-def _has_spectral_route(model: GroupModel) -> bool:
-    # finite models with cyclic factors read the circulant symbol; on the
-    # constant-weight translation-invariant lattices (truncated Z/Z^2 and the
-    # real-line grid) the symbol supremum is exact for window-supported data
-    return model.cyclic_factors is not None or isinstance(model.carrier, _LatticeCarrier)
+# The routes in dispatch order.  Each ``run`` looks its route function up
+# when called, so a function patched on the module is the one that runs.
+_ROUTES = (
+    _Route(METHOD_EXACT_L1, lambda model, p: p == 1.0,
+           lambda f, exp, cfg: _exact_l1(f)),
+    _Route(METHOD_SPECTRAL, lambda model, p: p == 2.0 and model.cyclic_factors is not None,
+           lambda f, exp, cfg: _spectral_finite_abelian(f)),
+    # exact for window-supported data on the constant-weight
+    # translation-invariant lattices (truncated Z, Z^2, the real-line grid)
+    _Route(METHOD_SPECTRAL,
+           lambda model, p: p == 2.0 and isinstance(model.carrier, _LatticeCarrier),
+           lambda f, exp, cfg: _symbol_supremum(f)),
+    _Route(METHOD_EXACT_SVD, lambda model, p: p == 2.0,
+           lambda f, exp, cfg: _exact_svd(f)),
+    # the dual exponent is infinite at p = 1, where the dual step is undefined
+    _Route(METHOD_BOYD, lambda model, p: p > 1.0,
+           lambda f, exp, cfg: _boyd(f, exp, cfg or IterConfig())),
+    _Route(METHOD_WL1_BOUND, lambda model, p: True,
+           lambda f, exp, cfg: _wl1_bound(f, exp)),
+)
+
+
+def _route(model: GroupModel, exp: Exponent, method: str) -> _Route:
+    """The first route named ``method`` ("auto" names every route) that
+    serves the model at p."""
+    for route in _ROUTES:
+        if method in ("auto", route.method) and route.serves(model, exp.p):
+            return route
+    if any(route.method == method for route in _ROUTES):
+        raise DomainError(f"{method} does not apply at p = {exp.p:g} on {model.name}")
+    raise DomainError(f"unknown tempered-norm method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +295,6 @@ def _symbol_supremum(f: GFunction) -> NormEstimate:
 def _exact_svd(f: GFunction) -> NormEstimate:
     model = f.group
     n = model.n
-    if n > DENSE_CAP:
-        raise ResourceError(f"exact p=2 route needs n <= {DENSE_CAP}")
     mat = conv_operator(f).weighted_matrix(2)
     scale_back = model.weights ** (-0.5)
     # the top eigenpair of M^H M: sigma^2 and the top right singular vector
@@ -363,8 +361,6 @@ def _boyd_product(f: GFunction, exp: Exponent, cells: np.ndarray):
     model = f.group
     if model.cyclic_factors is not None and model.n >= _FFT_MIN_N:
         return _CirculantProduct(f)
-    if model.n > DENSE_CAP:
-        raise ResourceError(f"iterative route needs n <= {DENSE_CAP}")
     mat = conv_operator(f).weighted_matrix(exp.p)[:, cells].astype(np.complex128)
     return _DenseProduct(mat)
 

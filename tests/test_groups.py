@@ -68,10 +68,13 @@ def test_only_groups_builds_models_and_carriers():
 
 
 def test_element_cap():
-    with pytest.raises(ResourceError):
-        ltp.build_group("z:600000")
-    with pytest.raises(ResourceError):
-        ltp.build_group("cyclic:2000000")
+    # one spec per family just past 2^20 cells: a carrier that allocated
+    # before checking the cap would cost megabytes here, not gigabytes
+    for text in ("z:600000", "cyclic:2000000", "dihedral:524289", "symmetric:10",
+                 "symmetric:11", "z2:512", "r:1:524288", "affine:1:512:1:512",
+                 "product:cyclic:1024+cyclic:1025"):
+        with pytest.raises(ResourceError):
+            ltp.build_group(text)
 
 
 # ---------------------------------------------------------------------------
@@ -460,3 +463,7 @@ def test_resolve_point_errors():
     g = ltp.random_function(A, 0)
     with pytest.raises(DomainError):
         ltp.translate(g, (-1.0, 0.0), ltp.LEFT_DIRAC)
+    # lattice points are integer coordinates, one per axis, never truncated
+    for spec, x in (("r:0.05:4", (0.5,)), ("z2:4", (1.5, 0)), ("z:8", (1, 2))):
+        with pytest.raises(DomainError):
+            ltp.translate(ltp.dirac(ltp.build_group(spec)), x, ltp.LEFT_DIRAC)

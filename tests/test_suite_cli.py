@@ -407,6 +407,28 @@ def test_only_the_harness_imports_report():
     assert "suite.py" in importers
 
 
+def test_no_module_has_an_unused_import():
+    # __init__.py imports names to re-export them, and a __future__ import
+    # switches a feature on
+    unused = []
+    for path in sorted(Path(ltp.__file__).resolve().parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((alias.asname or alias.name, node.lineno)
+                                for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
+
+
 def test_cli_spectral(capsys):
     rc = main(["spectral", "--group", "cyclic:4@counting", "--f", "1,1,0,0"])
     out = capsys.readouterr().out

@@ -416,6 +416,38 @@ def test_method_validation():
         tempered_norm(ltp.random_function(D, 0), 2, method="spectral_abelian")
 
 
+_L1, _SPECTRAL, _SVD, _BOYD, _BOUND = ("exact_l1", "spectral_abelian", "exact_svd",
+                                       "boyd_iteration", "bound_weighted_l1")
+_OFF_P1 = {_SPECTRAL, _SVD, _BOYD}
+_OFF_P = {_L1, _SPECTRAL, _SVD}  # at p = 1.5 and p = 3
+# per model, at p = 1, 1.5, 2 and 3: the route "auto" takes, and the named
+# methods that raise DomainError
+_ROUTE_GRID = {
+    "cyclic:8": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SPECTRAL, {_L1}), (_BOYD, _OFF_P)],
+    "dihedral:3": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SVD, {_L1, _SPECTRAL}), (_BOYD, _OFF_P)],
+    "z:8": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SPECTRAL, {_L1}), (_BOYD, _OFF_P)],
+    "z2:2": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SPECTRAL, {_L1}), (_BOYD, _OFF_P)],
+    "r:0.5:2": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SPECTRAL, {_L1}), (_BOYD, _OFF_P)],
+    "affine:0.25:1:0.25:1": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SVD, {_L1, _SPECTRAL}),
+                             (_BOYD, _OFF_P)],
+}
+
+
+@pytest.mark.parametrize("spec", list(_ROUTE_GRID))
+def test_route_grid(spec):
+    G = ltp.build_group(spec)
+    zero = ltp.GFunction(G, np.zeros(G.n))
+    f = ltp.random_function(G, 0)
+    for p, (auto, refused) in zip((1, 1.5, 2, 3), _ROUTE_GRID[spec]):
+        assert tempered_norm(zero, p).method == auto, p
+        for method in (_L1, _SPECTRAL, _SVD, _BOYD, _BOUND):
+            if method in refused:
+                with pytest.raises(DomainError):
+                    tempered_norm(f, p, method=method)
+            else:
+                assert tempered_norm(f, p, method=method).method == method, (p, method)
+
+
 # ---------------------------------------------------------------------------
 # The upper end alone
 # ---------------------------------------------------------------------------
