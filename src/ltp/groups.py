@@ -158,6 +158,17 @@ def _capped(n: int) -> int:
     return n
 
 
+def _half_width(radius: float, step: float) -> int:
+    """round(radius / step), the cells on each side of the centre of a grid
+    axis, checked against ``ELEMENT_CAP`` while the ratio is still a float:
+    past the cap, or too large for an int, it is a ResourceError."""
+    ratio = radius / step
+    if not ratio <= ELEMENT_CAP:
+        raise ResourceError(
+            f"a grid axis of {2.0 * ratio:.3g} cells exceeds the cap {ELEMENT_CAP}")
+    return int(round(ratio))
+
+
 class _Carrier:
     """Vectorized index arithmetic.  Subclasses fill in op/inv.
 
@@ -378,8 +389,8 @@ class _AffineCarrier(_Carrier):
     def __init__(self, h_u: float, r_u: float, h_b: float, r_b: float):
         self.h_u = float(h_u)
         self.h_b = float(h_b)
-        self.k_u = int(round(r_u / h_u))
-        self.k_b = int(round(r_b / h_b))
+        self.k_u = _half_width(r_u, h_u)
+        self.k_b = _half_width(r_b, h_b)
         self.n_u = 2 * self.k_u + 1
         self.n_b = 2 * self.k_b + 1
         self.n = _capped(self.n_u * self.n_b)
@@ -517,7 +528,7 @@ _FAMILIES = {
     "z": _Family(("R",), KIND_LATTICE, lambda radius: _LatticeCarrier(1, radius)),
     "z2": _Family(("R",), KIND_LATTICE, lambda radius: _LatticeCarrier(2, radius)),
     "r": _Family(("H", "B"), KIND_QUADRATURE,
-                 lambda h, b: _LatticeCarrier(1, int(round(b / h)), h)),
+                 lambda h, b: _LatticeCarrier(1, _half_width(b, h), h)),
     "affine": _Family(("HU", "RU", "HB", "RB"), KIND_QUADRATURE, _AffineCarrier),
 }
 

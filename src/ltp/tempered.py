@@ -23,8 +23,12 @@ method the first route of that name that does:
   function on the window, so the route returns no witness.
 * p = 2, general (nonabelian finite, affine quadrature): largest singular
   value of the weighted similarity D^{1/2} M D^{-1/2}, from the top
-  eigenpair of M^H M (dense up to 1024 cells, a deterministic Lanczos
-  iteration above).
+  eigenpair of M^H M (dense up to 224 cells, a deterministic Lanczos
+  iteration above).  On one core the two cross between 200 and 224 cells
+  for complex f and near 224 for real f: dense against Lanczos took 7.6 vs
+  9.7 ms at n = 200, 9.8 vs 8.1 ms at n = 224, 10.5 vs 6.4 ms at n = 225
+  and 14.6 vs 7.8 ms at n = 256 for complex f, and 2.2 vs 3.3, 2.8 vs 2.9,
+  2.7 vs 2.8 and 3.9 vs 2.0 ms for real f.
 * other p: Boyd's signed-power iteration, alternating the operator with
   dual exponent maps.  All seeded restarts advance together as the columns
   of one block, and each column freezes once its ratio settles.  The best
@@ -39,12 +43,16 @@ method the first route of that name that does:
   The model supplies the products.  Finite models with cyclic factors and
   at least 256 cells apply the circulant operator of ``convolve`` (FFT over
   the factor axes, the adjoint with the conjugate transform) and build no
-  n x n matrix, so n may exceed the dense cap.  Below 256 cells the dense
-  product is cheaper: for an n x 8 block on one core, numpy's FFT against
-  the dense product took 28 vs 9 us at n = 64, 33 vs 26 us at n = 128 and
-  45 vs 106 us at n = 256.  Every other model, lattices included,
-  multiplies by the dense weighted matrix: on the eroded box a padded FFT
-  cost more than the dense product at the suite's lattice sizes.
+  n x n matrix, so n may exceed the dense cap.  Every other model,
+  lattices included, multiplies by the dense weighted matrix: on the
+  eroded box a padded FFT cost more than the dense product at the suite's
+  lattice sizes.  The matrix of a real f is real and multiplies in real
+  arithmetic, one real product for the real and imaginary parts of the
+  block together; a complex f keeps complex products.  Below 256 cells the
+  dense product is cheaper for real and complex f alike: for an n x 8
+  block on one core, numpy's FFT against the complex and the real dense
+  product took 17 vs 7 and 5 us at n = 64, 22 vs 21 and 10 us at n = 128,
+  and 34 vs 76 and 51 us at n = 256.
 * any p, by name only: the Rayleigh ratio of g = f as ``lower`` and the
   weighted-L1 value as ``upper``, from one convolution.
 
@@ -70,9 +78,13 @@ from .convolve import _CirculantProduct, _kernel_blocks, conv_operator, convolve
 from .space import (Exponent, GFunction, imag_part, lp_norm, point_modular,
                     real_part, translate, weighted_l1_norm, RIGHT_DIRAC)
 
-_SVD_DENSE_CAP = 1024
+# Largest model whose p = 2 singular value comes from dense ``eigh`` of
+# M^H M; above it the Lanczos iteration is cheaper (measured, see the
+# docstring).
+_SVD_DENSE_CAP = 224
 # Smallest cyclic model whose Boyd products go through the FFT: below it the
-# dense product of an n x 8 block is cheaper (measured, see the docstring).
+# dense product of an n x 8 block is cheaper, real or complex (measured, see
+# the docstring).
 _FFT_MIN_N = 256
 # Smallest normal double: magnitudes are floored here before a negative
 # power, which keeps |y|^(p-2) finite and makes y |y|^(p-2) vanish at y = 0.
@@ -301,8 +313,10 @@ def _exact_svd(f: GFunction) -> NormEstimate:
     if n <= _SVD_DENSE_CAP:
         lam, vec = eigh(mat.conj().T @ mat, subset_by_index=[n - 1, n - 1])
     else:
+        adjoint = mat.conj().T
+
         def matvec(v):
-            return mat.conj().T @ (mat @ v)
+            return adjoint @ (mat @ v)
 
         op = LinearOperator((n, n), matvec=matvec, dtype=mat.dtype)
         v0 = np.full(n, 1.0 / math.sqrt(n))
@@ -335,24 +349,42 @@ def _wl1_bound(f: GFunction, exp: Exponent) -> NormEstimate:
 # ---------------------------------------------------------------------------
 
 
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of each column of an (n, k) block, read with unit stride from
+    its transposed copy, where ``np.sum(axis=0)`` strides.  Each column is
+    summed pairwise on its own, so its sum does not depend on k; a product
+    with a ones vector rounds differently for the last few columns."""
+    return np.ascontiguousarray(a.T).sum(axis=1)
+
+
 def _plain_pnorm(x: np.ndarray, p: float) -> np.ndarray:
     """Plain p-norm of each column of a block."""
-    return np.sum(np.abs(x) ** p, axis=0) ** (1.0 / p)
+    return _column_sums(np.abs(x) ** p) ** (1.0 / p)
+
+
+def _times(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat @ x for an (n, k) block x.  A real mat takes a complex x as its
+    float64 view, where each row holds the real and imaginary parts side by
+    side, so both go through one real product."""
+    if mat.dtype != np.float64 or x.dtype != np.complex128:
+        return mat @ x
+    return (mat @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
 
 
 class _DenseProduct:
     """Products with a dense matrix and its adjoint, the fallback on every
-    model without a cheaper structure."""
+    model without a cheaper structure.  A real matrix multiplies in real
+    arithmetic, a complex one in complex."""
 
     def __init__(self, mat: np.ndarray):
         self.mat = mat
         self._adjoint = mat.conj().T
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.mat @ x
+        return _times(self.mat, x)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self._adjoint @ y
+        return _times(self._adjoint, y)
 
 
 def _boyd_product(f: GFunction, exp: Exponent, cells: np.ndarray):
@@ -361,8 +393,7 @@ def _boyd_product(f: GFunction, exp: Exponent, cells: np.ndarray):
     model = f.group
     if model.cyclic_factors is not None and model.n >= _FFT_MIN_N:
         return _CirculantProduct(f)
-    mat = conv_operator(f).weighted_matrix(exp.p)[:, cells].astype(np.complex128)
-    return _DenseProduct(mat)
+    return _DenseProduct(conv_operator(f).weighted_matrix(exp.p)[:, cells])
 
 
 def _boyd_cells(f: GFunction) -> tuple[np.ndarray, int]:
@@ -448,7 +479,7 @@ def _boyd_block(product, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
         y = product.apply(xa)
         mag = np.abs(y)
         power = np.maximum(mag, _TINY) ** (p - 2.0)
-        g = np.sum(power * mag * mag, axis=0) ** (1.0 / p)
+        g = _column_sums(power * mag * mag) ** (1.0 / p)
         matvecs += cols.size
         iters[cols] = step
         gamma[cols] = g
@@ -461,11 +492,12 @@ def _boyd_block(product, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
             if cols.size == 0:
                 break
         prev = g
-        z = product.adjoint(y * power)
+        y *= power
+        z = product.adjoint(y)
         matvecs += cols.size
         mag = np.abs(z)
         power = np.maximum(mag, _TINY) ** (q - 2.0)
-        nrm = np.sum(power * mag * mag, axis=0) ** (1.0 / p)
+        nrm = _column_sums(power * mag * mag) ** (1.0 / p)
         moved = nrm > 0
         if not moved.all():
             x[:, cols[~moved]] = xa[:, ~moved]
@@ -473,7 +505,9 @@ def _boyd_block(product, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
                                          nrm[moved], prev[moved])
             if cols.size == 0:
                 break
-        xa = z * (power / nrm)
+        power /= nrm
+        z *= power
+        xa = z
     else:  # out of steps: rate the last update
         gamma[cols] = _plain_pnorm(product.apply(xa), p)
         x[:, cols] = xa

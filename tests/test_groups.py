@@ -72,7 +72,9 @@ def test_element_cap():
     # before checking the cap would cost megabytes here, not gigabytes
     for text in ("z:600000", "cyclic:2000000", "dihedral:524289", "symmetric:10",
                  "symmetric:11", "z2:512", "r:1:524288", "affine:1:512:1:512",
-                 "product:cyclic:1024+cyclic:1025"):
+                 "product:cyclic:1024+cyclic:1025",
+                 # radius / step overflows to inf, past what an int can hold
+                 "r:1e-300:1e300", "affine:1e-300:1e300:1:1"):
         with pytest.raises(ResourceError):
             ltp.build_group(text)
 

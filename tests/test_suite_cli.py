@@ -49,6 +49,31 @@ def test_suite_boyd_call_counts_are_pinned(boyd_calls):
         assert len(boyd_calls) == expected, spec
 
 
+# Boyd's work over the same passes: the products of all restarts and the
+# steps of the restarts that gave ``lower``, summed over the calls.  How a
+# product is computed changes the cost of a step, not these totals.
+BOYD_WORK_AT_P15 = {"circle:64": (33076, 2086), "dihedral:64": (47158, 2871),
+                    "affine:0.125:1:0.125:1": (5728, 252)}
+
+
+def test_suite_boyd_work_is_pinned(monkeypatch):
+    from ltp import tempered
+
+    estimates = []
+    original = tempered._boyd
+
+    def recording(*args, **kwargs):
+        estimates.append(original(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(tempered, "_boyd", recording)
+    for spec, expected in BOYD_WORK_AT_P15.items():
+        del estimates[:]
+        run_suite(spec, [1.5], seed=0)
+        work = (sum(e.matvecs for e in estimates), sum(e.iterations for e in estimates))
+        assert work == expected, spec
+
+
 def test_exact_models_share_each_check_tolerance():
     models = [ltp.build_group(spec) for spec in ("cyclic:8", "z:8", "z2:2", "r:0.5:2")]
     for check in REGISTRY:
@@ -274,8 +299,11 @@ def test_cli_norm_reports_the_work_of_the_iteration(capsys):
 
 
 def test_cli_resource_errors_exit_3(capsys):
-    assert main(["norm", "--group", "z:600000", "--f", "dirac", "--p", "2"]) == 3
-    capsys.readouterr()
+    # the last two overflow radius / step to inf: the cap ends the run, not
+    # an OverflowError traceback
+    for spec in ("z:600000", "r:1e-300:1e300", "affine:1e-300:1e300:1:1"):
+        assert main(["norm", "--group", spec, "--f", "dirac", "--p", "2"]) == 3, spec
+        assert capsys.readouterr().err.startswith("resource error: "), spec
 
 
 def test_cli_suite_writes_report(tmp_path, capsys):

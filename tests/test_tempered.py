@@ -259,16 +259,37 @@ def _sequential_boyd(mat, exp, x0, cfg):
     return pnorm(mat @ x)
 
 
-@pytest.mark.parametrize("spec", ["cyclic:256", "dihedral:64", "symmetric:5",
-                                  "affine:0.125:1:0.125:1"])
+BLOCK_ENGINE_SPECS = ["cyclic:256", "dihedral:64", "symmetric:5", "affine:0.125:1:0.125:1"]
+
+
+@pytest.mark.parametrize("spec", BLOCK_ENGINE_SPECS)
 def test_block_engine_matches_sequential_restarts(spec):
     from ltp.suite import _random_probe
-    from ltp.tempered import _boyd_block, _DenseProduct
     G = ltp.build_group(spec)
     f = _random_probe(G, np.random.default_rng(2))
+    mat = ltp.conv_operator(f).weighted_matrix(1.5).astype(np.complex128)
+    _assert_block_matches_sequential(G, f, mat)
+
+
+@pytest.mark.parametrize("spec", BLOCK_ENGINE_SPECS)
+@pytest.mark.parametrize("kind", ["real-part", "positive"])
+def test_block_engine_matches_sequential_restarts_on_real_operators(spec, kind):
+    # the operator of a real f is real and multiplies in real arithmetic
+    from ltp.suite import _random_probe
+    G = ltp.build_group(spec)
+    if kind == "positive":
+        f = _random_probe(G, np.random.default_rng(2), positive=True)
+    else:
+        f = ltp.real_part(_random_probe(G, np.random.default_rng(2)))
+    mat = ltp.conv_operator(f).weighted_matrix(1.5)
+    assert mat.dtype == np.float64
+    _assert_block_matches_sequential(G, f, mat)
+
+
+def _assert_block_matches_sequential(G, f, mat):
+    from ltp.tempered import _boyd_block, _DenseProduct
     exp = ltp.Exponent.of(1.5)
     cfg = IterConfig()
-    mat = ltp.conv_operator(f).weighted_matrix(exp.p).astype(np.complex128)
     rng = np.random.default_rng(cfg.seed)
     starts = np.zeros((G.n, cfg.restarts), dtype=np.complex128)
     starts[G.identity, 0] = 1.0
@@ -280,6 +301,25 @@ def test_block_engine_matches_sequential_restarts(spec):
     expected = [_sequential_boyd(mat, exp, starts[:, k], cfg) for k in range(cfg.restarts)]
     np.testing.assert_allclose(gamma, expected, rtol=1e-14, atol=0)
     assert tempered_norm(f, exp.p).lower == pytest.approx(max(expected), rel=1e-14)
+
+
+@pytest.mark.parametrize("spec", ["dihedral:64", "symmetric:5", "affine:0.125:1:0.125:1"])
+def test_real_products_take_the_steps_of_complex_ones(spec):
+    # a real matrix in real arithmetic changes the cost of a step, not the
+    # steps taken
+    from ltp.suite import _random_probe
+    from ltp.tempered import _boyd_block, _boyd_starts, _DenseProduct
+    G = ltp.build_group(spec)
+    f = _random_probe(G, np.random.default_rng(2), positive=True)
+    exp = ltp.Exponent.of(1.5)
+    cfg = IterConfig()
+    starts = _boyd_starts(G.n, G.identity, cfg.restarts, cfg.seed)
+    mat = ltp.conv_operator(f).weighted_matrix(exp.p)
+    real = _boyd_block(_DenseProduct(mat), exp, starts, cfg)
+    cast = _boyd_block(_DenseProduct(mat.astype(np.complex128)), exp, starts, cfg)
+    np.testing.assert_allclose(real[0], cast[0], rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(real[2], cast[2])
+    assert real[4] == cast[4]
 
 
 @pytest.mark.parametrize("spec", ["cyclic:256", "cyclic:512",
@@ -344,6 +384,18 @@ def test_restart_spread_reports_the_ratios_of_all_restarts():
                                                rel=1e-12)
     assert est.restart_spread > 0.5  # the all-ones start settles far below the rest
     assert tempered_norm(f, exp.p, cfg=IterConfig(restarts=1)).restart_spread == 0.0
+
+
+def test_column_sums_do_not_depend_on_the_block_width():
+    # a restart's ratio must not depend on how many other restarts share its
+    # block; a product with a ones vector rounds the last columns differently
+    from ltp.tempered import _column_sums
+    rng = np.random.default_rng(0)
+    for n in (6, 12, 64, 128, 289):
+        block = rng.standard_normal((n, 8)) ** 2
+        full = _column_sums(block)
+        for k in range(1, 8):
+            np.testing.assert_array_equal(_column_sums(block[:, :k].copy()), full[:k])
 
 
 def test_restarts_below_three_are_honoured():
@@ -610,17 +662,36 @@ def test_exact_svd_upper_covers_the_lattice_norm(spec, radius):
 
 def test_exact_svd_lanczos_branch_matches_dense_eigh():
     # n = 1026 lies between the dense cap and the Lanczos cap
-    from scipy.linalg import eigh
-
-    from ltp.convolve import DENSE_CAP, conv_operator
+    from ltp.convolve import DENSE_CAP
     from ltp.tempered import _SVD_DENSE_CAP
 
     G = ltp.build_group("dihedral:513")
     assert _SVD_DENSE_CAP < G.n <= DENSE_CAP
-    f = ltp.random_function(G, np.random.default_rng(4))
+    _assert_exact_svd_matches_dense_eigh(ltp.random_function(G, np.random.default_rng(4)))
+
+
+@pytest.mark.parametrize("spec", ["z2:7", "dihedral:112"])
+@pytest.mark.parametrize("complex_valued", [True, False])
+def test_exact_svd_matches_dense_eigh_at_the_dense_cap(spec, complex_valued):
+    # z2:7 (225 cells) is the first size past the cap, so it takes Lanczos;
+    # dihedral:112 (224 cells) is the last size that takes dense eigh
+    from ltp.tempered import _SVD_DENSE_CAP
+
+    G = ltp.build_group(spec)
+    assert G.n in (_SVD_DENSE_CAP, _SVD_DENSE_CAP + 1)
+    f = ltp.random_function(G, np.random.default_rng(4), complex_valued=complex_valued)
+    _assert_exact_svd_matches_dense_eigh(f)
+
+
+def _assert_exact_svd_matches_dense_eigh(f):
+    from scipy.linalg import eigh
+
+    from ltp.convolve import conv_operator
+
+    n = f.group.n
     est = tempered_norm(f, 2, method="exact_svd")
     mat = conv_operator(f).weighted_matrix(2)
-    top = eigh(mat.conj().T @ mat, eigvals_only=True, subset_by_index=[G.n - 1, G.n - 1])
+    top = eigh(mat.conj().T @ mat, eigvals_only=True, subset_by_index=[n - 1, n - 1])
     sigma = math.sqrt(top[0])
     assert est.lower == pytest.approx(sigma, rel=1e-12)
     ratio = ltp.lp_norm(ltp.convolve(est.witness, f), 2) / ltp.lp_norm(est.witness, 2)
