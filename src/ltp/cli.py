@@ -180,14 +180,9 @@ def _cmd_norm(args) -> int:
     cfg = IterConfig(restarts=args.restarts, seed=args.seed)
     for p in p_values:
         est = tempered_norm(f, p, cfg=cfg, method=args.method)
-        print(f"p={p:g}")
-        print(f"  method={est.method}")
-        print(f"  lower={est.lower!r}")
-        print(f"  upper={est.upper!r}")
-        print(f"  iterations={est.iterations}")
-        print(f"  converged={est.converged}")
-        print(f"  matvecs={est.matvecs}")
-        print(f"  restart_spread={est.restart_spread!r}")
+        print(f"p={p:g}\n  method={est.method}")
+        for name in ("lower", "upper", "iterations", "converged", "matvecs", "restart_spread"):
+            print(f"  {name}={getattr(est, name)!r}")
     return EXIT_OK
 
 

@@ -24,6 +24,7 @@ boundary in its ``leak`` metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -172,8 +173,12 @@ class _CirculantProduct:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._multiply(x, self.symbol)
 
+    @cached_property
+    def _conj_symbol(self) -> np.ndarray:  # formed once, on the first adjoint
+        return self.symbol.conj()
+
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self._multiply(y, self.symbol.conj())
+        return self._multiply(y, self._conj_symbol)
 
     def character(self, k: int) -> np.ndarray:
         """chi_k over the carrier (mixed-radix index k): the inverse

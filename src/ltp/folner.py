@@ -17,7 +17,8 @@ import numpy as np
 from .errors import DomainError, NotPositiveError, WindowTooSmall
 from .groups import KIND_LATTICE, GroupModel, _LatticeCarrier
 from .convolve import convolve
-from .space import Exponent, GFunction, inner, lp_norm, modular_reflect, weighted_l1_norm
+from .space import (Exponent, GFunction, inner, lp_norm, modular_reflect,
+                    weighted_l1_norm, _cell)
 from .tempered import tempered_norm, upper_bound_weighted_l1
 
 
@@ -75,10 +76,8 @@ def find_folner(model: GroupModel, c: np.ndarray | int, epsilon: float) -> Folne
     carrier = _lattice_carrier(model)
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if isinstance(c, (int, np.integer)):
-        c_indices = _box_indices(carrier, int(c))
-    else:
-        c_indices = np.asarray(c, dtype=np.int64)
+    c_indices = (_box_indices(carrier, int(c)) if isinstance(c, (int, np.integer))
+                 else np.array([_cell(model, i) for i in np.ravel(c)], dtype=np.int64))
     if c_indices.size == 0:
         raise ValueError("C must be nonempty")
     c_coords = carrier.coords[c_indices]

@@ -80,11 +80,7 @@ class GFunction:
     leak: float = 0.0
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.dtype.kind != "c":
-            values = values.astype(np.complex128)
-        else:
-            values = values.astype(np.complex128, copy=False)
+        values = np.asarray(self.values, dtype=np.complex128)
         if values.shape != (self.group.n,):
             raise DomainError(
                 f"values have shape {values.shape}, expected ({self.group.n},)")
@@ -245,16 +241,22 @@ def _pull(f: GFunction, at, push, scale, what: str, max_leak: float) -> GFunctio
     return GFunction(f.group, scale * carrier.read(f.values, at), leak)
 
 
+def _cell(model: GroupModel, i) -> int:
+    """The cell index i, checked against the model: numpy would read a
+    negative index from the end."""
+    i = int(i)
+    if not 0 <= i < model.n:
+        raise DomainError(f"index {i} out of range for n={model.n}")
+    return i
+
+
 def _point(model: GroupModel, x):
     """The carrier point of x, given as an index, integer lattice coordinates
     (in cells, one per axis; also on r:H:B), or, on the affine model, an
     (a, b) pair with a > 0 (exact, maybe off-grid)."""
     carrier = model.carrier
     if isinstance(x, (int, np.integer)):
-        i = int(x)
-        if not 0 <= i < model.n:
-            raise DomainError(f"index {i} out of range for n={model.n}")
-        return carrier.points(i)
+        return carrier.points(_cell(model, x))
     if isinstance(x, (tuple, list)) and isinstance(carrier, _AffineCarrier):
         a, b = float(x[0]), float(x[1])
         if a <= 0:
@@ -363,14 +365,14 @@ def estimate_modular(model: GroupModel, x, probe: GFunction | None = None,
 def dirac(model: GroupModel, x: int | None = None) -> GFunction:
     """Indicator of a single cell (the identity by default)."""
     values = np.zeros(model.n)
-    values[model.identity if x is None else int(x)] = 1.0
+    values[model.identity if x is None else _cell(model, x)] = 1.0
     return GFunction(model, values)
 
 
 def dirac_measure(model: GroupModel, x: int | None = None) -> GFunction:
     """Unit point mass as a density: indicator / cell weight, so that
     convolving with it reproduces the Dirac translation."""
-    i = model.identity if x is None else int(x)
+    i = model.identity if x is None else _cell(model, x)
     values = np.zeros(model.n)
     values[i] = 1.0 / model.weights[i]
     return GFunction(model, values)

@@ -8,6 +8,12 @@ yields a skipped result with an explanatory note rather than a failure.
 Results are deterministic for fixed (spec, p list, seed): every check draws
 from its own generator seeded by (seed, check name), so neither registry
 order nor the LTP_THREADS worker count can change a single observed value.
+
+A statement is read from the end of the certified bracket [lower, upper]
+that proves it: a bound on ||f||_p^T from above reads ``upper`` (through
+``tempered_upper``), one from below reads ``lower`` (discrete-lower-bound
+and the lower side of finite-norm-equivalence), and re-im-closure keeps its
+refutation form lower(part) <= 2 upper(f).
 """
 
 from __future__ import annotations
@@ -332,9 +338,12 @@ def _run_discrete_lower(ctx: SuiteContext):
     return lp_norm(f, ctx.p) - est.lower
 
 
-def _run_compact_upper(ctx: SuiteContext):
-    f = _random_probe(ctx.model, ctx.rng)
-    return tempered_upper(f, ctx.p) - lp_norm(f, ctx.p)
+def _upper_within(bound: Callable[[GFunction, Exponent], float]):
+    """The runner of ||f||_p^T <= bound(f, p), read from the upper end."""
+    def run(ctx: SuiteContext):
+        f = _random_probe(ctx.model, ctx.rng)
+        return tempered_upper(f, ctx.p) - bound(f, ctx.p)
+    return run
 
 
 def _run_finite_equivalence(ctx: SuiteContext):
@@ -354,18 +363,6 @@ def _run_l1_identity(ctx: SuiteContext):
     est = tempered_norm(f, 1)
     scale = max(lp_norm(f, 1), 1e-30)
     return abs(est.value - lp_norm(f, 1)) / scale
-
-
-def _run_l1_inclusion(ctx: SuiteContext):
-    f = _random_probe(ctx.model, ctx.rng)
-    est = tempered_norm(f, ctx.p)
-    return est.value - lp_norm(f, 1)
-
-
-def _run_weighted_l1_upper(ctx: SuiteContext):
-    f = _random_probe(ctx.model, ctx.rng)
-    est = tempered_norm(f, ctx.p)
-    return est.lower - upper_bound_weighted_l1(f, ctx.p)
 
 
 def _run_re_im(ctx: SuiteContext):
@@ -548,7 +545,7 @@ REGISTRY: list[CheckDef] = [
              note="||f||_p <= ||f||_p^T on counting models", draws=6, per_p=True,
              requires=_needs_counting),
     CheckDef("compact-upper-bound", "||f||_p^T <= ||f||_p",
-             ("compact-norm-domination",), _run_compact_upper,
+             ("compact-norm-domination",), _upper_within(lp_norm),
              note="||f||_p^T <= ||f||_p on probability models", draws=6, per_p=True,
              requires=_needs_probability_finite),
     CheckDef("finite-norm-equivalence", "two-sided norm equivalence with explicit constants",
@@ -558,12 +555,13 @@ REGISTRY: list[CheckDef] = [
              ("p1-norm-identity",), _run_l1_identity, note="||f||_1^T = ||f||_1 (relative)",
              draws=6, tol=1e-12, affine_tol=5e-2),
     CheckDef("l1-inclusion-discrete", "||f||_p^T <= ||f||_1 on discrete models",
-             ("l1-inclusion-discrete",), _run_l1_inclusion,
+             ("l1-inclusion-discrete",), _upper_within(lambda f, p: lp_norm(f, 1)),
              note="||f||_p^T <= ||f||_1 on discrete counting models", draws=6, per_p=True,
              requires=_needs_counting),
     CheckDef("weighted-l1-upper", "||f||_p^T <= integral |f| Delta^(-1/q)",
-             ("weighted-l1-domination", "tempered-norm-definition"), _run_weighted_l1_upper,
-             note="tempered lower bound <= integral |f| Delta^(-1/q)", draws=8, per_p=True),
+             ("weighted-l1-domination", "tempered-norm-definition"),
+             _upper_within(upper_bound_weighted_l1),
+             note="tempered upper bound <= integral |f| Delta^(-1/q)", draws=8, per_p=True),
     CheckDef("re-im-closure", "||Re f||_p^T <= 2 ||f||_p^T, same for Im",
              ("re-im-closure",), _run_re_im,
              note="||Re f||_p^T and ||Im f||_p^T vs 2 ||f||_p^T", draws=12, per_p=True,

@@ -56,10 +56,14 @@ method the first route of that name that does:
 * any p, by name only: the Rayleigh ratio of g = f as ``lower`` and the
   weighted-L1 value as ``upper``, from one convolution.
 
-Callers that read only the upper end use :func:`tempered_upper`.  On the
-iterative and bound routes it returns the weighted-L1 value without the
-iteration, so it stays valid past the dense cap, where the Boyd route
-refuses; on the exact routes it computes the norm.
+Every route returns the ``lower`` it attained, unclamped; one above
+``upper`` by more than a relative 1e-9 raises :class:`LtpError`.  Only
+p = 1 lifts ``upper`` to ``lower``: two exact sums of one quantity, ulps
+apart.  Bounds from above read ``upper``, through :func:`tempered_upper`
+where only that end is needed.  On the iterative and bound routes it
+returns the weighted-L1 value without the iteration, so it stays valid
+past the dense cap, where the Boyd route refuses; on the exact routes it
+computes the norm.
 """
 
 from __future__ import annotations
@@ -116,15 +120,16 @@ class IterConfig:
 class NormEstimate:
     """Certified bounds for a tempered norm.
 
-    ``lower`` is always an attained (or exactly computed) value;
-    ``upper`` is never below the true norm.  ``witness``, when present, is
-    a g whose Rayleigh ratio ||g*f||_p / ||g||_p meets the lower bound.
-    The lattice p = 2 route has none: its ``lower`` is a value of the
-    symbol, attained on the periodic embedding and not on the window.
-    On the iterative route ``iterations`` counts the steps of the restart
-    that gave ``lower``, ``matvecs`` the operator products of all
-    restarts, and ``restart_spread`` the spread (max - min) / max of the
-    restarts' final ratios (0 for one restart or a zero operator).
+    ``lower`` is the value the route attained (or computed exactly), never
+    clamped; ``upper`` is never below the true norm, and a ``lower`` above
+    it by more than a relative 1e-9 raises :class:`LtpError`.  ``witness``,
+    when present, is a g whose Rayleigh ratio ||g*f||_p / ||g||_p meets the
+    lower bound.  The lattice p = 2 route has none: its ``lower`` is a value
+    of the symbol, attained on the periodic embedding and not on the window.
+    On the iterative route ``iterations`` counts the block steps the engine
+    ran, ``matvecs`` the operator products of all restarts, and
+    ``restart_spread`` the spread (max - min) / max of the restarts' final
+    ratios (0 for one restart or a zero operator).
     """
 
     lower: float
@@ -296,7 +301,7 @@ def _symbol_supremum(f: GFunction) -> NormEstimate:
         rounding = (8.0 * _EPS * math.log2(size) * math.sqrt(size)
                     * float(f.group.weights[0]) * float(np.linalg.norm(f.values)))
         upper = min(upper, (top + rounding) / math.sqrt(1.0 - 0.5 * eta * eta))
-    return NormEstimate(min(top, upper), upper, METHOD_SPECTRAL)
+    return NormEstimate(top, upper, METHOD_SPECTRAL)
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +327,14 @@ def _exact_svd(f: GFunction) -> NormEstimate:
         v0 = np.full(n, 1.0 / math.sqrt(n))
         lam, vec = eigsh(op, k=1, which="LA", v0=v0, tol=0)
     sigma = float(math.sqrt(max(float(lam[0]), 0.0)))
-    witness_vec = vec[:, 0]
-    witness = GFunction(model, scale_back * witness_vec)
+    witness = GFunction(model, scale_back * vec[:, 0])
+    upper = sigma
     if model.kind != KIND_FINITE:
         # the singular value is exact for the window section only; the norm
         # of the lattice or group the window stands for lies between it and
         # the weighted-L1 bound
         upper = max(sigma, weighted_l1_norm(f, 2.0))
-        return NormEstimate(sigma, upper, METHOD_EXACT_SVD, witness=witness)
-    return NormEstimate(sigma, sigma, METHOD_EXACT_SVD, witness=witness)
+    return NormEstimate(sigma, upper, METHOD_EXACT_SVD, witness=witness)
 
 
 def _wl1_bound(f: GFunction, exp: Exponent) -> NormEstimate:
@@ -338,10 +342,8 @@ def _wl1_bound(f: GFunction, exp: Exponent) -> NormEstimate:
     bound, the weighted-L1 value as the upper.  One convolution, no matrix."""
     upper = upper_bound_weighted_l1(f, exp)
     denom = lp_norm(f, exp)
-    lower = 0.0
-    if denom > 0:
-        lower = lp_norm(convolve(f, f), exp) / denom
-    return NormEstimate(min(lower, upper), upper, METHOD_WL1_BOUND)
+    lower = lp_norm(convolve(f, f), exp) / denom if denom > 0 else 0.0
+    return NormEstimate(lower, upper, METHOD_WL1_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +447,8 @@ def _boyd(f: GFunction, exp: Exponent, cfg: IterConfig) -> NormEstimate:
     vec = np.zeros(model.n, dtype=np.complex128)
     vec[cells] = x[:, best]
     witness = GFunction(model, (model.weights ** (-1.0 / exp.p)) * vec)
-    lower = min(top, upper)  # guard against last-ulp crossings
     spread = (top - float(gamma.min())) / top if top > 0 else 0.0
-    return NormEstimate(lower, upper, METHOD_BOYD, iterations=int(iters[best]),
+    return NormEstimate(top, upper, METHOD_BOYD, iterations=int(iters.max()),
                         converged=bool(np.all(converged)), witness=witness,
                         matvecs=matvecs, restart_spread=spread)
 

@@ -469,3 +469,11 @@ def test_resolve_point_errors():
     for spec, x in (("r:0.05:4", (0.5,)), ("z2:4", (1.5, 0)), ("z:8", (1, 2))):
         with pytest.raises(DomainError):
             ltp.translate(ltp.dirac(ltp.build_group(spec)), x, ltp.LEFT_DIRAC)
+    # a cell index is read in range, never from the end as numpy would
+    C = ltp.build_group("cyclic:8")
+    Z = ltp.build_group("z:8")
+    for build in (lambda: ltp.dirac(C, -1), lambda: ltp.dirac_measure(C, -3),
+                  lambda: ltp.dirac(C, 8),
+                  lambda: ltp.find_folner(Z, np.array([-1]), 0.5)):
+        with pytest.raises(DomainError, match="out of range"):
+            build()

@@ -39,7 +39,7 @@ def test_suite_cyclic16_all_pass():
 # only the upper end of a bracket takes it without the iteration.  When a
 # check changes the norms it asks for, recount with this test's counter
 # (print ``boyd_calls``) and state the old and new counts with that change.
-BOYD_CALLS_AT_P15 = {"circle:64": 52, "affine:0.125:1:0.125:1": 8}
+BOYD_CALLS_AT_P15 = {"circle:64": 44, "z:64": 9, "affine:0.125:1:0.125:1": 0}
 
 
 def test_suite_boyd_call_counts_are_pinned(boyd_calls):
@@ -50,10 +50,10 @@ def test_suite_boyd_call_counts_are_pinned(boyd_calls):
 
 
 # Boyd's work over the same passes: the products of all restarts and the
-# steps of the restarts that gave ``lower``, summed over the calls.  How a
-# product is computed changes the cost of a step, not these totals.
-BOYD_WORK_AT_P15 = {"circle:64": (33076, 2086), "dihedral:64": (47158, 2871),
-                    "affine:0.125:1:0.125:1": (5728, 252)}
+# block steps of each call, summed over the calls.  How a product is
+# computed changes the cost of a step, not these totals.
+BOYD_WORK_AT_P15 = {"circle:64": (22218, 2528), "dihedral:64": (32884, 3885),
+                    "z:64": (14518, 1322)}
 
 
 def test_suite_boyd_work_is_pinned(monkeypatch):
@@ -104,6 +104,27 @@ def test_suite_catches_an_overstated_symbol_bracket_on_the_real_line(monkeypatch
     report = run_suite("r:0.05:4", [2.0], seed=0)
     failed = {c.name for c in report.checks if c.status == "fail"}
     assert "positive-cone-equality@p=2" in failed
+
+
+def test_suite_catches_an_overstated_boyd_ratio(monkeypatch):
+    # a ratio 2% above the one attained is no lower bound; no route clamps it
+    # to the upper end, so the bracket's own check raises
+    from ltp import tempered
+
+    exact = tempered._boyd_block
+
+    def overstated(*args):
+        gamma, *rest = exact(*args)
+        return (1.02 * gamma, *rest)
+
+    cases = (("dihedral:64", "positive-cone-equality@p=1.5"),
+             ("z:64", "dirac-identity-norm@p=1.5"))
+    for spec, _ in cases:
+        assert run_suite(spec, [1.5], seed=0).ok
+    monkeypatch.setattr(tempered, "_boyd_block", overstated)
+    for spec, check in cases:
+        report = run_suite(spec, [1.5], seed=0)
+        assert check in {c.name for c in report.checks if c.status == "fail"}, spec
 
 
 def test_suite_probability_side_skips_discrete_checks():

@@ -336,6 +336,8 @@ def test_circulant_product_equals_the_dense_matrix(spec, complex_valued):
     for got, want in ((product.apply(x), mat @ x),
                       (product.adjoint(x), mat.conj().T @ x)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the conjugate symbol is formed once and reused bit for bit
+    assert np.array_equal(product.adjoint(x), product.adjoint(x))
 
 
 @pytest.mark.parametrize("spec", ["cyclic:256", "product:cyclic:16+cyclic:16"])
