@@ -12,10 +12,12 @@ symbol and eigen-characters) and the products of Boyd's iteration all read
 from it.  It also places lattice data on a periodic embedding, whose symbol
 the lattice p = 2 scan reads.  Every other route (direct convolution, the
 operator matrix, the exact p = 1 column supremum) reads K from one
-column-block generator, :func:`_kernel_blocks`: coordinate differences on
-the lattices (z, z2, r), cell-averaged quadrature on the affine grid, and a
-gather through the division table idx[x, y] = y^{-1} x on the other finite
-models.
+column-block generator, :func:`_kernel_blocks`.  Each carrier gives it one
+table per f and an index that does not depend on f, and every block is one
+gather: f zero-padded and indexed by coordinate differences on the lattices
+(z, z2, r), a table of cell averages indexed by (u_y, u_x, b_x - b_y) on the
+affine grid, and f indexed by the division table idx[x, y] = y^{-1} x on
+the other finite models.
 
 Every result carries the fraction of product mass dropped at a truncation
 boundary in its ``leak`` metadata.
@@ -46,22 +48,31 @@ def _kernel_blocks(model: GroupModel, values: np.ndarray):
     from coordinate differences and need no division table.  On the affine
     grid the u shift u_x - u_y is exact, and the b argument
     e^{-u_y} (b_x - b_y) is averaged over the compressed image of each
-    source cell (see ``averaged_rows``).
+    source cell (see ``averaged_rows``) once per distinct (u_y, u_x,
+    b_x - b_y), with b_x - b_y = d h_b; every block gathers from that table.
     """
     n = model.n
     carrier = model.carrier
     if isinstance(carrier, _AffineCarrier):
-        u = carrier.coords[:, 0]
-        b = carrier.coords[:, 1]
-        u_steps = np.rint(u / carrier.h_u).astype(np.int64)
+        # V[iu_y, iu_x, ib_x - ib_y], filled in slices no larger than a block
+        n_u, n_b, wide = carrier.n_u, carrier.n_b, 2 * carrier.n_b - 1
         ext, cum = carrier.b_prefix(values)
+        u_idx = np.arange(n_u)
+        table = np.empty((n_u, n_u, wide), dtype=values.dtype)
+        for lo in range(0, n_u, _CHUNK // 2):
+            u_y = u_idx[lo:lo + _CHUNK // 2, None, None]
+            comp = np.exp(-carrier.u_values[u_y])
+            tau_c = comp * (carrier.h_b * np.arange(1 - n_b, n_b))
+            tau_h = 0.5 * comp * carrier.h_b
+            table[lo:lo + _CHUNK // 2] = carrier.averaged_rows(
+                ext, cum, u_idx[:, None] - u_y + carrier.k_u, tau_c - tau_h, tau_c + tau_h)
+        table = table.reshape(-1)
+        iu, ib = np.divmod(np.arange(n), n_b)
+        rows = iu * wide + ib + n_b - 1
+        offset = ib - iu * n_u * wide
 
         def block(cols):
-            rows = u_steps[:, None] - u_steps[cols][None, :] + carrier.k_u
-            comp = np.exp(-u[cols])[None, :]
-            tau_c = comp * (b[:, None] - b[cols][None, :])
-            tau_h = 0.5 * comp * carrier.h_b
-            return carrier.averaged_rows(ext, cum, rows, tau_c - tau_h, tau_c + tau_h)
+            return table[rows[:, None] - offset[cols]]
     elif isinstance(carrier, _LatticeCarrier):
         # K[x, y] = f(x - y) read from f zero-padded by R on every side of
         # each axis: the per-axis difference x_a - y_a + 2R indexes the

@@ -243,7 +243,9 @@ def _pull(f: GFunction, at, push, scale, what: str, max_leak: float) -> GFunctio
 
 def _cell(model: GroupModel, i) -> int:
     """The cell index i, checked against the model: numpy would read a
-    negative index from the end."""
+    negative index from the end, and int() truncates a fractional one."""
+    if not float(i).is_integer():
+        raise DomainError(f"index {i} is not an integer")
     i = int(i)
     if not 0 <= i < model.n:
         raise DomainError(f"index {i} out of range for n={model.n}")

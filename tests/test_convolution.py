@@ -13,7 +13,7 @@ import pytest
 import ltp
 from ltp.convolve import _CirculantProduct, conv_operator
 from ltp.errors import ModelMismatchError
-from ltp.groups import KIND_FINITE
+from ltp.groups import KIND_FINITE, _AffineCarrier
 
 
 def naive_convolve(model, g, f):
@@ -165,6 +165,62 @@ def lattice_kernel(model, f):
             if t is not None:
                 out[x, y] = f.values[t]
     return out
+
+
+def affine_kernel(model, f):
+    """K[x, y] on the affine grid by the per-pair formula: the mean of row
+    u_x - u_y of f over e^{-u_y} (b_x - b_y -+ h_b / 2), the image of cell
+    y, with b_x - b_y rounded for each pair."""
+    carrier = model.carrier
+    u, b = carrier.coords[:, 0], carrier.coords[:, 1]
+    steps = np.rint(u / carrier.h_u).astype(np.int64)
+    ext, cum = carrier.b_prefix(f.values.real if f.is_real else f.values)
+    rows = steps[:, None] - steps[None, :] + carrier.k_u
+    comp = np.exp(-u)[None, :]
+    tau_c = comp * (b[:, None] - b[None, :])
+    tau_h = 0.5 * comp * carrier.h_b
+    return carrier.averaged_rows(ext, cum, rows, tau_c - tau_h, tau_c + tau_h)
+
+
+@pytest.mark.parametrize("spec, exact", [("affine:0.25:1:0.25:1", True),
+                                         ("affine:0.125:1:0.125:1", True),
+                                         ("affine:0.1:1:0.1:1", False)])
+def test_affine_kernel_matches_the_per_pair_formula(spec, exact):
+    # on dyadic steps b_x - b_y and (ib_x - ib_y) h_b round alike, so the
+    # table of distinct entries reproduces the per-pair kernel bit for bit
+    G = ltp.build_group(spec)
+    n_u, n_b = G.carrier.n_u, G.carrier.n_b
+    rng = np.random.default_rng(23)
+    for f in (ltp.random_function(G, rng), ltp.random_function(G, rng, complex_valued=False)):
+        mat = conv_operator(f).matrix()
+        expected = affine_kernel(G, f) * G.weights[None, :]
+        if exact:
+            assert np.array_equal(mat, expected)
+        else:
+            assert np.max(np.abs(mat - expected)) <= 1e-14 * np.max(np.abs(expected))
+        # columns with equal u_y are b-shifts of one another, read from the
+        # first column (shifts up) and the last (shifts down)
+        grid = mat.reshape(n_u, n_b, n_u, n_b)
+        for s in range(n_b):
+            assert np.array_equal(grid[:, s:, :, s], grid[:, :n_b - s, :, 0])
+            assert np.array_equal(grid[:, :n_b - s, :, n_b - 1 - s], grid[:, s:, :, n_b - 1])
+
+
+def test_affine_kernel_averages_each_distinct_entry_once(monkeypatch):
+    G = ltp.build_group("affine:0.125:1:0.125:1")
+    averaged = []
+    original = _AffineCarrier.averaged_rows
+
+    def counting(carrier, *args):
+        out = original(carrier, *args)
+        averaged.append(out.size)
+        return out
+
+    monkeypatch.setattr(_AffineCarrier, "averaged_rows", counting)
+    conv_operator(ltp.random_function(G, 0)).matrix()
+    # n_u^2 (2 n_b - 1) = 17^2 * 33 entries (u_y, u_x, b_x - b_y), not the
+    # n^2 = 289^2 cell pairs
+    assert sum(averaged) == 9537
 
 
 @pytest.fixture

@@ -477,3 +477,12 @@ def test_resolve_point_errors():
                   lambda: ltp.find_folner(Z, np.array([-1]), 0.5)):
         with pytest.raises(DomainError, match="out of range"):
             build()
+    # and whole, never truncated: 2.5 is no cell, while 2, np.int64(2) and 2.0 are
+    for build in (lambda: ltp.dirac(C, 2.5), lambda: ltp.dirac_measure(C, 2.5),
+                  lambda: ltp.find_folner(Z, np.array([1.7]), 0.5)):
+        with pytest.raises(DomainError, match="not an integer"):
+            build()
+    for i in (2, np.int64(2), 2.0):
+        assert np.flatnonzero(ltp.dirac(C, i).values).tolist() == [2]
+        assert np.flatnonzero(ltp.dirac_measure(C, i).values).tolist() == [2]
+        assert ltp.find_folner(Z, np.array([i + 6]), 0.5).c_indices.tolist() == [8]

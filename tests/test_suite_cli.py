@@ -3,6 +3,8 @@
 import ast
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -512,3 +514,17 @@ def test_function_source_generators():
     r1 = parse_function_source(G, "random:5")
     r2 = parse_function_source(G, "random:5")
     assert np.array_equal(r1.values, r2.values)
+
+
+def test_suite_digest_prints_one_line_per_registry_check():
+    # --spec replaces the benchmark's models; the p values stay (2, 1.5)
+    script = Path(__file__).resolve().parent.parent / "tools" / "suite_digest.py"
+    out = subprocess.run([sys.executable, str(script), "--checks", "--spec", "cyclic:8", "0"],
+                         capture_output=True, text=True, check=True, timeout=600).stdout
+    rows = [line.split(" ") for line in out.splitlines()]
+    assert {(row[0], row[1], len(row)) for row in rows} == {("0", "cyclic:8", 5)}
+    assert [row[2] for row in rows] == [
+        name for check in REGISTRY
+        for name in ([f"{check.name}@p=2", f"{check.name}@p=1.5"] if check.per_p
+                     else [check.name])]
+    assert {row[3] for row in rows} <= {"pass", "fail", "skipped"}

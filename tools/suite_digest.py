@@ -15,6 +15,11 @@ value moved (a skipped check reads ``-``):
 
     python tools/suite_digest.py --checks $(seq 0 29) > before.txt
 
+Each ``--spec SPEC`` (repeatable) replaces the benchmark's lists, so that a
+model outside them can be diffed the same way:
+
+    python tools/suite_digest.py --checks --spec affine:0.1:1:0.1:1 0 1
+
 Seeds are the other arguments, 0 and 1 when none is given.  BLAS runs on one
 thread, and the package is imported from this checkout's ``src``.
 """
@@ -24,6 +29,7 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy is imported
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -36,20 +42,26 @@ from workloads import SUITE_P, SUITE_SPECS  # noqa: E402
 
 
 def main(argv: list[str]) -> int:
-    checks = "--checks" in argv
-    seeds = [int(arg) for arg in argv if arg != "--checks"] or [0, 1]
-    for seed in seeds:
-        for specs in SUITE_SPECS.values():
-            for spec in specs:
-                report = run_suite(spec, SUITE_P, seed=seed)
-                if checks:
-                    for check in report.checks:
-                        observed = "-" if check.observed is None else repr(check.observed)
-                        print(f"{seed} {spec} {check.name} {check.status} {observed}")
-                    sys.stdout.flush()
-                    continue
-                digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
-                print(f"{seed} {spec} {digest}", flush=True)
+    parser = argparse.ArgumentParser(
+        description="Print one digest per suite report, or one line per check.")
+    parser.add_argument("seeds", nargs="*", type=int, default=[0, 1])
+    parser.add_argument("--checks", action="store_true",
+                        help="one line per check instead of one digest per report")
+    parser.add_argument("--spec", action="append", metavar="SPEC",
+                        help="a model to run in place of the benchmark's (repeatable)")
+    args = parser.parse_intermixed_args(argv)
+    specs = args.spec or [spec for specs in SUITE_SPECS.values() for spec in specs]
+    for seed in args.seeds:
+        for spec in specs:
+            report = run_suite(spec, SUITE_P, seed=seed)
+            if args.checks:
+                for check in report.checks:
+                    observed = "-" if check.observed is None else repr(check.observed)
+                    print(f"{seed} {spec} {check.name} {check.status} {observed}")
+                sys.stdout.flush()
+                continue
+            digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+            print(f"{seed} {spec} {digest}", flush=True)
     return 0
 
 
