@@ -155,20 +155,48 @@ class _CirculantProduct:
     With ``torus`` (one period per axis) f lives on a lattice model (z, z2,
     r) and is placed on the periodic embedding Z_torus: cell x sits at
     x mod torus.  ``symbol`` is then w0 fhat sampled at the frequencies
-    2 pi m / torus of the dual torus."""
+    2 pi m / torus of the dual torus.  A 1-D torus takes ``fftn`` of the
+    embedded grid.  In 2-D f occupies s of the pad torus rows (at most 17
+    of 512 on z2:8), so only those rows are placed and transformed along
+    the last axis: the 1-D transforms ``fftn`` runs first, value for value.
+    The leading axis is then one matmul, twiddle (pad x s) @ rows (s x pad)
+    with twiddle[m, j] = exp(-2 pi i ((m r_j) mod pad) / pad) for row r_j.
+    Its cost grows as s pad^2 against pad^2 log(pad) for an FFT over all
+    pad rows, so it wins while s is small: the p = 2 route on z2:8 takes
+    1.9-2.6 ms a call, against 7.4-8.3 ms with ``fftn`` of the whole grid.
+    On full-window supports from z2:100 up it is slower than ``fftn``: 62
+    against 53 ms a call on z2:100 (s = 201, pad 1024) and 397 against
+    253 ms on z2:200 (s = 401, pad 2048).  The suite's only 2-D model,
+    z2:8, occupies at most 17 rows."""
 
     def __init__(self, f: GFunction, torus: tuple[int, ...] | None = None):
         model = f.group
-        if torus is None:
-            self.shape = tuple(model.cyclic_factors)
-            grid = f.values.reshape(self.shape)
-        else:
-            self.shape = tuple(torus)
-            grid = np.zeros(self.shape, dtype=np.complex128)
-            grid[tuple((model.carrier.coords % self.shape).T)] = f.values
-        self.axes = tuple(range(len(self.shape)))
         w0 = float(model.weights[0])
-        self.symbol = w0 * np.fft.fftn(grid)[..., None]
+        self.shape = tuple(model.cyclic_factors if torus is None else torus)
+        self.axes = tuple(range(len(self.shape)))
+        if torus is None:
+            self.symbol = w0 * np.fft.fftn(f.values.reshape(self.shape))[..., None]
+        else:
+            symbol = self._torus_transform(f)
+            symbol *= w0
+            self.symbol = symbol[..., None]
+
+    def _torus_transform(self, f: GFunction) -> np.ndarray:
+        # fftn of the embedded grid in 1-D, the rows f occupies in 2-D
+        at = f.group.carrier.coords % self.shape
+        if len(self.shape) == 1:
+            grid = np.zeros(self.shape, dtype=np.complex128)
+            grid[tuple(at.T)] = f.values
+            return np.fft.fftn(grid)
+        cells = np.flatnonzero(f.values)
+        rows, slot = np.unique(at[cells, 0], return_inverse=True)
+        occupied = np.zeros((rows.size,) + self.shape[1:], dtype=np.complex128)
+        occupied[(slot,) + tuple(at[cells, 1:].T)] = f.values[cells]
+        occupied = np.fft.fftn(occupied, axes=self.axes[1:])
+        pad = self.shape[0]
+        roots = np.exp((-2j * np.pi / pad) * np.arange(pad))
+        twiddle = roots[np.arange(pad)[:, None] * rows % pad]
+        return (twiddle @ occupied.reshape(rows.size, -1)).reshape(self.shape)
 
     def _over_axes(self, transform, y: np.ndarray) -> np.ndarray:
         # one 1-D transform per factor, last axis first as fftn orders them:

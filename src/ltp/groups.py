@@ -807,7 +807,16 @@ def _affine_modular_residual(model: GroupModel) -> float:
 
 
 def _affine_validation_points(carrier: _AffineCarrier):
-    """On-grid translation targets that keep a mid-window probe inside."""
+    """On-grid translation targets for the modular check: u shifts of
+    +-u_step (about a quarter of the u radius), a pure b shift b_step (at
+    most 0.5 and an eighth of the b radius) and their sum.  The u shifts
+    and the sum kept the mid-window probe inside on every grid measured.
+    The pure b shift moves probe cells by up to e^(0.45 R_u) b_step and
+    can leak on wide u windows (2.566e-3 of the mass on
+    affine:0.25:10:0.25:4, 6.880e-3 on affine:0.5:8:0.5:2), so
+    ``estimate_modular`` with its default leak guard raises
+    WindowLeakError there.  The residual check reads every target with no
+    guard; ROADMAP item 8 owns the fix."""
     r_u = carrier.u_values[-1]
     r_b = carrier.b_values[-1]
     ku = max(1, int(round(0.25 * r_u / carrier.h_u)))

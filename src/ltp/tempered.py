@@ -11,8 +11,10 @@ method the first route of that name that does:
   operator (the operator is normal with the transform values as
   eigenvalues); the witness is the character of the largest one.
 * p = 2, translation-invariant lattices (truncated Z, Z^2, and the real-line
-  grid): supremum of the symbol over the dual torus, bracketed by one FFT
-  scan on the periodic embedding of the circulant operator.  ``lower`` is
+  grid): supremum of the symbol over the dual torus, bracketed by one scan
+  of the symbol on the periodic embedding of the circulant operator (one
+  FFT in 1-D; in 2-D row FFTs over the rows f occupies, then a twiddle
+  matmul along the leading axis).  ``lower`` is
   the largest sampled symbol value; ``upper`` widens it by a second-order
   Bernstein bound, or is the weighted-L1 value when that is smaller.  For
   window-supported data the supremum is the operator norm on the full
@@ -269,8 +271,24 @@ def _spectral_finite_abelian(f: GFunction) -> NormEstimate:
 # ---------------------------------------------------------------------------
 
 
+def _symbol_rounding(f: GFunction, pad: int) -> float:
+    """Bound on |computed - exact| at every node of the scan on pad^dim
+    nodes (proof in ``_symbol_supremum``)."""
+    model = f.group
+    w0 = float(model.weights[0])
+    norm = float(np.linalg.norm(f.values))
+    size = pad ** model.carrier.dim
+    rounding = 8.0 * _EPS * math.log2(size) * math.sqrt(size) * w0 * norm
+    if model.carrier.dim == 1:
+        return rounding
+    rows = np.unique(model.carrier.coords[np.flatnonzero(f.values), 0]).size
+    matmul = _EPS * w0 * (8.0 * math.log2(pad) * math.sqrt(pad * rows) * norm
+                          + (2 * rows + 20) * float(np.sum(np.abs(f.values))))
+    return max(rounding, matmul)
+
+
 def _symbol_supremum(f: GFunction) -> NormEstimate:
-    """sup |w0 fhat| over the dual torus, bracketed by one FFT scan.
+    """sup |w0 fhat| over the dual torus, bracketed by one scan.
 
     The scan samples the symbol at the frequencies 2 pi m / pad of each
     axis, so its maximum ``top`` is a value of the symbol: the lower end.
@@ -283,6 +301,28 @@ def _symbol_supremum(f: GFunction) -> NormEstimate:
     |fhat|^2 >= (1 - eta^2 / 2) sup^2, which gives the upper end
     (top + rounding) / sqrt(1 - eta^2 / 2).  The weighted-L1 value bounds
     the norm as well and is used alone when eta^2 >= 2.
+
+    ``rounding`` bounds |computed - exact| at every node, in units of
+    eps with x = w0 f, L = pad and N = L^dim nodes.  In 1-D the scan is an
+    FFT, and Higham's bound (Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Thm 24.2) on the 2-norm of its error over all nodes, which
+    bounds each node, is 8 log2(N) sqrt(N) ||x||_2.  In 2-D, with s
+    occupied rows, the leading axis is the matmul twiddle @ rows, and the
+    error at a node is at most the sum of
+      (a) the row FFTs, by Thm 24.2 per row, 8 log2(L) sqrt(L) ||x_j||_2
+          for row j, carried by unimodular twiddles: together at most
+          8 log2(L) sqrt(L s) ||x||_2, by Cauchy-Schwarz over the s rows;
+      (b) the inner products of length s (Higham ch. 3, with the complex
+          products of Lemma 3.5) plus twiddles computed as exp of an angle
+          below 2 pi, off by under 8 eps and budgeted at 16 eps: at most
+          (2 s + 20) ||x||_1.
+    The margin in 2-D is the larger of this sum and the FFT expression
+    8 log2(N) sqrt(N) ||x||_2, the bound an ``fftn`` scan of the whole grid
+    carries.  The expression is the larger up to pad 512 (the sum is at
+    most 0.73 of it there, since s and the cells per row are at most L / 4
+    and ||x||_1 <= sqrt(s L / 4) ||x||_2), so every model up to z2:63
+    keeps the margin of an ``fftn`` scan; the sum takes over only
+    for wide supports at pad 1024 and above.
     """
     carrier: _LatticeCarrier = f.group.carrier
     pad = 4096 if carrier.dim == 1 else 512
@@ -294,12 +334,7 @@ def _symbol_supremum(f: GFunction) -> NormEstimate:
     eta = math.pi * float(np.sum(support.max(axis=0) - support.min(axis=0))) / pad
     upper = upper_bound_weighted_l1(f, 2.0)
     if eta * eta < 2.0:
-        # FFT rounding, in the 2-norm over all N = pad^dim outputs: at most
-        # 8 eps log2(N) sqrt(N) ||w0 f||_2 (Higham, Accuracy and Stability
-        # of Numerical Algorithms, 2nd ed., Thm 24.2)
-        size = product.symbol.size
-        rounding = (8.0 * _EPS * math.log2(size) * math.sqrt(size)
-                    * float(f.group.weights[0]) * float(np.linalg.norm(f.values)))
+        rounding = _symbol_rounding(f, pad)
         upper = min(upper, (top + rounding) / math.sqrt(1.0 - 0.5 * eta * eta))
     return NormEstimate(top, upper, METHOD_SPECTRAL)
 

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import ltp
+from ltp.convolve import _CirculantProduct
 from ltp.errors import DomainError, GridTooCoarse, ResourceError
-from ltp.tempered import (IterConfig, quasi_identity_blowup, tempered_norm,
+from ltp.tempered import (IterConfig, _symbol_rounding, quasi_identity_blowup, tempered_norm,
                           tempered_upper, upper_bound_weighted_l1)
 
 
@@ -107,6 +108,63 @@ def test_symbol_bracket_is_certified(spec):
     wl1 = upper_bound_weighted_l1(positive, 2)
     assert est.lower == pytest.approx(wl1, rel=1e-12)
     assert est.upper == pytest.approx(wl1, rel=1e-12)
+
+
+def exact_symbol(f, node, pad):
+    """w0 sum_k f(k) exp(-i k . theta) at theta = 2 pi node / pad, summed
+    term by term in 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    G = f.group
+    radius = G.carrier.radius
+    with mpmath.workdps(50):
+        powers = [{k: mpmath.expj(-2 * mpmath.pi * int(m) * k / pad) for k in range(-radius, radius + 1)}
+                  for m in node]
+        total = mpmath.mpc(0)
+        for cell in np.flatnonzero(f.values):
+            term = mpmath.mpc(f.values[cell].real, f.values[cell].imag)
+            for axis, k in enumerate(G.carrier.coords[cell]):
+                term *= powers[axis][int(k)]
+            total += term
+        return total * float(G.weights[0])
+
+
+@pytest.mark.parametrize("spec", ["z:64", "r:0.05:4"])
+def test_one_dimensional_scan_is_fftn_of_the_embedded_grid(spec):
+    G = ltp.build_group(spec)
+    pad = 4096
+    rng = np.random.default_rng(3)
+    for half_width in (G.carrier.radius // 4, G.carrier.radius):
+        f = box_probe(G, rng, 0, half_width)
+        grid = np.zeros(pad, dtype=np.complex128)
+        grid[G.carrier.coords[:, 0] % pad] = f.values
+        symbol = _CirculantProduct(f, (pad,)).symbol[..., 0]
+        assert np.array_equal(symbol, G.weights[0] * np.fft.fftn(grid)), half_width
+
+
+@pytest.mark.parametrize("spec, probe, rows", [("z2:8", "full", 17), ("z2:8", "quarter", 5),
+                                               ("z2:8", "negative corner", 9), ("z2:50", "full", 101)])
+def test_symbol_scan_is_within_its_rounding_margin_of_the_exact_sum(spec, probe, rows):
+    # row FFTs and the twiddle matmul: at the scan's argmax and three more
+    # nodes the computed symbol is within the margin _symbol_supremum adds.
+    # The negative corner's rows wrap round the torus to pad - 8, ..., 0.
+    mpmath = pytest.importorskip("mpmath")
+    G = ltp.build_group(spec)
+    radius = G.carrier.radius
+    centre, half_width = {"full": (0, radius), "quarter": (0, radius // 4),
+                          "negative corner": (-(radius // 2), radius // 2)}[probe]
+    pad = 512
+    rng = np.random.default_rng(8)
+    f = box_probe(G, rng, centre, half_width)
+    assert np.unique(G.carrier.coords[np.flatnonzero(f.values), 0]).size == rows
+    symbol = _CirculantProduct(f, (pad, pad)).symbol[..., 0]
+    margin = _symbol_rounding(f, pad)
+    nodes = [np.unravel_index(int(np.argmax(np.abs(symbol))), symbol.shape)]
+    nodes += [tuple(m) for m in rng.integers(0, pad, size=(3, 2))]
+    for node in nodes:
+        with mpmath.workdps(50):
+            error = float(abs(mpmath.mpc(complex(symbol[node])) - exact_symbol(f, node, pad)))
+        assert error <= margin, (node, error, margin)
+    assert tempered_norm(f, 2).lower == float(np.max(np.abs(symbol)))
 
 
 @pytest.mark.slow
