@@ -24,7 +24,8 @@ from .space import (Exponent, GFunction, box_function, decompose_l1_linf,
 from .convolve import ConvOperator, associativity_check, conv_operator, convolve
 from .tempered import (IterConfig, NormEstimate, dirac_scaling_check,
                        quasi_identity_blowup, re_im_closure_check,
-                       tempered_norm, tempered_upper, upper_bound_weighted_l1)
+                       tempered_norm, tempered_norms, tempered_upper,
+                       upper_bound_weighted_l1)
 from .spectral import (DualModel, build_dual, character_orthogonality_residual,
                        convolution_theorem_check, fourier, inverse_fourier,
                        inverse_product_check, mult_operator_norm,

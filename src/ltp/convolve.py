@@ -10,7 +10,8 @@ the characters, and one circulant operator, :class:`_CirculantProduct`,
 holds the only FFT code for them: ``convolve``, the p = 2 route (its
 symbol and eigen-characters) and the products of Boyd's iteration all read
 from it.  It also places lattice data on a periodic embedding, whose symbol
-the lattice p = 2 scan reads.  Every other route (direct convolution, the
+the lattice p = 2 scan reads and whose products Boyd's iteration takes
+when several f share a block.  Every other route (direct convolution, the
 operator matrix, the exact p = 1 column supremum) reads K from one
 column-block generator, :func:`_kernel_blocks`.  Each carrier gives it one
 table per f and an index that does not depend on f, and every block is one
@@ -25,8 +26,8 @@ boundary in its ``leak`` metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -149,18 +150,31 @@ class _CirculantProduct:
     """Right convolution by f on a finite model with cyclic factors:
     M x = w0 ifft(fhat fft(x)) over the factor axes, and M^H uses conj(fhat).
     The Haar weights are constant there, so M is already its own p-weighted
-    similarity, for every p.  ``symbol[k] = w0 fhat[k]`` is the eigenvalue
+    similarity, for every p.  ``symbol[..., 0] = w0 fhat`` is the eigenvalue
     of M on the character ``character(k)``.
+
+    Given several f, ``symbol`` holds one transform per f along its last
+    axis, and ``columns`` names the f whose symbol multiplies each column of
+    the block the product is made for; ``keep(cols)`` narrows that block to
+    its columns ``cols``.  Without ``columns`` the symbol broadcasts over
+    the block.
 
     With ``torus`` (one period per axis) f lives on a lattice model (z, z2,
     r) and is placed on the periodic embedding Z_torus: cell x sits at
     x mod torus.  ``symbol`` is then w0 fhat sampled at the frequencies
-    2 pi m / torus of the dual torus.  A 1-D torus takes ``fftn`` of the
-    embedded grid.  In 2-D f occupies s of the pad torus rows (at most 17
-    of 512 on z2:8), so only those rows are placed and transformed along
-    the last axis: the 1-D transforms ``fftn`` runs first, value for value.
-    The leading axis is then one matmul, twiddle (pad x s) @ rows (s x pad)
-    with twiddle[m, j] = exp(-2 pi i ((m r_j) mod pad) / pad) for row r_j.
+    2 pi m / torus of the dual torus.  ``apply`` places a block given on
+    ``cells`` (every cell by default) on the torus and reads the circular
+    convolution back on the window; ``adjoint`` goes from the window back to
+    ``cells``.  When every g on ``cells`` keeps g * f in the window and each
+    period is at least the window side, no image wraps onto the window, so
+    this is the window convolution, exactly.
+
+    A 1-D torus transforms the embedded grid.  In 2-D f occupies s of the
+    pad torus rows (at most 17 of 512 on z2:8), so only those rows are
+    placed and transformed along the last axis: the 1-D transforms ``fftn``
+    runs first, value for value.  The leading axis is then one matmul,
+    twiddle (pad x s) @ rows (s x pad) with
+    twiddle[m, j] = exp(-2 pi i ((m r_j) mod pad) / pad) for row r_j.
     Its cost grows as s pad^2 against pad^2 log(pad) for an FFT over all
     pad rows, so it wins while s is small: the p = 2 route on z2:8 takes
     1.9-2.6 ms a call, against 7.4-8.3 ms with ``fftn`` of the whole grid.
@@ -169,34 +183,50 @@ class _CirculantProduct:
     253 ms on z2:200 (s = 401, pad 2048).  The suite's only 2-D model,
     z2:8, occupies at most 17 rows."""
 
-    def __init__(self, f: GFunction, torus: tuple[int, ...] | None = None):
-        model = f.group
+    def __init__(self, f: GFunction | list[GFunction], torus: tuple[int, ...] | None = None,
+                 cells: np.ndarray | None = None, columns: np.ndarray | None = None):
+        fs = [f] if isinstance(f, GFunction) else list(f)
+        model = fs[0].group
+        values = np.stack([g.values for g in fs], axis=1)
         w0 = float(model.weights[0])
         self.shape = tuple(model.cyclic_factors if torus is None else torus)
         self.axes = tuple(range(len(self.shape)))
         if torus is None:
-            self.symbol = w0 * np.fft.fftn(f.values.reshape(self.shape))[..., None]
+            self.symbol = w0 * np.fft.fftn(values.reshape(self.shape + (len(fs),)),
+                                           axes=self.axes)
+            self._window = self._cells = None
         else:
-            symbol = self._torus_transform(f)
+            symbol = self._torus_transform(model, values)
             symbol *= w0
-            self.symbol = symbol[..., None]
+            self.symbol = symbol
+            self._window = np.ravel_multi_index(tuple((model.carrier.coords % torus).T), torus)
+            self._cells = self._window if cells is None else self._window[cells]
+        self.columns = columns
+        self.keep(slice(None))
 
-    def _torus_transform(self, f: GFunction) -> np.ndarray:
-        # fftn of the embedded grid in 1-D, the rows f occupies in 2-D
-        at = f.group.carrier.coords % self.shape
+    def keep(self, cols) -> None:
+        """Multiply only the columns ``cols`` of the block from now on."""
+        self._symbol = self.symbol if self.columns is None else \
+            self.symbol[..., self.columns[cols]]
+        self._conj = None
+
+    def _torus_transform(self, model: GroupModel, values: np.ndarray) -> np.ndarray:
+        # the embedded grid in 1-D, the rows some f occupies in 2-D
+        at = model.carrier.coords % self.shape
+        count = values.shape[1]
         if len(self.shape) == 1:
-            grid = np.zeros(self.shape, dtype=np.complex128)
-            grid[tuple(at.T)] = f.values
-            return np.fft.fftn(grid)
-        cells = np.flatnonzero(f.values)
+            grid = np.zeros(self.shape + (count,), dtype=np.complex128)
+            grid[tuple(at.T)] = values
+            return np.fft.fftn(grid, axes=self.axes)
+        cells = np.flatnonzero(np.any(values != 0, axis=1))
         rows, slot = np.unique(at[cells, 0], return_inverse=True)
-        occupied = np.zeros((rows.size,) + self.shape[1:], dtype=np.complex128)
-        occupied[(slot,) + tuple(at[cells, 1:].T)] = f.values[cells]
+        occupied = np.zeros((rows.size,) + self.shape[1:] + (count,), dtype=np.complex128)
+        occupied[(slot,) + tuple(at[cells, 1:].T)] = values[cells]
         occupied = np.fft.fftn(occupied, axes=self.axes[1:])
         pad = self.shape[0]
         roots = np.exp((-2j * np.pi / pad) * np.arange(pad))
         twiddle = roots[np.arange(pad)[:, None] * rows % pad]
-        return (twiddle @ occupied.reshape(rows.size, -1)).reshape(self.shape)
+        return (twiddle @ occupied.reshape(rows.size, -1)).reshape(self.shape + (count,))
 
     def _over_axes(self, transform, y: np.ndarray) -> np.ndarray:
         # one 1-D transform per factor, last axis first as fftn orders them:
@@ -205,24 +235,28 @@ class _CirculantProduct:
             y = transform(y, axis=axis)
         return y
 
-    def _multiply(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-        y = self._over_axes(np.fft.fft, x.reshape(self.shape + (-1,)))
-        return self._over_axes(np.fft.ifft, symbol * y).reshape(x.shape)
+    def _multiply(self, x: np.ndarray, symbol: np.ndarray, source, target) -> np.ndarray:
+        if source is None:
+            y = self._over_axes(np.fft.fft, x.reshape(self.shape + (-1,)))
+            return self._over_axes(np.fft.ifft, symbol * y).reshape(x.shape)
+        grid = np.zeros((math.prod(self.shape),) + x.shape[1:], dtype=np.complex128)
+        grid[source] = x
+        y = self._over_axes(np.fft.fft, grid.reshape(self.shape + (-1,)))
+        y = self._over_axes(np.fft.ifft, symbol * y)
+        return y.reshape(grid.shape)[target]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._multiply(x, self.symbol)
-
-    @cached_property
-    def _conj_symbol(self) -> np.ndarray:  # formed once, on the first adjoint
-        return self.symbol.conj()
+        return self._multiply(x, self._symbol, self._cells, self._window)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self._multiply(y, self._conj_symbol)
+        if self._conj is None:  # formed once per set of columns, on the first adjoint
+            self._conj = self._symbol.conj()
+        return self._multiply(y, self._conj, self._window, self._cells)
 
     def character(self, k: int) -> np.ndarray:
         """chi_k over the carrier (mixed-radix index k): the inverse
         transform of n times the unit impulse at k."""
-        impulse = np.zeros(self.symbol.shape, dtype=np.complex128)
+        impulse = np.zeros(self.shape + (1,), dtype=np.complex128)
         impulse.flat[k] = impulse.size
         return self._over_axes(np.fft.ifft, impulse).reshape(-1)
 

@@ -47,8 +47,8 @@ from .spectral import (DUAL_CAP, build_dual, character_orthogonality_residual,
                        mult_operator_norm, parseval_check, plancherel_residual,
                        product_theorem_check, restricted_isometry_terms,
                        roundtrip_residual, tempered_norm_spectral)
-from .tempered import (dirac_scaling_check, quasi_identity_blowup, re_im_closure_check,
-                       tempered_norm, tempered_upper, upper_bound_weighted_l1)
+from .tempered import (dirac_scaling_checks, quasi_identity_blowup, re_im_closure_checks,
+                       tempered_norm, tempered_norms, tempered_upper, upper_bound_weighted_l1)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +109,7 @@ class SuiteContext:
     model: GroupModel
     p: Exponent | None
     rng: np.random.Generator
+    draws: int = 1
 
 
 @dataclass
@@ -116,19 +117,24 @@ class CheckDef:
     """One statement and the models it applies to.
 
     ``runner`` measures one draw and returns the measurement, or
-    ``(measurement, note)`` when the note depends on the draw.  The suite
-    runs ``draws`` of them, keeps the largest of 0 and the measurements,
-    and judges it against ``expected`` within ``tol``: one value for every
-    model with exact arithmetic, ``affine_tol`` on the interpolated affine
-    grid where a check needs its own.
+    ``(measurement, note)`` when the note depends on the draw; the suite
+    calls it ``draws`` times.  A ``batched`` runner is called once: it draws
+    all ``draws`` probes from ``ctx.rng`` in the order the draws would take
+    them (``ctx.draws`` says how many) and returns the list of their
+    measurements, or ``(measurements, note)``, so that their norms can come
+    from one ``tempered_norms`` call.  The suite keeps the largest of 0 and
+    the measurements, and judges it against ``expected`` within ``tol``:
+    one value for every model with exact arithmetic, ``affine_tol`` on the
+    interpolated affine grid where a check needs its own.
     """
     name: str
     ref: str
     anchors: tuple[str, ...]
-    runner: Callable[[SuiteContext], float | tuple[float, str]]
+    runner: Callable[[SuiteContext], float | list[float] | tuple[float | list[float], str]]
     note: str = ""
     draws: int = 1
     per_p: bool = False
+    batched: bool = False
     requires: Callable[[GroupModel, Exponent | None], str | None] | None = None
     tol: float = 1e-9
     affine_tol: float | None = None
@@ -317,10 +323,10 @@ def _run_dirac_calculus(ctx: SuiteContext):
 
 def _run_dirac_scaling(ctx: SuiteContext):
     f = _random_probe(ctx.model, ctx.rng, positive=True)
+    points = _scaling_points(ctx.model)
     worst = 0.0
     details = []
-    for x in _scaling_points(ctx.model):
-        ratio, expected = dirac_scaling_check(f, x, ctx.p)
+    for x, (ratio, expected) in zip(points, dirac_scaling_checks(f, points, ctx.p)):
         worst = max(worst, abs(ratio - expected) / expected)
         details.append(f"{x}:{ratio:.6g}/{expected:.6g}")
     return worst, "ratio vs Delta(x)^(-1/q): " + " ".join(details)
@@ -332,10 +338,14 @@ def _run_dirac_identity_norm(ctx: SuiteContext):
     return worst, f"||delta_e||_p^T = 1 (method={est.method})"
 
 
+def _probes(ctx: SuiteContext) -> list[GFunction]:
+    """The probes of every draw of a batched runner, in draw order."""
+    return [_random_probe(ctx.model, ctx.rng) for _ in range(ctx.draws)]
+
+
 def _run_discrete_lower(ctx: SuiteContext):
-    f = _random_probe(ctx.model, ctx.rng)
-    est = tempered_norm(f, ctx.p)
-    return lp_norm(f, ctx.p) - est.lower
+    fs = _probes(ctx)
+    return [lp_norm(f, ctx.p) - est.lower for f, est in zip(fs, tempered_norms(fs, ctx.p))]
 
 
 def _upper_within(bound: Callable[[GFunction, Exponent], float]):
@@ -351,11 +361,13 @@ def _run_finite_equivalence(ctx: SuiteContext):
     q = ctx.p.q
     growth = 1.0 if math.isinf(q) else model.n ** (1.0 / q)
     c_lower, c_upper = (1.0, growth) if model.normalization == COUNTING else (growth, 1.0)
-    f = _random_probe(model, ctx.rng)
-    est = tempered_norm(f, ctx.p)
-    plain = lp_norm(f, ctx.p)
+    fs = _probes(ctx)
+    measured = []
+    for f, est in zip(fs, tempered_norms(fs, ctx.p)):
+        plain = lp_norm(f, ctx.p)
+        measured.append(max(plain - c_lower * est.lower, est.upper - c_upper * plain))
     note = f"||f||_p <= {c_lower:g} ||f||_p^T and ||f||_p^T <= {c_upper:g} ||f||_p"
-    return max(plain - c_lower * est.lower, est.upper - c_upper * plain), note
+    return measured, note
 
 
 def _run_l1_identity(ctx: SuiteContext):
@@ -366,7 +378,7 @@ def _run_l1_identity(ctx: SuiteContext):
 
 
 def _run_re_im(ctx: SuiteContext):
-    return re_im_closure_check(_random_probe(ctx.model, ctx.rng), ctx.p)
+    return re_im_closure_checks(_probes(ctx), ctx.p)
 
 
 def _run_submultiplicative(ctx: SuiteContext):
@@ -543,14 +555,14 @@ REGISTRY: list[CheckDef] = [
     CheckDef("discrete-lower-bound", "||f||_p <= ||f||_p^T",
              ("discrete-norm-domination",), _run_discrete_lower,
              note="||f||_p <= ||f||_p^T on counting models", draws=6, per_p=True,
-             requires=_needs_counting),
+             batched=True, requires=_needs_counting),
     CheckDef("compact-upper-bound", "||f||_p^T <= ||f||_p",
              ("compact-norm-domination",), _upper_within(lp_norm),
              note="||f||_p^T <= ||f||_p on probability models", draws=6, per_p=True,
              requires=_needs_probability_finite),
     CheckDef("finite-norm-equivalence", "two-sided norm equivalence with explicit constants",
              ("finite-norm-equivalence",), _run_finite_equivalence, draws=6, per_p=True,
-             requires=_needs_finite),
+             batched=True, requires=_needs_finite),
     CheckDef("l1-identity", "||f||_1^T = ||f||_1",
              ("p1-norm-identity",), _run_l1_identity, note="||f||_1^T = ||f||_1 (relative)",
              draws=6, tol=1e-12, affine_tol=5e-2),
@@ -565,7 +577,7 @@ REGISTRY: list[CheckDef] = [
     CheckDef("re-im-closure", "||Re f||_p^T <= 2 ||f||_p^T, same for Im",
              ("re-im-closure",), _run_re_im,
              note="||Re f||_p^T and ||Im f||_p^T vs 2 ||f||_p^T", draws=12, per_p=True,
-             requires=_needs_finite),
+             batched=True, requires=_needs_finite),
     CheckDef("submultiplicative-action", "||g*f||_p <= ||g||_p ||f||_p^T",
              ("tempered-norm-definition",), _run_submultiplicative,
              note="||g*f||_p <= ||g||_p ||f||_p^T", draws=6, per_p=True,
@@ -689,15 +701,15 @@ def _execute_check(check: CheckDef, model: GroupModel, p: float | None,
         return CheckResult.skip(name, check.ref, reason)
     tol = float(overrides.get(check.name, check.tolerance_for(model)))
     rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-    ctx = SuiteContext(model=model, p=exp, rng=rng)
+    ctx = SuiteContext(model=model, p=exp, rng=rng, draws=check.draws)
     started = time.perf_counter()
     try:
         worst, notes = 0.0, check.note
-        for _ in range(check.draws):
+        for _ in range(1 if check.batched else check.draws):
             measured = check.runner(ctx)
             if isinstance(measured, tuple):
                 measured, notes = measured
-            worst = np.maximum(worst, measured)
+            worst = np.maximum(worst, np.max(measured))
         result = CheckResult.build(name, check.ref, observed=float(worst),
                                    expected=check.expected, tolerance=tol, notes=notes)
     except Exception as exc:  # a failing or broken check must not abort the suite

@@ -42,19 +42,32 @@ method the first route of that name that does:
   search space, so ``lower`` is weak for f whose support spans a large part
   of the window (for a full-window support D is the identity alone).
 
-  The model supplies the products.  Finite models with cyclic factors and
-  at least 256 cells apply the circulant operator of ``convolve`` (FFT over
-  the factor axes, the adjoint with the conjugate transform) and build no
-  n x n matrix, so n may exceed the dense cap.  Every other model,
-  lattices included, multiplies by the dense weighted matrix: on the
-  eroded box a padded FFT cost more than the dense product at the suite's
-  lattice sizes.  The matrix of a real f is real and multiplies in real
-  arithmetic, one real product for the real and imaginary parts of the
-  block together; a complex f keeps complex products.  Below 256 cells the
-  dense product is cheaper for real and complex f alike: for an n x 8
-  block on one core, numpy's FFT against the complex and the real dense
-  product took 17 vs 7 and 5 us at n = 64, 22 vs 21 and 10 us at n = 128,
-  and 34 vs 76 and 51 us at n = 256.
+  ``tempered_norms`` takes several f at once, and the model supplies the
+  products.  On finite models with cyclic factors and on lattices, f with
+  the same cells (the eroded box D on lattices) share one block, with the
+  restarts of each f as its columns and one FFT over the whole block per
+  product: the circulant operator of ``convolve`` (one symbol per f, over
+  the factor axes, the adjoint with the conjugate transform), or on
+  lattices the window torus, the smallest 5-smooth period per axis that is
+  at least the window side.  D is placed there at its coordinates mod the
+  period and the product is read back on the window; since g on D keeps
+  g * f in the window, that is the window convolution exactly, with no
+  wrap-around.  A lone f keeps the product measured cheapest for it: the
+  FFT on cyclic models of at least 256 cells, which build no n x n matrix,
+  so n may exceed the dense cap, and the dense weighted matrix below that
+  and on lattices.  Nonabelian models and the affine grid have no shared
+  transform, so they run one dense block per f: one block of several
+  matrices would make the same products.  The matrix of a real f is real
+  and multiplies in real arithmetic, one real product for the real and
+  imaginary parts of the block together; a complex f keeps complex
+  products.  For a lone f below 256 cells the dense product is cheaper,
+  real or complex: for an n x 8 block on one core, numpy's FFT against the
+  complex and the real dense product took 17 vs 7 and 5 us at n = 64, 22
+  vs 21 and 10 us at n = 128, and 34 vs 76 and 51 us at n = 256.  A shared
+  block holds at most 64 columns (eight f at eight restarts):
+  re-im-closure's 24 parts on cyclic:256 in one 192-column block raised
+  the peak memory of a suite-finite pass from 74.4 to 81.0 MB, and
+  64-column blocks kept it at 74.5-74.7 MB (one BLAS thread, 2-vCPU host).
 * any p, by name only: the Rayleigh ratio of g = f as ``lower`` and the
   weighted-L1 value as ``upper``, from one convolution.
 
@@ -78,9 +91,9 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import DomainError, GridTooCoarse, LtpError
+from .errors import DomainError, GridTooCoarse, LtpError, ResourceError
 from .groups import KIND_FINITE, KIND_QUADRATURE, GroupModel, _AffineCarrier, _LatticeCarrier
-from .convolve import _CirculantProduct, _kernel_blocks, conv_operator, convolve
+from .convolve import DENSE_CAP, _CirculantProduct, _kernel_blocks, conv_operator, convolve
 from .space import (Exponent, GFunction, imag_part, lp_norm, point_modular,
                     real_part, translate, weighted_l1_norm, RIGHT_DIRAC)
 
@@ -88,10 +101,13 @@ from .space import (Exponent, GFunction, imag_part, lp_norm, point_modular,
 # M^H M; above it the Lanczos iteration is cheaper (measured, see the
 # docstring).
 _SVD_DENSE_CAP = 224
-# Smallest cyclic model whose Boyd products go through the FFT: below it the
-# dense product of an n x 8 block is cheaper, real or complex (measured, see
-# the docstring).
+# Smallest cyclic model whose Boyd products for a lone f go through the FFT:
+# below it the dense product of an n x 8 block is cheaper, real or complex
+# (measured, see the docstring).  Several f share one FFT at any size.
 _FFT_MIN_N = 256
+# Widest block of Boyd columns that several f share: wider blocks raised the
+# peak memory of a suite pass (measured, see the docstring).
+_BLOCK_COLS = 64
 # Smallest normal double: magnitudes are floored here before a negative
 # power, which keeps |y|^(p-2) finite and makes y |y|^(p-2) vanish at y = 0.
 _TINY = np.finfo(np.float64).tiny
@@ -129,9 +145,10 @@ class NormEstimate:
     lower bound.  The lattice p = 2 route has none: its ``lower`` is a value
     of the symbol, attained on the periodic embedding and not on the window.
     On the iterative route ``iterations`` counts the block steps the engine
-    ran, ``matvecs`` the operator products of all restarts, and
-    ``restart_spread`` the spread (max - min) / max of the restarts' final
-    ratios (0 for one restart or a zero operator).
+    ran for f's restarts (the most any of them took), ``matvecs`` the
+    operator products of all its restarts, and ``restart_spread`` the spread
+    (max - min) / max of their final ratios (0 for one restart or a zero
+    operator); other f sharing the block count apart.
     """
 
     lower: float
@@ -185,38 +202,57 @@ def tempered_upper(f: GFunction, p, method: str = "auto") -> float:
 def tempered_norm(f: GFunction, p, cfg: IterConfig | None = None,
                   method: str = "auto") -> NormEstimate:
     """Compute or bound the tempered norm of f for the exponent p."""
+    return tempered_norms([f], p, cfg, method)[0]
+
+
+def tempered_norms(fs, p, cfg: IterConfig | None = None,
+                   method: str = "auto") -> list[NormEstimate]:
+    """``tempered_norm`` of every f (all on one model), in order.
+
+    Each estimate is the one ``tempered_norm`` gives, up to rounding.  On
+    the Boyd route the restarts of several f advance together as the
+    columns of one block (see ``_boyd_norms``); every other route runs f by
+    f.  A zero f gets the bracket [0, 0].
+    """
+    fs = list(fs)
+    if not fs:
+        return []
+    model = fs[0].group
+    for f in fs[1:]:
+        model.require_same(f.group)
     exp = Exponent.of(p)
-    route = _route(f.group, exp, method)
-    if f.is_zero:
-        return NormEstimate(0.0, 0.0, route.method)
-    return route.run(f, exp, cfg)
+    route = _route(model, exp, method)
+    live = [f for f in fs if not f.is_zero]
+    found = iter(route.run(live, exp, cfg) if live else [])
+    return [NormEstimate(0.0, 0.0, route.method) if f.is_zero else next(found) for f in fs]
 
 
 class _Route(NamedTuple):
     method: str
     serves: Callable[[GroupModel, float], bool]
-    run: Callable[[GFunction, Exponent, IterConfig | None], NormEstimate]
+    run: Callable[[list[GFunction], Exponent, IterConfig | None], list[NormEstimate]]
 
 
-# The routes in dispatch order.  Each ``run`` looks its route function up
-# when called, so a function patched on the module is the one that runs.
+# The routes in dispatch order; each ``run`` maps nonzero f on one model to
+# their estimates.  Each looks its route function up when called, so a
+# function patched on the module is the one that runs.
 _ROUTES = (
     _Route(METHOD_EXACT_L1, lambda model, p: p == 1.0,
-           lambda f, exp, cfg: _exact_l1(f)),
+           lambda fs, exp, cfg: [_exact_l1(f) for f in fs]),
     _Route(METHOD_SPECTRAL, lambda model, p: p == 2.0 and model.cyclic_factors is not None,
-           lambda f, exp, cfg: _spectral_finite_abelian(f)),
+           lambda fs, exp, cfg: [_spectral_finite_abelian(f) for f in fs]),
     # exact for window-supported data on the constant-weight
     # translation-invariant lattices (truncated Z, Z^2, the real-line grid)
     _Route(METHOD_SPECTRAL,
            lambda model, p: p == 2.0 and isinstance(model.carrier, _LatticeCarrier),
-           lambda f, exp, cfg: _symbol_supremum(f)),
+           lambda fs, exp, cfg: [_symbol_supremum(f) for f in fs]),
     _Route(METHOD_EXACT_SVD, lambda model, p: p == 2.0,
-           lambda f, exp, cfg: _exact_svd(f)),
+           lambda fs, exp, cfg: [_exact_svd(f) for f in fs]),
     # the dual exponent is infinite at p = 1, where the dual step is undefined
     _Route(METHOD_BOYD, lambda model, p: p > 1.0,
-           lambda f, exp, cfg: _boyd(f, exp, cfg or IterConfig())),
+           lambda fs, exp, cfg: _boyd_norms(fs, exp, cfg or IterConfig())),
     _Route(METHOD_WL1_BOUND, lambda model, p: True,
-           lambda f, exp, cfg: _wl1_bound(f, exp)),
+           lambda fs, exp, cfg: [_wl1_bound(f, exp) for f in fs]),
 )
 
 
@@ -359,7 +395,10 @@ def _exact_svd(f: GFunction) -> NormEstimate:
             return adjoint @ (mat @ v)
 
         op = LinearOperator((n, n), matvec=matvec, dtype=mat.dtype)
-        v0 = np.full(n, 1.0 / math.sqrt(n))
+        # a seeded generic start: on abelian models all ones is the
+        # character 0, an eigenvector of M^H M, whose Krylov space stops at
+        # once (41 against 31 products on cyclic:256)
+        v0 = np.random.default_rng(0).standard_normal(n)
         lam, vec = eigsh(op, k=1, which="LA", v0=v0, tol=0)
     sigma = float(math.sqrt(max(float(lam[0]), 0.0)))
     witness = GFunction(model, scale_back * vec[:, 0])
@@ -417,6 +456,9 @@ class _DenseProduct:
         self.mat = mat
         self._adjoint = mat.conj().T
 
+    def keep(self, cols) -> None:
+        """Every column of a block multiplies by the same matrix."""
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         return _times(self.mat, x)
 
@@ -424,13 +466,40 @@ class _DenseProduct:
         return _times(self._adjoint, y)
 
 
-def _boyd_product(f: GFunction, exp: Exponent, cells: np.ndarray):
-    """The cheapest product the model supplies for the iteration on
-    ``cells``: FFT on large cyclic models, else the dense weighted matrix."""
-    model = f.group
-    if model.cyclic_factors is not None and model.n >= _FFT_MIN_N:
-        return _CirculantProduct(f)
-    return _DenseProduct(conv_operator(f).weighted_matrix(exp.p)[:, cells])
+def _smooth_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c that is at least n."""
+    size = n
+    while True:
+        rest = size
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return size
+        size += 1
+
+
+def _boyd_product(fs: list[GFunction], exp: Exponent, cells: np.ndarray,
+                  columns: np.ndarray):
+    """The cheapest product the model supplies for the iteration of every f
+    in ``fs`` on ``cells``, block column j multiplying by fs[columns[j]].
+
+    A lone f multiplies by the FFT on cyclic models of at least
+    ``_FFT_MIN_N`` cells, else by the dense weighted matrix.  Several f
+    share one FFT: over the factor axes on cyclic models, and on lattices
+    over the window torus, the smallest 5-smooth period per axis that is at
+    least the window side (18 on z2:8, 135 on z:64).  Only lattices and
+    cyclic models get several f (see ``_boyd_norms``)."""
+    model = fs[0].group
+    if len(fs) == 1:
+        if model.cyclic_factors is not None and model.n >= _FFT_MIN_N:
+            return _CirculantProduct(fs[0])
+        return _DenseProduct(conv_operator(fs[0]).weighted_matrix(exp.p)[:, cells])
+    if model.cyclic_factors is not None:
+        return _CirculantProduct(fs, columns=columns)
+    carrier: _LatticeCarrier = model.carrier
+    torus = (_smooth_size(carrier.side),) * carrier.dim
+    return _CirculantProduct(fs, torus, cells, columns)
 
 
 def _boyd_cells(f: GFunction) -> tuple[np.ndarray, int]:
@@ -468,24 +537,53 @@ def _boyd_starts(m: int, first: int, count: int, seed: int) -> np.ndarray:
     return starts[:, :count]
 
 
-def _boyd(f: GFunction, exp: Exponent, cfg: IterConfig) -> NormEstimate:
-    model = f.group
-    cells, centre = _boyd_cells(f)
-    product = _boyd_product(f, exp, cells)
-    upper = upper_bound_weighted_l1(f, exp)
-    starts = _boyd_starts(cells.size, int(np.searchsorted(cells, centre)),
-                          cfg.restarts, cfg.seed)
+def _boyd_norms(fs: list[GFunction], exp: Exponent, cfg: IterConfig) -> list[NormEstimate]:
+    """Boyd estimates of nonzero f on one model, the restarts of every f
+    that shares a block advancing as its columns.
 
-    gamma, x, iters, converged, matvecs = _boyd_block(product, exp, starts, cfg)
+    f with the same cells (all of them off lattices, the eroded box D on
+    lattices) share blocks of at most ``_BLOCK_COLS`` columns on cyclic
+    models and lattices; every other model runs one dense block per f.
+    Every f starts from the same ``cfg.restarts`` starts, so its estimate
+    is the one a block of its own gives, up to rounding."""
+    model = fs[0].group
+    if model.cyclic_factors is None and model.n > DENSE_CAP:
+        raise ResourceError(f"dense operator for n={model.n} exceeds the cap {DENSE_CAP}")
+    shared = model.cyclic_factors is not None or isinstance(model.carrier, _LatticeCarrier)
+    width = max(1, _BLOCK_COLS // cfg.restarts) if shared else 1
+    plans = [_boyd_cells(f) for f in fs]
+    groups: dict[bytes, list[int]] = {}
+    for i, (cells, _) in enumerate(plans):
+        groups.setdefault(cells.tobytes(), []).append(i)
+    out: list[NormEstimate | None] = [None] * len(fs)
+    k = cfg.restarts
+    for members in groups.values():
+        cells, centre = plans[members[0]]
+        starts = _boyd_starts(cells.size, int(np.searchsorted(cells, centre)), k, cfg.seed)
+        for lo in range(0, len(members), width):
+            block = members[lo:lo + width]
+            columns = np.repeat(np.arange(len(block)), k)
+            product = _boyd_product([fs[i] for i in block], exp, cells, columns)
+            run = _boyd_block(product, exp, np.tile(starts, len(block)), cfg)
+            for j, i in enumerate(block):
+                own = slice(j * k, (j + 1) * k)
+                out[i] = _boyd(fs[i], exp, cells, [part[..., own] for part in run])
+    return out
+
+
+def _boyd(f: GFunction, exp: Exponent, cells: np.ndarray, run) -> NormEstimate:
+    """f's estimate from its restarts' columns of a block run on ``cells``."""
+    model = f.group
+    gamma, x, iters, converged, products = run
     best = int(np.argmax(gamma))  # the first restart with the largest ratio
     top = float(gamma[best])
     vec = np.zeros(model.n, dtype=np.complex128)
     vec[cells] = x[:, best]
     witness = GFunction(model, (model.weights ** (-1.0 / exp.p)) * vec)
     spread = (top - float(gamma.min())) / top if top > 0 else 0.0
-    return NormEstimate(top, upper, METHOD_BOYD, iterations=int(iters.max()),
-                        converged=bool(np.all(converged)), witness=witness,
-                        matvecs=matvecs, restart_spread=spread)
+    return NormEstimate(top, upper_bound_weighted_l1(f, exp), METHOD_BOYD,
+                        iterations=int(iters.max()), converged=bool(np.all(converged)),
+                        witness=witness, matvecs=int(products.sum()), restart_spread=spread)
 
 
 def _boyd_block(product, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
@@ -496,11 +594,12 @@ def _boyd_block(product, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
     A column freezes once its ratio moves by at most tol * max(1, ratio)
     between two steps, once the ratio is 0, or once the dual step vanishes.
     The active columns are kept as one compact block, gathered again only
-    when a column freezes.  Each step takes |y| and |z| once: with the
-    magnitudes floored at the smallest normal double, y |y|^(p-2) is the
-    signed power of y, |y|^(p-2) |y|^2 its p-th power, and likewise z with
-    q, since |z|^((q-1) p) = |z|^q.  Returns per column the last ratio,
-    vector, step count and convergence flag, and the number of products.
+    when a column freezes, and ``product.keep`` is told which columns they
+    are.  Each step takes |y| and |z| once: with the magnitudes floored at
+    the smallest normal double, y |y|^(p-2) is the signed power of y,
+    |y|^(p-2) |y|^2 its p-th power, and likewise z with q, since
+    |z|^((q-1) p) = |z|^q.  Returns per column the last ratio, vector, step
+    count, convergence flag and number of products.
     """
     p, q = exp.p, exp.q
     k = starts.shape[1]
@@ -508,15 +607,15 @@ def _boyd_block(product, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
     gamma = np.zeros(k)
     iters = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
+    products = np.zeros(k, dtype=np.int64)
     # the active columns, their current vectors and their previous ratios
     cols, xa, prev = np.arange(k), x, np.full(k, -math.inf)
-    matvecs = 0
     for step in range(1, cfg.max_iters + 1):
         y = product.apply(xa)
         mag = np.abs(y)
         power = np.maximum(mag, _TINY) ** (p - 2.0)
         g = _column_sums(power * mag * mag) ** (1.0 / p)
-        matvecs += cols.size
+        products[cols] += 1
         iters[cols] = step
         gamma[cols] = g
         done = (g == 0.0) | (np.abs(g - prev) <= cfg.tol * np.maximum(1.0, g))
@@ -527,10 +626,11 @@ def _boyd_block(product, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
             cols, xa, y, power, g = cols[go], xa[:, go], y[:, go], power[:, go], g[go]
             if cols.size == 0:
                 break
+            product.keep(cols)
         prev = g
         y *= power
         z = product.adjoint(y)
-        matvecs += cols.size
+        products[cols] += 1
         mag = np.abs(z)
         power = np.maximum(mag, _TINY) ** (q - 2.0)
         nrm = _column_sums(power * mag * mag) ** (1.0 / p)
@@ -541,14 +641,15 @@ def _boyd_block(product, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
                                          nrm[moved], prev[moved])
             if cols.size == 0:
                 break
+            product.keep(cols)
         power /= nrm
         z *= power
         xa = z
     else:  # out of steps: rate the last update
         gamma[cols] = _plain_pnorm(product.apply(xa), p)
         x[:, cols] = xa
-        matvecs += cols.size
-    return gamma, x, iters, converged, matvecs
+        products[cols] += 1
+    return gamma, x, iters, converged, products
 
 
 # ---------------------------------------------------------------------------
@@ -567,19 +668,26 @@ def dirac_scaling_check(f: GFunction, x, p) -> tuple[float, float]:
     step refinement removes.  Exact routes make the two readings coincide
     everywhere else.
     """
+    return dirac_scaling_checks(f, [x], p)[0]
+
+
+def dirac_scaling_checks(f: GFunction, points, p) -> list[tuple[float, float]]:
+    """``dirac_scaling_check`` at every x in ``points``, with one norm of f
+    and the norms of f and its translates from one ``tempered_norms`` call."""
     exp = Exponent.of(p)
-    shifted = translate(f, x, RIGHT_DIRAC)
+    family = [f] + [translate(f, x, RIGHT_DIRAC) for x in points]
     if isinstance(f.group.carrier, _AffineCarrier):
-        num = tempered_upper(shifted, exp)
-        den = tempered_upper(f, exp)
+        den, *nums = [tempered_upper(g, exp) for g in family]
     else:
-        num = tempered_norm(shifted, exp).value
-        den = tempered_norm(f, exp).value
+        den, *nums = [est.value for est in tempered_norms(family, exp)]
     if den == 0.0:
         raise DomainError("dirac scaling needs a nonzero f")
-    delta = point_modular(f.group, x)
-    expected = delta ** (-1.0 / exp.q) if math.isfinite(exp.q) else 1.0
-    return num / den, expected
+    out = []
+    for x, num in zip(points, nums):
+        delta = point_modular(f.group, x)
+        expected = delta ** (-1.0 / exp.q) if math.isfinite(exp.q) else 1.0
+        out.append((num / den, expected))
+    return out
 
 
 def re_im_closure_check(f: GFunction, p) -> float:
@@ -588,11 +696,19 @@ def re_im_closure_check(f: GFunction, p) -> float:
 
     With certified bounds the sound comparison is lower(part) <= 2 * upper(f).
     """
+    return re_im_closure_checks([f], p)[0]
+
+
+def re_im_closure_checks(fs, p) -> list[float]:
+    """``re_im_closure_check`` of every f, with the norms of all real and
+    imaginary parts from one ``tempered_norms`` call."""
     exp = Exponent.of(p)
-    bound = 2.0 * tempered_upper(f, exp)
-    re_lower = tempered_norm(real_part(f), exp).lower
-    im_lower = tempered_norm(imag_part(f), exp).lower
-    return max(re_lower - bound, im_lower - bound, 0.0)
+    parts = tempered_norms([part(f) for f in fs for part in (real_part, imag_part)], exp)
+    out = []
+    for i, f in enumerate(fs):
+        bound = 2.0 * tempered_upper(f, exp)
+        out.append(max(parts[2 * i].lower - bound, parts[2 * i + 1].lower - bound, 0.0))
+    return out
 
 
 def quasi_identity_blowup(model: GroupModel, p, count: int) -> list[float]:

@@ -10,15 +10,15 @@ if str(SRC) not in sys.path:
 
 @pytest.fixture
 def boyd_calls(monkeypatch):
-    """The models of the calls that reach the Boyd iteration, in order."""
+    """The model of each f that reaches the Boyd iteration, in order."""
     from ltp import tempered
 
     calls = []
-    original = tempered._boyd
+    original = tempered._boyd_norms
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].group.name)
-        return original(*args, **kwargs)
+    def counting(fs, *args, **kwargs):
+        calls.extend(f.group.name for f in fs)
+        return original(fs, *args, **kwargs)
 
-    monkeypatch.setattr(tempered, "_boyd", counting)
+    monkeypatch.setattr(tempered, "_boyd_norms", counting)
     return calls
