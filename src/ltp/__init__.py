@@ -22,8 +22,8 @@ from .space import (Exponent, GFunction, box_function, decompose_l1_linf,
                     random_function, real_part, reflect, translate,
                     weighted_l1_norm, LEFT_DIRAC, RIGHT_DIRAC)
 from .convolve import ConvOperator, associativity_check, conv_operator, convolve
-from .tempered import (IterConfig, NormEstimate, dirac_scaling_check,
-                       quasi_identity_blowup, re_im_closure_check,
+from .tempered import (IterConfig, NormEstimate, dirac_scaling_checks,
+                       quasi_identity_blowup, re_im_closure_checks,
                        tempered_norm, tempered_norms, tempered_upper,
                        upper_bound_weighted_l1)
 from .spectral import (DualModel, build_dual, character_orthogonality_residual,

@@ -74,9 +74,12 @@ def parse_function_source(model, source: str) -> GFunction:
 
 def _parse_p_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        p_values = [float(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise SpecParseError(f"cannot parse exponent list {text!r}") from exc
+    if not p_values:
+        raise SpecParseError(f"exponent list {text!r} names no exponent")
+    return p_values
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -17,8 +17,7 @@ import numpy as np
 from .errors import DomainError, NotPositiveError, WindowTooSmall
 from .groups import KIND_LATTICE, GroupModel, _LatticeCarrier
 from .convolve import convolve
-from .space import (Exponent, GFunction, inner, lp_norm, modular_reflect,
-                    weighted_l1_norm, _cell)
+from .space import Exponent, GFunction, inner, lp_norm, modular_reflect, _cell
 from .tempered import tempered_norm, upper_bound_weighted_l1
 
 
@@ -153,4 +152,4 @@ def positive_norm_equality(f: GFunction, p) -> tuple[float, float]:
     if not f.is_real or np.any(f.values.real < 0):
         raise NotPositiveError("positive-cone equality needs f >= 0")
     exp = Exponent.of(p)
-    return tempered_norm(f, exp).value, weighted_l1_norm(f, exp)
+    return tempered_norm(f, exp).value, upper_bound_weighted_l1(f, exp)

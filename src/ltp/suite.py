@@ -6,8 +6,8 @@ Checks declare the model properties they need (kind, normalization, an
 abelian character table, a regime of exponents); a model that lacks them
 yields a skipped result with an explanatory note rather than a failure.
 Results are deterministic for fixed (spec, p list, seed): every check draws
-from its own generator seeded by (seed, check name), so neither registry
-order nor the LTP_THREADS worker count can change a single observed value.
+from its own generator seeded by (seed, check name), so registry order
+cannot change a single observed value.
 
 A statement is read from the end of the certified bracket [lower, upper]
 that proves it: a bound on ||f||_p^T from above reads ``upper`` (through
@@ -19,17 +19,15 @@ refutation form lower(part) <= 2 upper(f).
 from __future__ import annotations
 
 import math
-import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .errors import LtpError
+from .errors import DomainError, LtpError
 from .groups import (COUNTING, KIND_FINITE, KIND_LATTICE, KIND_QUADRATURE,
                      PROBABILITY, GroupModel, GroupSpec, _AffineCarrier,
                      _LatticeCarrier, build_group, validate_group,
@@ -727,28 +725,17 @@ def run_suite(spec: GroupSpec | str, p_list=(2.0,), seed: int = 0,
     aggregate the results in registry order.
 
     ``tol_overrides`` maps check names (without the @p suffix) to tolerances.
-    The worker count comes from LTP_THREADS; results do not depend on it.
+    An empty ``p_list`` raises ``DomainError``.
     """
     registry_self_test()
+    p_values = [float(p) for p in p_list]
+    if not p_values:
+        raise DomainError("run_suite needs at least one exponent")
     if model is None:
         model = build_group(spec)
-    spec_text = model.spec.text
     overrides = tol_overrides or {}
-    p_values = [float(p) for p in p_list] or [2.0]
-
-    tasks = [(check, p) for check in REGISTRY
-             for p in (p_values if check.per_p else [None])]
-
-    def run_one(task):
-        check, p = task
-        return _execute_check(check, model, p, seed, overrides, timings)
-
-    workers = int(os.environ.get("LTP_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, tasks))
-    else:
-        results = [run_one(task) for task in tasks]
-
-    return SuiteReport(version=__version__, spec=spec_text, seed=int(seed),
+    results = [_execute_check(check, model, p, seed, overrides, timings)
+               for check in REGISTRY
+               for p in (p_values if check.per_p else [None])]
+    return SuiteReport(version=__version__, spec=model.spec.text, seed=int(seed),
                        checks=results)

@@ -282,7 +282,7 @@ def _exact_l1(f: GFunction) -> NormEstimate:
         col[start:stop] = w @ np.abs(block)  # sum_x |M[x, y]| / w_y
     best = int(np.argmax(col))
     lower = float(col[best])
-    upper = weighted_l1_norm(f, math.inf)
+    upper = upper_bound_weighted_l1(f, 1.0)
     witness = np.zeros(n)
     witness[best] = 1.0
     return NormEstimate(lower, max(lower, upper), METHOD_EXACT_L1,
@@ -407,7 +407,7 @@ def _exact_svd(f: GFunction) -> NormEstimate:
         # the singular value is exact for the window section only; the norm
         # of the lattice or group the window stands for lies between it and
         # the weighted-L1 bound
-        upper = max(sigma, weighted_l1_norm(f, 2.0))
+        upper = max(sigma, upper_bound_weighted_l1(f, 2.0))
     return NormEstimate(sigma, upper, METHOD_EXACT_SVD, witness=witness)
 
 
@@ -657,9 +657,10 @@ def _boyd_block(product, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
 # ---------------------------------------------------------------------------
 
 
-def dirac_scaling_check(f: GFunction, x, p) -> tuple[float, float]:
-    """Measure ||f * delta_x||_p^T / ||f||_p^T and return it with the
-    predicted value Delta(x)^{-1/q} (1 on unimodular models).
+def dirac_scaling_checks(f: GFunction, points, p) -> list[tuple[float, float]]:
+    """For every x in ``points``, measure ||f * delta_x||_p^T / ||f||_p^T
+    and return it with the predicted value Delta(x)^{-1/q} (1 on unimodular
+    models).  f and its translates are normed in one ``tempered_norms`` call.
 
     On the affine quadrature model the ratio compares the certified upper
     bounds: for the positive probes the suites use they equal the true norms
@@ -668,12 +669,6 @@ def dirac_scaling_check(f: GFunction, x, p) -> tuple[float, float]:
     step refinement removes.  Exact routes make the two readings coincide
     everywhere else.
     """
-    return dirac_scaling_checks(f, [x], p)[0]
-
-
-def dirac_scaling_checks(f: GFunction, points, p) -> list[tuple[float, float]]:
-    """``dirac_scaling_check`` at every x in ``points``, with one norm of f
-    and the norms of f and its translates from one ``tempered_norms`` call."""
     exp = Exponent.of(p)
     family = [f] + [translate(f, x, RIGHT_DIRAC) for x in points]
     if isinstance(f.group.carrier, _AffineCarrier):
@@ -690,18 +685,13 @@ def dirac_scaling_checks(f: GFunction, points, p) -> list[tuple[float, float]]:
     return out
 
 
-def re_im_closure_check(f: GFunction, p) -> float:
-    """The worst violation of ||Re f||_p^T <= 2 ||f||_p^T and its
-    imaginary-part twin, 0 when both hold.
+def re_im_closure_checks(fs, p) -> list[float]:
+    """For every f, the worst violation of ||Re f||_p^T <= 2 ||f||_p^T and
+    its imaginary-part twin, 0 when both hold.  The norms of all real and
+    imaginary parts come from one ``tempered_norms`` call.
 
     With certified bounds the sound comparison is lower(part) <= 2 * upper(f).
     """
-    return re_im_closure_checks([f], p)[0]
-
-
-def re_im_closure_checks(fs, p) -> list[float]:
-    """``re_im_closure_check`` of every f, with the norms of all real and
-    imaginary parts from one ``tempered_norms`` call."""
     exp = Exponent.of(p)
     parts = tempered_norms([part(f) for f in fs for part in (real_part, imag_part)], exp)
     out = []

@@ -2,7 +2,6 @@
 
 import ast
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 import ltp
+from ltp import suite
 from ltp.cli import main, parse_function_source
 from ltp.report import CheckResult, SuiteReport, emit_report
 from ltp.suite import (REGISTRY, CheckDef, _execute_check, coverage_gaps,
@@ -252,19 +252,17 @@ def test_report_determinism_same_inputs():
     assert a != c
 
 
-def test_report_determinism_across_thread_counts():
-    previous = os.environ.get("LTP_THREADS")
-    try:
-        os.environ["LTP_THREADS"] = "1"
-        a = run_suite("cyclic:16@counting", [2.0], seed=7).to_json()
-        os.environ["LTP_THREADS"] = "8"
-        b = run_suite("cyclic:16@counting", [2.0], seed=7).to_json()
-    finally:
-        if previous is None:
-            os.environ.pop("LTP_THREADS", None)
-        else:
-            os.environ["LTP_THREADS"] = previous
-    assert a == b
+@pytest.mark.parametrize("spec", ["cyclic:16@counting", "z:64", "affine:0.125:1:0.125:1"])
+def test_report_independent_of_registry_order(spec, monkeypatch):
+    # each check draws from its own generator, seeded by (seed, check name)
+    model = ltp.build_group(spec)
+    forward = run_suite(spec, [2.0, 1.5], seed=7, model=model)
+    monkeypatch.setattr(suite, "REGISTRY", suite.REGISTRY[::-1])
+    backward = run_suite(spec, [2.0, 1.5], seed=7, model=model)
+    assert len(backward.checks) == len(forward.checks)
+    by_name = {check.name: check.to_dict() for check in backward.checks}
+    for check in forward.checks:
+        assert by_name[check.name] == check.to_dict(), check.name
 
 
 def test_timings_flag_populates_runtime():
@@ -314,6 +312,20 @@ def test_cli_parse_errors_exit_2(capsys):
     assert main(["norm", "--group", "cyclic:4", "--f", "1,burp", "--p", "2"]) == 2
     assert main(["norm", "--group", "cyclic:4", "--f", "1,2", "--p", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("p_text", ["", ","])
+def test_cli_empty_exponent_list_exits_2(p_text, capsys):
+    assert main(["norm", "--group", "cyclic:4", "--f", "dirac", "--p", p_text]) == 2
+    assert main(["suite", "--group", "cyclic:4", "--p", p_text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "names no exponent" in captured.err
+
+
+def test_run_suite_refuses_an_empty_exponent_list():
+    with pytest.raises(ltp.DomainError, match="at least one exponent"):
+        run_suite("cyclic:4", [])
 
 
 def test_cli_norm_honours_small_restart_counts(capsys):
@@ -510,6 +522,21 @@ def test_no_module_has_an_unused_import():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_no_module_reads_the_environment():
+    # an environment variable would be an option that no signature shows
+    reads = []
+    for path in sorted(Path(ltp.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                reads.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno} from os import {alias.name}"
+                          for alias in node.names if alias.name in ("environ", "getenv")]
+    assert reads == []
 
 
 def test_cli_spectral(capsys):

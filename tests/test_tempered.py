@@ -692,11 +692,10 @@ def test_dirac_scaling_unimodular():
     rng = np.random.default_rng(6)
     G = ltp.build_group("cyclic:12@counting")
     f = ltp.random_function(G, rng)
-    for x in (1, 5, 11):
-        ratio, expected = ltp.dirac_scaling_check(f, x, 2)
+    for ratio, expected in ltp.dirac_scaling_checks(f, [1, 5, 11], 2):
         assert expected == 1.0
         assert ratio == pytest.approx(1.0, abs=1e-9)
-    ratio, _ = ltp.dirac_scaling_check(f, G.identity, 2)
+    [(ratio, _)] = ltp.dirac_scaling_checks(f, [G.identity], 2)
     assert ratio == pytest.approx(1.0, abs=1e-13)
 
 
@@ -711,7 +710,7 @@ def test_dirac_scaling_lattice_p15_is_translation_invariant(spec):
         for positive in (True, False):
             f = ltp.random_function(G, seed, positive=positive,
                                     support_radius=_support_radius(G))
-            ratio, expected = ltp.dirac_scaling_check(f, x, 1.5)
+            [(ratio, expected)] = ltp.dirac_scaling_checks(f, [x], 1.5)
             assert expected == 1.0
             assert abs(ratio - 1.0) <= 1e-12, (seed, positive, ratio)
 
@@ -734,7 +733,7 @@ def test_dirac_scaling_affine_coarse():
                   np.cos(0.5 * np.pi * (u + 0.3465) / 0.96) ** 2, 0.0)
     fb = np.where(np.abs(b) < 2.0, np.cos(0.25 * np.pi * b) ** 2, 0.0)
     f = ltp.GFunction(G, fu * fb)
-    ratio, expected = ltp.dirac_scaling_check(f, (2.0, 0.0), 2)
+    [(ratio, expected)] = ltp.dirac_scaling_checks(f, [(2.0, 0.0)], 2)
     assert expected == pytest.approx(math.sqrt(2.0), abs=1e-15)
     assert ratio == pytest.approx(expected, rel=0.05)
 
@@ -751,15 +750,14 @@ def test_re_im_closure_real_function():
     im_norm = tempered_norm(ltp.imag_part(f), 2).value
     assert re_norm == pytest.approx(whole, rel=1e-12)
     assert im_norm == 0.0
-    assert ltp.re_im_closure_check(f, 2) <= 1e-9
+    assert ltp.re_im_closure_checks([f], 2)[0] <= 1e-9
 
 
 def test_re_im_closure_random_batch():
     rng = np.random.default_rng(12)
     G = ltp.build_group("cyclic:12@counting")
-    for _ in range(200):
-        f = ltp.random_function(G, rng)
-        assert ltp.re_im_closure_check(f, 2) <= 1e-9
+    fs = [ltp.random_function(G, rng) for _ in range(200)]
+    assert max(ltp.re_im_closure_checks(fs, 2)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
