@@ -20,8 +20,8 @@ from .space import (Exponent, GFunction, box_function, decompose_l1_linf,
                     gauss_function, imag_part, inner, lp_norm,
                     modular_reflect, negative_part, positive_part,
                     random_function, real_part, reflect, translate,
-                    weighted_l1_norm, LEFT_DIRAC, RIGHT_DIRAC)
-from .convolve import ConvOperator, associativity_check, conv_operator, convolve
+                    LEFT_DIRAC, RIGHT_DIRAC)
+from .convolve import ConvOperator, associativity_check, convolve
 from .tempered import (IterConfig, NormEstimate, dirac_scaling_checks,
                        quasi_identity_blowup, re_im_closure_checks,
                        tempered_norm, tempered_norms, tempered_upper,

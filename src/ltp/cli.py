@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .errors import LtpError, ResourceError, SpecParseError
 from .groups import build_group
-from .report import check_writable, emit_report, render_report
+from .report import FORMATS, check_writable, emit_report, render_report
 from .space import GFunction, box_function, dirac, gauss_function, random_function
 from .spectral import build_dual, fourier, plancherel_restricted_isometry
 from .suite import run_suite
@@ -79,6 +79,8 @@ def _parse_p_list(text: str) -> list[float]:
         raise SpecParseError(f"cannot parse exponent list {text!r}") from exc
     if not p_values:
         raise SpecParseError(f"exponent list {text!r} names no exponent")
+    if len(set(p_values)) < len(p_values):
+        raise SpecParseError(f"exponent list {text!r} names an exponent twice")
     return p_values
 
 
@@ -94,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--p", default="2", help="comma-separated exponents (default 2)")
     suite.add_argument("--seed", type=int, default=0)
     suite.add_argument("--out", default="", help="write the report to this path")
-    suite.add_argument("--format", default="json", choices=("json", "csv", "markdown"))
+    suite.add_argument("--format", default="json", choices=FORMATS)
     suite.add_argument("--timings", action="store_true",
                        help="include wall-clock runtime_ms (breaks byte-determinism)")
     suite.add_argument("--config", default="", help="key=value file mirroring the flags")

@@ -304,10 +304,6 @@ def _operator_matrix(f: GFunction) -> np.ndarray:
     return out * model.weights[None, :]
 
 
-def conv_operator(f: GFunction) -> ConvOperator:
-    return ConvOperator(f)
-
-
 def associativity_check(f: GFunction, g: GFunction, h: GFunction) -> float:
     """L2 norm of (f*g)*h - f*(g*h); bounded by 1e-10 on finite models where
     the Fubini exchange is a finite sum.  Uses the direct summation path so

@@ -9,7 +9,6 @@ certificate is re-verified by exhaustive intersection counting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +128,7 @@ def averaging_inequality_check(f: GFunction, cert: FolnerCertificate,
     chi = np.zeros(model.n)
     chi[cert.k_indices] = 1.0
     g = GFunction(model, chi / measure ** (1.0 / exp.p))
-    q_power = 0.0 if math.isinf(exp.q) else 1.0 / exp.q
-    h = GFunction(model, chi / measure ** q_power)
+    h = GFunction(model, chi / measure ** (1.0 / exp.q))
 
     f_tilde = modular_reflect(f, exp)
     pairing = inner(convolve(f_tilde, g), h).real

@@ -1,7 +1,6 @@
-"""Functions on group models: Lp norms, weighted L1, and the elementary
-transforms (reflection, modular reflection, real/imaginary/positive parts,
-L1 + Linf splitting), plus Dirac translations and the empirical modular
-estimate.
+"""Functions on group models: Lp norms and the elementary transforms
+(reflection, modular reflection, real/imaginary/positive parts, L1 + Linf
+splitting), plus Dirac translations and the empirical modular estimate.
 
 On every model reflection, both Dirac translations and the modular
 estimate are one pull-back, :func:`_pull`: each states its maps with the
@@ -36,7 +35,8 @@ DEFAULT_MAX_LEAK = 1e-6
 class Exponent:
     """A Lebesgue exponent p in [1, inf) with its conjugate q, 1/p + 1/q = 1.
 
-    q is math.inf when p == 1.
+    q is math.inf when p == 1, and formulas in q hold there as written:
+    IEEE arithmetic gives 1/q = 0 and Delta^(-1/q) = 1.
     """
 
     p: float
@@ -137,20 +137,6 @@ def ess_sup(f: GFunction) -> float:
     if not np.any(mask):
         return 0.0
     return float(np.max(np.abs(f.values[mask])))
-
-
-def weighted_l1_norm(f: GFunction, q) -> float:
-    """sum_i w_i |f_i| Delta(x_i)^(-1/q), the weighted-L1 norm with
-    weight Delta^(-1/q).  Accepts q directly or an Exponent (whose q is used).
-    """
-    if isinstance(q, Exponent):
-        q = q.q
-    q = float(q)
-    if math.isinf(q):
-        omega = 1.0
-    else:
-        omega = f.group.modular ** (-1.0 / q)
-    return float(np.sum(f.group.weights * np.abs(f.values) * omega))
 
 
 def inner(f: GFunction, g: GFunction) -> complex:

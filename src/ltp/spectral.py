@@ -45,10 +45,6 @@ class DualModel:
     dual_group: GroupModel
     characters: np.ndarray = field(repr=False)
 
-    @property
-    def dual_weights(self) -> np.ndarray:
-        return self.dual_group.weights
-
 
 def build_dual(model: GroupModel) -> DualModel:
     """Characters of a declared product of cyclic groups.
@@ -99,7 +95,7 @@ def fourier(dual: DualModel, f: GFunction) -> GFunction:
 def inverse_fourier(dual: DualModel, g: GFunction) -> GFunction:
     """g_check(x) = sum_k w'_k g(chi_k) chi_k(x), back on the base model."""
     dual.dual_group.require_same(g.group)
-    values = dual.characters.T @ (dual.dual_weights * g.values)
+    values = dual.characters.T @ (dual.dual_group.weights * g.values)
     return GFunction(dual.base, values)
 
 

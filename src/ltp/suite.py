@@ -265,8 +265,7 @@ def _run_holder(ctx: SuiteContext):
     f = _random_probe(ctx.model, ctx.rng)
     g = _random_probe(ctx.model, ctx.rng)
     lhs = abs(inner(f, g))
-    q = ctx.p.q
-    return lhs - lp_norm(f, ctx.p) * (ess_sup(g) if math.isinf(q) else lp_norm(g, q))
+    return lhs - lp_norm(f, ctx.p) * lp_norm(g, ctx.p.q)
 
 
 def _run_reflect_norm(ctx: SuiteContext):
@@ -356,8 +355,7 @@ def _upper_within(bound: Callable[[GFunction, Exponent], float]):
 
 def _run_finite_equivalence(ctx: SuiteContext):
     model = ctx.model
-    q = ctx.p.q
-    growth = 1.0 if math.isinf(q) else model.n ** (1.0 / q)
+    growth = model.n ** (1.0 / ctx.p.q)
     c_lower, c_upper = (1.0, growth) if model.normalization == COUNTING else (growth, 1.0)
     fs = _probes(ctx)
     measured = []
@@ -725,12 +723,15 @@ def run_suite(spec: GroupSpec | str, p_list=(2.0,), seed: int = 0,
     aggregate the results in registry order.
 
     ``tol_overrides`` maps check names (without the @p suffix) to tolerances.
-    An empty ``p_list`` raises ``DomainError``.
+    An empty ``p_list``, or one naming an exponent twice (2 and 2.0 alike),
+    raises ``DomainError``: each check name appears once in a report.
     """
     registry_self_test()
     p_values = [float(p) for p in p_list]
     if not p_values:
         raise DomainError("run_suite needs at least one exponent")
+    if len(set(p_values)) < len(p_values):
+        raise DomainError(f"run_suite got a repeated exponent in {p_values}")
     if model is None:
         model = build_group(spec)
     overrides = tol_overrides or {}

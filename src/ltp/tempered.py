@@ -93,9 +93,9 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import DomainError, GridTooCoarse, LtpError, ResourceError
 from .groups import KIND_FINITE, KIND_QUADRATURE, GroupModel, _AffineCarrier, _LatticeCarrier
-from .convolve import DENSE_CAP, _CirculantProduct, _kernel_blocks, conv_operator, convolve
+from .convolve import DENSE_CAP, ConvOperator, _CirculantProduct, _kernel_blocks, convolve
 from .space import (Exponent, GFunction, imag_part, lp_norm, point_modular,
-                    real_part, translate, weighted_l1_norm, RIGHT_DIRAC)
+                    real_part, translate, RIGHT_DIRAC)
 
 # Largest model whose p = 2 singular value comes from dense ``eigh`` of
 # M^H M; above it the Lanczos iteration is cheaper (measured, see the
@@ -179,9 +179,11 @@ class NormEstimate:
 def upper_bound_weighted_l1(f: GFunction, p) -> float:
     """The weighted-L1 upper bound: integral of |f| Delta^{-1/q}.
 
-    Never below the tempered norm, on every model.
+    Never below the tempered norm, on every model.  At p = 1 the weight is
+    1 and this is ||f||_1.
     """
-    return weighted_l1_norm(f, Exponent.of(p))
+    omega = f.group.modular ** (-1.0 / Exponent.of(p).q)
+    return float(np.sum(f.group.weights * np.abs(f.values) * omega))
 
 
 def tempered_upper(f: GFunction, p, method: str = "auto") -> float:
@@ -383,7 +385,7 @@ def _symbol_supremum(f: GFunction) -> NormEstimate:
 def _exact_svd(f: GFunction) -> NormEstimate:
     model = f.group
     n = model.n
-    mat = conv_operator(f).weighted_matrix(2)
+    mat = ConvOperator(f).weighted_matrix(2)
     scale_back = model.weights ** (-0.5)
     # the top eigenpair of M^H M: sigma^2 and the top right singular vector
     if n <= _SVD_DENSE_CAP:
@@ -494,7 +496,7 @@ def _boyd_product(fs: list[GFunction], exp: Exponent, cells: np.ndarray,
     if len(fs) == 1:
         if model.cyclic_factors is not None and model.n >= _FFT_MIN_N:
             return _CirculantProduct(fs[0])
-        return _DenseProduct(conv_operator(fs[0]).weighted_matrix(exp.p)[:, cells])
+        return _DenseProduct(ConvOperator(fs[0]).weighted_matrix(exp.p)[:, cells])
     if model.cyclic_factors is not None:
         return _CirculantProduct(fs, columns=columns)
     carrier: _LatticeCarrier = model.carrier
@@ -677,12 +679,8 @@ def dirac_scaling_checks(f: GFunction, points, p) -> list[tuple[float, float]]:
         den, *nums = [est.value for est in tempered_norms(family, exp)]
     if den == 0.0:
         raise DomainError("dirac scaling needs a nonzero f")
-    out = []
-    for x, num in zip(points, nums):
-        delta = point_modular(f.group, x)
-        expected = delta ** (-1.0 / exp.q) if math.isfinite(exp.q) else 1.0
-        out.append((num / den, expected))
-    return out
+    return [(num / den, point_modular(f.group, x) ** (-1.0 / exp.q))
+            for x, num in zip(points, nums)]
 
 
 def re_im_closure_checks(fs, p) -> list[float]:

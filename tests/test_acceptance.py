@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import minimize
 
 import ltp
-from ltp.convolve import conv_operator
+from ltp.convolve import ConvOperator
 from ltp.spectral import build_dual, fourier, plancherel_restricted_isometry
 from ltp.tempered import IterConfig, tempered_norm, upper_bound_weighted_l1
 
@@ -157,7 +157,7 @@ def brute_force_oracle(f, p, samples=100000, seed=515):
     """Best ratio ||g*f||_p / ||g||_p over random unit vectors, then a local
     polish with a derivative-free optimizer.  Independent of the library's
     iteration."""
-    mat = conv_operator(f).weighted_matrix(p).astype(np.complex128)
+    mat = ConvOperator(f).weighted_matrix(p).astype(np.complex128)
     n = mat.shape[0]
     rng = np.random.default_rng(seed)
     candidates = rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))

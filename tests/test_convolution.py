@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ltp
-from ltp.convolve import _CirculantProduct, conv_operator
+from ltp.convolve import ConvOperator, _CirculantProduct
 from ltp.errors import ModelMismatchError
 from ltp.groups import KIND_FINITE, _AffineCarrier
 
@@ -114,7 +114,7 @@ def test_operator_matrix_is_circulant_with_first_column_f():
     G = ltp.build_group("cyclic:6@counting")
     rng = np.random.default_rng(0)
     f = ltp.random_function(G, rng)
-    mat = conv_operator(f).matrix()
+    mat = ConvOperator(f).matrix()
     assert np.allclose(mat[:, 0], f.values)
     for y in range(6):
         assert np.allclose(mat[:, y], np.roll(f.values, y))
@@ -123,7 +123,7 @@ def test_operator_matrix_is_circulant_with_first_column_f():
 def test_dirac_measure_operator_is_identity():
     for spec in ("cyclic:5@counting", "cyclic:5@probability"):
         G = ltp.build_group(spec)
-        mat = conv_operator(ltp.dirac_measure(G)).matrix()
+        mat = ConvOperator(ltp.dirac_measure(G)).matrix()
         assert np.allclose(mat, np.eye(5), atol=1e-14)
 
 
@@ -134,7 +134,7 @@ def test_direct_path_matches_operator_matrix(spec):
     G = ltp.build_group(spec)
     rng = np.random.default_rng(5)
     for f in (ltp.random_function(G, rng), ltp.random_function(G, rng, complex_valued=False)):
-        mat = conv_operator(f).matrix()
+        mat = ConvOperator(f).matrix()
         for _ in range(5):
             g = ltp.random_function(G, rng)
             expected = mat @ g.values
@@ -192,7 +192,7 @@ def test_affine_kernel_matches_the_per_pair_formula(spec, exact):
     n_u, n_b = G.carrier.n_u, G.carrier.n_b
     rng = np.random.default_rng(23)
     for f in (ltp.random_function(G, rng), ltp.random_function(G, rng, complex_valued=False)):
-        mat = conv_operator(f).matrix()
+        mat = ConvOperator(f).matrix()
         expected = affine_kernel(G, f) * G.weights[None, :]
         if exact:
             assert np.array_equal(mat, expected)
@@ -217,7 +217,7 @@ def test_affine_kernel_averages_each_distinct_entry_once(monkeypatch):
         return out
 
     monkeypatch.setattr(_AffineCarrier, "averaged_rows", counting)
-    conv_operator(ltp.random_function(G, 0)).matrix()
+    ConvOperator(ltp.random_function(G, 0)).matrix()
     # n_u^2 (2 n_b - 1) = 17^2 * 33 entries (u_y, u_x, b_x - b_y), not the
     # n^2 = 289^2 cell pairs
     assert sum(averaged) == 9537
@@ -241,7 +241,7 @@ def test_lattice_kernel_reads_coordinates_not_the_division_table(spec, no_lattic
     rng = np.random.default_rng(17)
     for f in (ltp.random_function(G, rng), ltp.random_function(G, rng, complex_valued=False)):
         kernel = lattice_kernel(G, f)
-        assert np.array_equal(conv_operator(f).matrix(), kernel * G.weights[None, :])
+        assert np.array_equal(ConvOperator(f).matrix(), kernel * G.weights[None, :])
         g = ltp.random_function(G, rng)
         expected = kernel @ (G.weights * g.values)
         got = ltp.convolve(g, f, path="direct").values
@@ -351,7 +351,7 @@ def test_affine_convolution_mass_and_bound():
     got = float(np.sum(A.weights * conv.values.real))
     assert got == pytest.approx(mass * mass, rel=0.02)
     rng = np.random.default_rng(3)
-    bound = ltp.weighted_l1_norm(f, 2.0)
+    bound = ltp.upper_bound_weighted_l1(f, 2.0)
     for _ in range(5):
         g = ltp.random_function(A, rng)
         ratio = ltp.lp_norm(ltp.convolve(g, f), 2) / ltp.lp_norm(g, 2)

@@ -39,10 +39,10 @@ def test_z4_characters_and_dual_weights():
     dual = build_dual(G)
     j, k = np.meshgrid(np.arange(4), np.arange(4), indexing="xy")
     assert np.allclose(dual.characters, (1j) ** (j * k).T, atol=1e-14)
-    assert np.allclose(dual.dual_weights, 0.25)
+    assert np.allclose(dual.dual_group.weights, 0.25)
     # probability pairing flips to counting dual weights
     P = ltp.build_group("cyclic:4@probability")
-    assert np.allclose(build_dual(P).dual_weights, 1.0)
+    assert np.allclose(build_dual(P).dual_group.weights, 1.0)
 
 
 def test_product_characters_orthogonal():

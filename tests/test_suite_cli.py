@@ -1,6 +1,7 @@
 """The theorem suite, report emission, determinism, and the CLI."""
 
 import ast
+import hashlib
 import json
 import subprocess
 import sys
@@ -328,6 +329,32 @@ def test_run_suite_refuses_an_empty_exponent_list():
         run_suite("cyclic:4", [])
 
 
+@pytest.mark.parametrize("p_list", [[2, 2], [2, 2.0], [1.5, 2, 1.5]])
+def test_run_suite_refuses_a_repeated_exponent(p_list):
+    with pytest.raises(ltp.DomainError, match="repeated exponent"):
+        run_suite("cyclic:4", p_list)
+
+
+@pytest.mark.parametrize("p_text", ["2,2", "2,2.0", "1.5,2,1.5"])
+def test_cli_repeated_exponent_exits_2(p_text, capsys):
+    assert main(["norm", "--group", "cyclic:4", "--f", "dirac", "--p", p_text]) == 2
+    assert main(["suite", "--group", "cyclic:4", "--p", p_text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "names an exponent twice" in captured.err
+
+
+def test_suite_at_p1_has_no_failed_check():
+    # q = inf reaches the holder, norm-equivalence and averaging formulas as written
+    passed = set()
+    for spec in ("z:64", "cyclic:16@counting"):
+        report = run_suite(spec, [1.0], seed=0)
+        assert report.summary["fail"] == 0, spec
+        passed |= {c.name for c in report.checks if c.status == "pass"}
+    assert {"holder-pairing@p=1", "finite-norm-equivalence@p=1",
+            "folner-averaging@p=1"} <= passed
+
+
 def test_cli_norm_honours_small_restart_counts(capsys):
     model = ltp.build_group("dihedral:6")
     f = ltp.random_function(model, 3)
@@ -573,6 +600,19 @@ def test_function_source_generators():
     r1 = parse_function_source(G, "random:5")
     r2 = parse_function_source(G, "random:5")
     assert np.array_equal(r1.values, r2.values)
+
+
+def test_suite_digest_hashes_the_report_and_lists_its_checks():
+    script = Path(__file__).resolve().parent.parent / "tools" / "suite_digest.py"
+    report = run_suite("cyclic:4", (2.0, 1.5), seed=0)
+    digest = subprocess.run([sys.executable, str(script), "--spec", "cyclic:4", "0"],
+                            capture_output=True, text=True, check=True, timeout=600).stdout
+    assert digest == f"0 cyclic:4 {hashlib.sha256(report.to_json().encode()).hexdigest()}\n"
+    lines = subprocess.run([sys.executable, str(script), "--checks", "--spec", "cyclic:4", "0"],
+                           capture_output=True, text=True, check=True,
+                           timeout=600).stdout.splitlines()
+    assert lines == [f"0 cyclic:4 {c.name} {c.status} "
+                     f"{'-' if c.observed is None else repr(c.observed)}" for c in report.checks]
 
 
 def test_suite_digest_prints_one_line_per_registry_check():

@@ -231,6 +231,22 @@ def test_weighted_l1_bound_examples():
     assert upper_bound_weighted_l1(zero, 3) == 0.0
 
 
+def _affine_bump(G):
+    coords = G.coords()
+    u, b = coords[:, 0], coords[:, 1]
+    fu = np.where(np.abs(u) < 0.5, np.cos(np.pi * u) ** 2, 0.0)
+    fb = np.where(np.abs(b) < 1.0, np.cos(0.5 * np.pi * b) ** 2, 0.0)
+    return ltp.GFunction(G, fu * fb)
+
+
+def test_weighted_l1_bound_at_p1_is_the_l1_norm_bit_for_bit():
+    # q = inf: Delta^(-1/q) = Delta^(-0) is 1 on every cell, also where Delta != 1
+    G = ltp.build_group("affine:0.25:1:0.25:2")
+    for f in (_affine_bump(G), ltp.random_function(G, np.random.default_rng(0))):
+        assert upper_bound_weighted_l1(f, 1) == ltp.lp_norm(f, 1)
+        assert upper_bound_weighted_l1(f, 2) != ltp.lp_norm(f, 1)
+
+
 def test_lower_bound_never_exceeds_weighted_l1():
     rng = np.random.default_rng(23)
     for spec in ("cyclic:12@counting", "cyclic:12@probability", "dihedral:4",
@@ -325,7 +341,7 @@ def test_block_engine_matches_sequential_restarts(spec):
     from ltp.suite import _random_probe
     G = ltp.build_group(spec)
     f = _random_probe(G, np.random.default_rng(2))
-    mat = ltp.conv_operator(f).weighted_matrix(1.5).astype(np.complex128)
+    mat = ltp.ConvOperator(f).weighted_matrix(1.5).astype(np.complex128)
     _assert_block_matches_sequential(G, f, mat)
 
 
@@ -339,7 +355,7 @@ def test_block_engine_matches_sequential_restarts_on_real_operators(spec, kind):
         f = _random_probe(G, np.random.default_rng(2), positive=True)
     else:
         f = ltp.real_part(_random_probe(G, np.random.default_rng(2)))
-    mat = ltp.conv_operator(f).weighted_matrix(1.5)
+    mat = ltp.ConvOperator(f).weighted_matrix(1.5)
     assert mat.dtype == np.float64
     _assert_block_matches_sequential(G, f, mat)
 
@@ -372,7 +388,7 @@ def test_real_products_take_the_steps_of_complex_ones(spec):
     exp = ltp.Exponent.of(1.5)
     cfg = IterConfig()
     starts = _boyd_starts(G.n, G.identity, cfg.restarts, cfg.seed)
-    mat = ltp.conv_operator(f).weighted_matrix(exp.p)
+    mat = ltp.ConvOperator(f).weighted_matrix(exp.p)
     real = _boyd_block(_DenseProduct(mat), exp, starts, cfg)
     cast = _boyd_block(_DenseProduct(mat.astype(np.complex128)), exp, starts, cfg)
     np.testing.assert_allclose(real[0], cast[0], rtol=1e-14, atol=0)
@@ -387,7 +403,7 @@ def test_circulant_product_equals_the_dense_matrix(spec, complex_valued):
     from ltp.convolve import _CirculantProduct
     G = ltp.build_group(spec)
     f = ltp.random_function(G, 9, complex_valued=complex_valued)
-    mat = ltp.conv_operator(f).weighted_matrix(1.5)
+    mat = ltp.ConvOperator(f).weighted_matrix(1.5)
     product = _CirculantProduct(f)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((G.n, 5)) + 1j * rng.standard_normal((G.n, 5))
@@ -409,7 +425,7 @@ def test_block_engine_circulant_matches_dense(spec):
     exp = ltp.Exponent.of(1.5)
     cfg = IterConfig()
     starts = _boyd_starts(G.n, G.identity, cfg.restarts, cfg.seed)
-    mat = ltp.conv_operator(f).weighted_matrix(exp.p).astype(np.complex128)
+    mat = ltp.ConvOperator(f).weighted_matrix(exp.p).astype(np.complex128)
     dense = _boyd_block(_DenseProduct(mat), exp, starts, cfg)
     fft = _boyd_block(_CirculantProduct(f), exp, starts, cfg)
     np.testing.assert_allclose(fft[0], dense[0], rtol=1e-14, atol=0)
@@ -437,7 +453,7 @@ def test_restart_spread_reports_the_ratios_of_all_restarts():
     exp = ltp.Exponent.of(1.5)
     cfg = IterConfig()
     est = tempered_norm(f, exp.p, cfg=cfg)
-    mat = ltp.conv_operator(f).weighted_matrix(exp.p).astype(np.complex128)
+    mat = ltp.ConvOperator(f).weighted_matrix(exp.p).astype(np.complex128)
     gamma = _boyd_block(_DenseProduct(mat), exp,
                         _boyd_starts(G.n, G.identity, cfg.restarts, cfg.seed), cfg)[0]
     assert est.restart_spread == pytest.approx((gamma.max() - gamma.min()) / gamma.max(),
@@ -550,7 +566,7 @@ def test_window_torus_product_equals_the_dense_window_matrix(spec):
     exp = ltp.Exponent.of(1.5)
     product = _boyd_product(fs, exp, cells, columns)
     assert isinstance(product, _CirculantProduct)
-    mats = [ltp.conv_operator(f).weighted_matrix(exp.p)[:, cells] for f in fs]
+    mats = [ltp.ConvOperator(f).weighted_matrix(exp.p)[:, cells] for f in fs]
     rng = np.random.default_rng(4)
     x = rng.standard_normal((cells.size, 5)) + 1j * rng.standard_normal((cells.size, 5))
     y = rng.standard_normal((G.n, 5)) + 1j * rng.standard_normal((G.n, 5))
@@ -725,6 +741,13 @@ def test_dirac_scaling_passes_over_suite_seeds(spec):
         assert status["dirac-scaling@p=1.5"] == "pass", seed
 
 
+def test_dirac_scaling_predicts_one_at_p1():
+    G = ltp.build_group("affine:0.25:1:0.25:2")
+    points = [(1.25, 0.0), (0.8, 0.0), (1.0, 0.5)]
+    checks = ltp.dirac_scaling_checks(_affine_bump(G), points, 1)
+    assert [expected for _, expected in checks] == [1.0, 1.0, 1.0]
+
+
 def test_dirac_scaling_affine_coarse():
     G = ltp.build_group("affine:0.25:2:0.25:4")
     coords = G.coords()
@@ -833,11 +856,11 @@ def test_exact_svd_lanczos_meets_the_transform_maximum(spec):
 def _assert_exact_svd_matches_dense_eigh(f):
     from scipy.linalg import eigh
 
-    from ltp.convolve import conv_operator
+    from ltp.convolve import ConvOperator
 
     n = f.group.n
     est = tempered_norm(f, 2, method="exact_svd")
-    mat = conv_operator(f).weighted_matrix(2)
+    mat = ConvOperator(f).weighted_matrix(2)
     top = eigh(mat.conj().T @ mat, eigvals_only=True, subset_by_index=[n - 1, n - 1])
     sigma = math.sqrt(top[0])
     assert est.lower == pytest.approx(sigma, rel=1e-12)
