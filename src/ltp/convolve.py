@@ -7,18 +7,18 @@ M[x, y] = w_y K[x, y] with kernel K[x, y] = f(y^{-1} x).
 
 On finite models with declared cyclic factors the map is diagonalised by
 the characters, and one circulant operator, :class:`_CirculantProduct`,
-holds the only FFT code for them: ``convolve``, the p = 2 route (its
-symbol and eigen-characters) and the products of Boyd's iteration all read
-from it.  It also places lattice data on a periodic embedding, whose symbol
-the lattice p = 2 scan reads and whose products Boyd's iteration takes
-when several f share a block.  Every other route (direct convolution, the
-operator matrix, the exact p = 1 column supremum) reads K from one
-column-block generator, :func:`_kernel_blocks`.  Each carrier gives it one
-table per f and an index that does not depend on f, and every block is one
-gather: f zero-padded and indexed by coordinate differences on the lattices
-(z, z2, r), a table of cell averages indexed by (u_y, u_x, b_x - b_y) on the
-affine grid, and f indexed by the division table idx[x, y] = y^{-1} x on
-the other finite models.
+holds the only FFT code for them: ``convolve``, the p = 2 route (its symbol
+and eigen-characters) and the products of Boyd's iteration all read from
+it.  It also places lattice data on a periodic embedding, whose symbol the
+lattice p = 2 scan reads and whose products Boyd's iteration takes.  Every
+other route (direct convolution, the operator matrix, the exact p = 1
+column supremum) reads K from one column-block generator,
+:func:`_kernel_blocks`.  Each carrier gives it one table per f and an index
+that does not depend on f, and every block is one gather: f zero-padded and
+indexed by coordinate differences on the lattices (z, z2, r), a table of
+cell averages indexed by (u_y, u_x, b_x - b_y) on the affine grid, and f
+indexed by the division table idx[x, y] = y^{-1} x on the other finite
+models.
 
 Every result carries the fraction of product mass dropped at a truncation
 boundary in its ``leak`` metadata.
@@ -120,22 +120,19 @@ def _product_leak(g: GFunction, f: GFunction) -> float:
 def convolve(g: GFunction, f: GFunction, *, path: str = "auto") -> GFunction:
     """g * f against the left Haar weights of the shared model.
 
-    ``path`` is "auto", "direct", or "spectral"; the spectral path applies
-    the circulant operator of f, exists only on finite models with declared
-    cyclic factors (where "auto" takes it) and agrees with the direct path
-    to 1e-10 relative.  The result's ``leak`` field carries the fraction of
-    product mass dropped at the truncation boundary (always 0 on finite
-    models).
+    ``path`` is "auto", where the model picks (the circulant operator of f
+    on finite models with declared cyclic factors, the kernel blocks
+    elsewhere), or "direct", the kernel blocks on every model: the
+    independent reference the circulant operator agrees with to 1e-10
+    relative.  The result's ``leak`` field carries the fraction of product
+    mass dropped at the truncation boundary (always 0 on finite models).
     """
     g.group.require_same(f.group)
     model = g.group
 
-    if path not in ("auto", "direct", "spectral"):
+    if path not in ("auto", "direct"):
         raise ValueError(f"unknown convolution path {path!r}")
-
-    if path == "spectral" and model.cyclic_factors is None:
-        raise ResourceError("spectral path needs a finite model with declared cyclic factors")
-    if model.cyclic_factors is not None and path != "direct":
+    if model.cyclic_factors is not None and path == "auto":
         return GFunction(model, _CirculantProduct(f).apply(g.values), 0.0)
 
     weighted = model.weights * g.values

@@ -229,8 +229,9 @@ def _pull(f: GFunction, at, push, scale, what: str, max_leak: float) -> GFunctio
 
 def _cell(model: GroupModel, i) -> int:
     """The cell index i, checked against the model: numpy would read a
-    negative index from the end, and int() truncates a fractional one."""
-    if not float(i).is_integer():
+    negative index from the end, int() truncates a fractional one, and
+    float() overflows on an int past the float range."""
+    if not isinstance(i, (int, np.integer)) and not float(i).is_integer():
         raise DomainError(f"index {i} is not an integer")
     i = int(i)
     if not 0 <= i < model.n:
@@ -325,6 +326,8 @@ def estimate_modular(model: GroupModel, x, probe: GFunction | None = None,
     :class:`WindowLeakError` is raised when the translated support drops
     more than ``max_leak`` of its mass.
     """
+    if probe is not None:
+        model.require_same(probe.group)
     x_point = _point(model, x)
     if model.is_unimodular:
         return 1.0

@@ -280,7 +280,7 @@ def _run_conv_cross_path(ctx: SuiteContext):
     f = _random_probe(ctx.model, ctx.rng)
     g = _random_probe(ctx.model, ctx.rng)
     direct = convolve(g, f, path="direct")
-    fast = convolve(g, f, path="spectral")
+    fast = convolve(g, f)
     return lp_norm(direct - fast, 2) / max(lp_norm(direct, 2), 1e-30)
 
 
@@ -722,11 +722,22 @@ def run_suite(spec: GroupSpec | str, p_list=(2.0,), seed: int = 0,
     """Build the model, run every applicable check for each exponent, and
     aggregate the results in registry order.
 
-    ``tol_overrides`` maps check names (without the @p suffix) to tolerances.
-    An empty ``p_list``, or one naming an exponent twice (2 and 2.0 alike),
-    raises ``DomainError``: each check name appears once in a report.
+    ``tol_overrides`` maps check names (without the @p suffix) to finite
+    tolerances >= 0; any other key or value raises ``DomainError`` before a
+    check runs.  An empty ``p_list``, or one naming an exponent twice (2 and
+    2.0 alike), raises ``DomainError``: each check name appears once in a
+    report.
     """
     registry_self_test()
+    names = {check.name for check in REGISTRY}
+    overrides = {}
+    for name, value in (tol_overrides or {}).items():
+        if name not in names:
+            raise DomainError(f"tolerance override {name!r} names no check"
+                              " (name a check without the @p suffix)")
+        overrides[name] = float(value)
+        if not (math.isfinite(overrides[name]) and overrides[name] >= 0.0):
+            raise DomainError(f"tolerance override {name}={value!r} is not a finite value >= 0")
     p_values = [float(p) for p in p_list]
     if not p_values:
         raise DomainError("run_suite needs at least one exponent")
@@ -734,7 +745,6 @@ def run_suite(spec: GroupSpec | str, p_list=(2.0,), seed: int = 0,
         raise DomainError(f"run_suite got a repeated exponent in {p_values}")
     if model is None:
         model = build_group(spec)
-    overrides = tol_overrides or {}
     results = [_execute_check(check, model, p, seed, overrides, timings)
                for check in REGISTRY
                for p in (p_values if check.per_p else [None])]

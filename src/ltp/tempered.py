@@ -42,32 +42,22 @@ method the first route of that name that does:
   search space, so ``lower`` is weak for f whose support spans a large part
   of the window (for a full-window support D is the identity alone).
 
-  ``tempered_norms`` takes several f at once, and the model supplies the
-  products.  On finite models with cyclic factors and on lattices, f with
-  the same cells (the eroded box D on lattices) share one block, with the
-  restarts of each f as its columns and one FFT over the whole block per
-  product: the circulant operator of ``convolve`` (one symbol per f, over
-  the factor axes, the adjoint with the conjugate transform), or on
-  lattices the window torus, the smallest 5-smooth period per axis that is
-  at least the window side.  D is placed there at its coordinates mod the
-  period and the product is read back on the window; since g on D keeps
-  g * f in the window, that is the window convolution exactly, with no
-  wrap-around.  A lone f keeps the product measured cheapest for it: the
-  FFT on cyclic models of at least 256 cells, which build no n x n matrix,
-  so n may exceed the dense cap, and the dense weighted matrix below that
-  and on lattices.  Nonabelian models and the affine grid have no shared
-  transform, so they run one dense block per f: one block of several
-  matrices would make the same products.  The matrix of a real f is real
-  and multiplies in real arithmetic, one real product for the real and
-  imaginary parts of the block together; a complex f keeps complex
-  products.  For a lone f below 256 cells the dense product is cheaper,
-  real or complex: for an n x 8 block on one core, numpy's FFT against the
-  complex and the real dense product took 17 vs 7 and 5 us at n = 64, 22
-  vs 21 and 10 us at n = 128, and 34 vs 76 and 51 us at n = 256.  A shared
-  block holds at most 64 columns (eight f at eight restarts):
-  re-im-closure's 24 parts on cyclic:256 in one 192-column block raised
-  the peak memory of a suite-finite pass from 74.4 to 81.0 MB, and
-  64-column blocks kept it at 74.5-74.7 MB (one BLAS thread, 2-vCPU host).
+  ``tempered_norms`` takes several f at once, and the model alone chooses
+  the product.  On finite models with cyclic factors and on lattices, f
+  with the same cells (D on lattices) share one block, with the restarts of
+  each f as its columns and one FFT over the whole block per product: the
+  circulant operator of ``convolve``, or on lattices the window torus (see
+  ``_boyd_product``), where D is placed at its coordinates mod the period;
+  since g on D keeps g * f in the window, the product read back on the
+  window is the window convolution exactly.  Neither builds an n x n
+  matrix, so n may exceed the dense cap.  Nonabelian models and the affine
+  grid have no shared transform and run one dense block per f (one block of
+  several matrices would make the same products); a real matrix multiplies
+  in real arithmetic, the real and imaginary parts of the block together.
+  A shared block holds at most 64 columns (eight f at eight restarts):
+  re-im-closure's 24 parts on cyclic:256 in one 192-column block raised the
+  peak memory of a suite-finite pass from 74.4 to 81.0 MB, and 64-column
+  blocks kept it at 74.5-74.7 MB (one BLAS thread, 2-vCPU host).
 * any p, by name only: the Rayleigh ratio of g = f as ``lower`` and the
   weighted-L1 value as ``upper``, from one convolution.
 
@@ -77,8 +67,8 @@ p = 1 lifts ``upper`` to ``lower``: two exact sums of one quantity, ulps
 apart.  Bounds from above read ``upper``, through :func:`tempered_upper`
 where only that end is needed.  On the iterative and bound routes it
 returns the weighted-L1 value without the iteration, so it stays valid
-past the dense cap, where the Boyd route refuses; on the exact routes it
-computes the norm.
+past the dense cap, where the Boyd route refuses on nonabelian models and
+the affine grid; on the exact routes it computes the norm.
 """
 
 from __future__ import annotations
@@ -91,9 +81,9 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import DomainError, GridTooCoarse, LtpError, ResourceError
+from .errors import DomainError, GridTooCoarse, LtpError
 from .groups import KIND_FINITE, KIND_QUADRATURE, GroupModel, _AffineCarrier, _LatticeCarrier
-from .convolve import DENSE_CAP, ConvOperator, _CirculantProduct, _kernel_blocks, convolve
+from .convolve import ConvOperator, _CirculantProduct, _kernel_blocks, convolve
 from .space import (Exponent, GFunction, imag_part, lp_norm, point_modular,
                     real_part, translate, RIGHT_DIRAC)
 
@@ -101,10 +91,6 @@ from .space import (Exponent, GFunction, imag_part, lp_norm, point_modular,
 # M^H M; above it the Lanczos iteration is cheaper (measured, see the
 # docstring).
 _SVD_DENSE_CAP = 224
-# Smallest cyclic model whose Boyd products for a lone f go through the FFT:
-# below it the dense product of an n x 8 block is cheaper, real or complex
-# (measured, see the docstring).  Several f share one FFT at any size.
-_FFT_MIN_N = 256
 # Widest block of Boyd columns that several f share: wider blocks raised the
 # peak memory of a suite pass (measured, see the docstring).
 _BLOCK_COLS = 64
@@ -192,8 +178,9 @@ def tempered_upper(f: GFunction, p, method: str = "auto") -> float:
     The iterative and bound routes take their upper end from the
     weighted-L1 value whatever the iteration attains, so on those routes it
     is returned without building a product or running the iteration, also
-    past the dense cap, where the Boyd route refuses.  Every exact route
-    computes the norm as ``tempered_norm`` does.
+    past the dense cap, where the Boyd route refuses on nonabelian models
+    and the affine grid.  Every exact route computes the norm as
+    ``tempered_norm`` does.
     """
     exp = Exponent.of(p)
     if _route(f.group, exp, method).method in (METHOD_BOYD, METHOD_WL1_BOUND):
@@ -483,25 +470,22 @@ def _smooth_size(n: int) -> int:
 
 def _boyd_product(fs: list[GFunction], exp: Exponent, cells: np.ndarray,
                   columns: np.ndarray):
-    """The cheapest product the model supplies for the iteration of every f
-    in ``fs`` on ``cells``, block column j multiplying by fs[columns[j]].
+    """The product the model supplies for the iteration of every f in ``fs``
+    on ``cells``, block column j multiplying by fs[columns[j]].
 
-    A lone f multiplies by the FFT on cyclic models of at least
-    ``_FFT_MIN_N`` cells, else by the dense weighted matrix.  Several f
-    share one FFT: over the factor axes on cyclic models, and on lattices
-    over the window torus, the smallest 5-smooth period per axis that is at
-    least the window side (18 on z2:8, 135 on z:64).  Only lattices and
-    cyclic models get several f (see ``_boyd_norms``)."""
+    Cyclic models multiply by the FFT over the factor axes, and lattices by
+    the FFT over the window torus, the smallest 5-smooth period per axis
+    that is at least the window side (18 on z2:8, 135 on z:64).  Every other
+    model multiplies by the dense weighted matrix of its lone f (see
+    ``_boyd_norms``), on every cell."""
     model = fs[0].group
-    if len(fs) == 1:
-        if model.cyclic_factors is not None and model.n >= _FFT_MIN_N:
-            return _CirculantProduct(fs[0])
-        return _DenseProduct(ConvOperator(fs[0]).weighted_matrix(exp.p)[:, cells])
     if model.cyclic_factors is not None:
         return _CirculantProduct(fs, columns=columns)
-    carrier: _LatticeCarrier = model.carrier
-    torus = (_smooth_size(carrier.side),) * carrier.dim
-    return _CirculantProduct(fs, torus, cells, columns)
+    carrier = model.carrier
+    if isinstance(carrier, _LatticeCarrier):
+        torus = (_smooth_size(carrier.side),) * carrier.dim
+        return _CirculantProduct(fs, torus, cells, columns)
+    return _DenseProduct(ConvOperator(fs[0]).weighted_matrix(exp.p))
 
 
 def _boyd_cells(f: GFunction) -> tuple[np.ndarray, int]:
@@ -549,8 +533,6 @@ def _boyd_norms(fs: list[GFunction], exp: Exponent, cfg: IterConfig) -> list[Nor
     Every f starts from the same ``cfg.restarts`` starts, so its estimate
     is the one a block of its own gives, up to rounding."""
     model = fs[0].group
-    if model.cyclic_factors is None and model.n > DENSE_CAP:
-        raise ResourceError(f"dense operator for n={model.n} exceeds the cap {DENSE_CAP}")
     shared = model.cyclic_factors is not None or isinstance(model.carrier, _LatticeCarrier)
     width = max(1, _BLOCK_COLS // cfg.restarts) if shared else 1
     plans = [_boyd_cells(f) for f in fs]

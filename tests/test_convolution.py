@@ -71,9 +71,16 @@ def test_spectral_path_matches_direct(spec):
         g = ltp.random_function(G, rng)
         f = ltp.random_function(G, rng)
         direct = ltp.convolve(g, f, path="direct")
-        fast = ltp.convolve(g, f, path="spectral")
+        fast = ltp.convolve(g, f)
         scale = max(ltp.lp_norm(direct, 2), 1e-30)
         assert ltp.lp_norm(direct - fast, 2) / scale < 1e-10
+
+
+def test_convolve_takes_only_the_auto_and_direct_paths():
+    G = ltp.build_group("cyclic:8")
+    f = ltp.random_function(G, 0)
+    with pytest.raises(ValueError, match="unknown convolution path"):
+        ltp.convolve(f, f, path="spectral")
 
 
 @pytest.mark.parametrize("spec", ["z:64", "z2:8"])

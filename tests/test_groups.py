@@ -270,6 +270,14 @@ def test_estimate_modular_discrete_models_exact_one():
         assert ltp.estimate_modular(G, x) == 1.0
 
 
+def test_estimate_modular_refuses_a_probe_from_another_model():
+    for spec, x in [("affine:0.25:1:0.25:2", (2.0, 0.0)), ("cyclic:6", 2)]:
+        G = ltp.build_group(spec)
+        probe = ltp.random_function(ltp.build_group(spec), 0)
+        with pytest.raises(ltp.ModelMismatchError):
+            ltp.estimate_modular(G, x, probe=probe)
+
+
 def test_estimate_modular_off_grid_refinement():
     # Delta(a=2, b=0) = 0.5; the estimate is within 1% at step 0.125 and the
     # error contracts under refinement
@@ -473,7 +481,8 @@ def test_resolve_point_errors():
     C = ltp.build_group("cyclic:8")
     Z = ltp.build_group("z:8")
     for build in (lambda: ltp.dirac(C, -1), lambda: ltp.dirac_measure(C, -3),
-                  lambda: ltp.dirac(C, 8),
+                  lambda: ltp.dirac(C, 8), lambda: ltp.dirac(C, 10**400),
+                  lambda: ltp.dirac_measure(C, 10**400),
                   lambda: ltp.find_folner(Z, np.array([-1]), 0.5)):
         with pytest.raises(DomainError, match="out of range"):
             build()

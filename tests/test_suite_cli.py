@@ -56,7 +56,10 @@ def test_suite_boyd_call_counts_are_pinned(boyd_calls):
 # block steps of each call, summed over the calls.  How a product is
 # computed changes the cost of a step, not these totals.
 BOYD_WORK_AT_P15 = {"circle:64": (22070, 2516), "dihedral:64": (32752, 3873),
-                    "z:64": (14518, 1322)}
+                    "z:64": (14518, 1322), "z2:8": (27416, 2624),
+                    "r:0.05:4": (1124, 98),
+                    "product:cyclic:8+cyclic:16": (35076, 3942),
+                    "cyclic:256@counting": (33696, 3913)}
 
 
 def test_suite_boyd_work_is_pinned(monkeypatch):
@@ -200,6 +203,28 @@ def test_tolerance_override_can_fail_a_check():
                        tol_overrides={"reflect-norm-identity": 1e-12})
     by_name = {c.name: c for c in report.checks}
     assert by_name["reflect-norm-identity@p=2"].status == "fail"
+
+
+def test_tolerance_overrides_that_cannot_apply_are_refused(monkeypatch):
+    def no_check_runs(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(suite, "_execute_check", no_check_runs)
+    for overrides, match in (({"typo": 1.0}, "names no check"),
+                             ({"holder-pairing@p=2": 1.0}, "names no check"),
+                             ({"identity-translation": float("nan")}, "finite value"),
+                             ({"identity-translation": -1.0}, "finite value"),
+                             ({"identity-translation": float("inf")}, "finite value")):
+        with pytest.raises(ltp.DomainError, match=match):
+            run_suite("cyclic:4", [2.0], tol_overrides=overrides)
+
+
+def test_cli_refuses_tolerance_overrides_that_cannot_apply(capsys):
+    for item in ("nonexistent-check=1e-3", "identity-translation=nan",
+                 "identity-translation=-1"):
+        assert main(["suite", "--group", "cyclic:4", "--tol", item]) == 2, item
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: tolerance override")
 
 
 # ---------------------------------------------------------------------------

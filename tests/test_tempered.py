@@ -441,9 +441,23 @@ def test_boyd_runs_past_the_dense_cap_on_cyclic_models():
     ratio = ltp.lp_norm(ltp.convolve(est.witness, f), 1.5) / ltp.lp_norm(est.witness, 1.5)
     assert ratio == pytest.approx(est.lower, rel=1e-12)
     # without a circulant structure the dense matrix is still capped
-    Z = ltp.build_group("z:2100")
+    D = ltp.build_group("dihedral:2100")
     with pytest.raises(ResourceError):
-        tempered_norm(ltp.random_function(Z, 1, support_radius=3), 1.5)
+        tempered_norm(ltp.random_function(D, 1), 1.5)
+
+
+@pytest.mark.parametrize("spec", ["z:2100", "z2:50"])
+def test_boyd_runs_past_the_dense_cap_on_lattices(spec):
+    # the window torus builds no n x n matrix, so n may exceed the cap
+    from ltp.convolve import DENSE_CAP
+    G = ltp.build_group(spec)
+    assert G.n > DENSE_CAP
+    f = ltp.random_function(G, 5, support_radius=3)
+    est = tempered_norm(f, 1.5, cfg=IterConfig(restarts=2, max_iters=50))
+    assert est.method == "boyd_iteration" and est.lower > 0
+    image = ltp.convolve(est.witness, f, path="direct")
+    ratio = ltp.lp_norm(image, 1.5) / ltp.lp_norm(est.witness, 1.5)
+    assert ratio == pytest.approx(est.lower, rel=1e-12)
 
 
 def test_restart_spread_reports_the_ratios_of_all_restarts():
@@ -549,10 +563,10 @@ def test_tempered_norms_follows_the_route_of_each_exponent():
     assert ltp.tempered_norms([], 1.5) == []
     with pytest.raises(ltp.ModelMismatchError):
         ltp.tempered_norms([fs[0], ltp.random_function(ltp.build_group("cyclic:12"), 0)], 1.5)
-    # a lattice past the dense cap is refused in a batch as it is alone
-    Z = ltp.build_group("z:2100")
+    # a nonabelian model past the dense cap is refused in a batch as it is alone
+    D = ltp.build_group("dihedral:2100")
     with pytest.raises(ResourceError):
-        ltp.tempered_norms([ltp.random_function(Z, s, support_radius=3) for s in (1, 2)], 1.5)
+        ltp.tempered_norms([ltp.random_function(D, s) for s in (1, 2)], 1.5)
 
 
 @pytest.mark.parametrize("spec", ["z:64", "z2:8", "r:0.05:4"])
@@ -679,12 +693,12 @@ def test_tempered_upper_equals_the_norm_upper(spec, boyd_calls):
 
 
 def test_tempered_upper_runs_past_the_dense_cap(boyd_calls):
-    G = ltp.build_group("z:2100")
-    f = ltp.random_function(G, 4, support_radius=3)
+    G = ltp.build_group("dihedral:2100")
+    f = ltp.random_function(G, 4)
     with pytest.raises(ResourceError):
         tempered_norm(f, 1.5)
     assert tempered_upper(f, 1.5) == upper_bound_weighted_l1(f, 1.5)
-    assert boyd_calls == ["z:2100"]
+    assert boyd_calls == ["dihedral:2100"]
 
 
 def test_submultiplicative_action():
