@@ -23,9 +23,8 @@ from .space import (Exponent, GFunction, box_function, decompose_l1_linf,
                     LEFT_DIRAC, RIGHT_DIRAC)
 from .convolve import ConvOperator, associativity_check, convolve
 from .tempered import (IterConfig, NormEstimate, dirac_scaling_checks,
-                       quasi_identity_blowup, re_im_closure_checks,
-                       tempered_norm, tempered_norms, tempered_upper,
-                       upper_bound_weighted_l1)
+                       quasi_identity_blowup, tempered_norm, tempered_norms,
+                       tempered_upper, upper_bound_weighted_l1)
 from .spectral import (DualModel, build_dual, character_orthogonality_residual,
                        convolution_theorem_check, fourier, inverse_fourier,
                        inverse_product_check, mult_operator_norm,

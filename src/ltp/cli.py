@@ -73,12 +73,14 @@ def parse_function_source(model, source: str) -> GFunction:
 
 
 def _parse_p_list(text: str) -> list[float]:
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(tokens):
+        what = "has an empty entry" if any(tokens) else "names no exponent"
+        raise SpecParseError(f"exponent list {text!r} {what}")
     try:
-        p_values = [float(tok) for tok in text.split(",") if tok]
+        p_values = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise SpecParseError(f"cannot parse exponent list {text!r}") from exc
-    if not p_values:
-        raise SpecParseError(f"exponent list {text!r} names no exponent")
     if len(set(p_values)) < len(p_values):
         raise SpecParseError(f"exponent list {text!r} names an exponent twice")
     return p_values

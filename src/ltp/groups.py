@@ -66,10 +66,11 @@ class GroupSpec:
         z:R | z2:R | r:H:B | affine:HU:RU:HB:RB
 
     N and R are positive integers; the other parameters are positive finite
-    numbers in (step, radius) pairs, each radius at least its step.
+    numbers in (step, radius) pairs, each radius at least its step.  Equal
+    specs name the same group, however written: ``text`` is not compared.
     """
 
-    text: str
+    text: str = field(compare=False)
     family: str
     params: tuple
     normalization: str

@@ -54,10 +54,11 @@ method the first route of that name that does:
   grid have no shared transform and run one dense block per f (one block of
   several matrices would make the same products); a real matrix multiplies
   in real arithmetic, the real and imaginary parts of the block together.
-  A shared block holds at most 64 columns (eight f at eight restarts):
-  re-im-closure's 24 parts on cyclic:256 in one 192-column block raised the
-  peak memory of a suite-finite pass from 74.4 to 81.0 MB, and 64-column
-  blocks kept it at 74.5-74.7 MB (one BLAS thread, 2-vCPU host).
+  A shared block holds at most 64 columns (eight f at eight restarts), a
+  bound for callers that pass many f: when re-im-closure normed 24 parts on
+  cyclic:256 in one 192-column block, a suite-finite pass peaked at 81.0 MB
+  against 74.5-74.7 MB in 64-column blocks and 74.4 MB unbatched (one BLAS
+  thread, 2-vCPU host).  The suite's widest block is now 48 columns.
 * any p, by name only: the Rayleigh ratio of g = f as ``lower`` and the
   weighted-L1 value as ``upper``, from one convolution.
 
@@ -84,15 +85,14 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from .errors import DomainError, GridTooCoarse, LtpError
 from .groups import KIND_FINITE, KIND_QUADRATURE, GroupModel, _AffineCarrier, _LatticeCarrier
 from .convolve import ConvOperator, _CirculantProduct, _kernel_blocks, convolve
-from .space import (Exponent, GFunction, imag_part, lp_norm, point_modular,
-                    real_part, translate, RIGHT_DIRAC)
+from .space import Exponent, GFunction, lp_norm, point_modular, translate, RIGHT_DIRAC
 
 # Largest model whose p = 2 singular value comes from dense ``eigh`` of
 # M^H M; above it the Lanczos iteration is cheaper (measured, see the
 # docstring).
 _SVD_DENSE_CAP = 224
-# Widest block of Boyd columns that several f share: wider blocks raised the
-# peak memory of a suite pass (measured, see the docstring).
+# Widest block of Boyd columns that several f share: it bounds the memory of
+# a caller that passes many f (measured, see the docstring).
 _BLOCK_COLS = 64
 # Smallest normal double: magnitudes are floored here before a negative
 # power, which keeps |y|^(p-2) finite and makes y |y|^(p-2) vanish at y = 0.
@@ -118,6 +118,8 @@ class IterConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise DomainError(f"restarts must be at least 1, got {self.restarts}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass
@@ -663,22 +665,6 @@ def dirac_scaling_checks(f: GFunction, points, p) -> list[tuple[float, float]]:
         raise DomainError("dirac scaling needs a nonzero f")
     return [(num / den, point_modular(f.group, x) ** (-1.0 / exp.q))
             for x, num in zip(points, nums)]
-
-
-def re_im_closure_checks(fs, p) -> list[float]:
-    """For every f, the worst violation of ||Re f||_p^T <= 2 ||f||_p^T and
-    its imaginary-part twin, 0 when both hold.  The norms of all real and
-    imaginary parts come from one ``tempered_norms`` call.
-
-    With certified bounds the sound comparison is lower(part) <= 2 * upper(f).
-    """
-    exp = Exponent.of(p)
-    parts = tempered_norms([part(f) for f in fs for part in (real_part, imag_part)], exp)
-    out = []
-    for i, f in enumerate(fs):
-        bound = 2.0 * tempered_upper(f, exp)
-        out.append(max(parts[2 * i].lower - bound, parts[2 * i + 1].lower - bound, 0.0))
-    return out
 
 
 def quasi_identity_blowup(model: GroupModel, p, count: int) -> list[float]:

@@ -42,7 +42,7 @@ def test_suite_cyclic16_all_pass():
 # only the upper end of a bracket takes it without the iteration.  When a
 # check changes the norms it asks for, recount with this test's counter
 # (print ``boyd_calls``) and state the old and new counts with that change.
-BOYD_CALLS_AT_P15 = {"circle:64": 42, "z:64": 9, "affine:0.125:1:0.125:1": 0}
+BOYD_CALLS_AT_P15 = {"circle:64": 18, "z:64": 9, "affine:0.125:1:0.125:1": 0}
 
 
 def test_suite_boyd_call_counts_are_pinned(boyd_calls):
@@ -55,11 +55,19 @@ def test_suite_boyd_call_counts_are_pinned(boyd_calls):
 # Boyd's work over the same passes: the products of all restarts and the
 # block steps of each call, summed over the calls.  How a product is
 # computed changes the cost of a step, not these totals.
-BOYD_WORK_AT_P15 = {"circle:64": (22070, 2516), "dihedral:64": (32752, 3873),
+BOYD_WORK_AT_P15 = {"circle:64": (9160, 1069), "dihedral:64": (15622, 1859),
                     "z:64": (14518, 1322), "z2:8": (27416, 2624),
                     "r:0.05:4": (1124, 98),
-                    "product:cyclic:8+cyclic:16": (35076, 3942),
-                    "cyclic:256@counting": (33696, 3913)}
+                    "product:cyclic:8+cyclic:16": (19646, 2135),
+                    "cyclic:256@counting": (13342, 1549), "symmetric:5": (10442, 1115),
+                    "affine:0.125:1:0.125:1": (0, 0)}
+
+
+def test_every_benchmark_model_has_a_boyd_work_pin(monkeypatch):
+    # the benchmark's suite models, imported as tools/suite_digest.py imports them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import SUITE_SPECS
+    assert {spec for specs in SUITE_SPECS.values() for spec in specs} <= set(BOYD_WORK_AT_P15)
 
 
 def test_suite_boyd_work_is_pinned(monkeypatch):
@@ -163,6 +171,32 @@ def test_suite_catches_an_overstated_boyd_ratio(monkeypatch):
     for spec, check in cases:
         report = run_suite(spec, [1.5], seed=0)
         assert check in {c.name for c in report.checks if c.status == "fail"}, spec
+
+
+def test_suite_catches_an_understated_upper_end(monkeypatch):
+    # an upper end 10% low is no upper bound: a part's certified lower end
+    # rises above it at factor 1
+    exact = suite.tempered_upper
+    assert run_suite("dihedral:64", [2.0], seed=0).ok
+    monkeypatch.setattr(suite, "tempered_upper", lambda f, p: 0.9 * exact(f, p))
+    report = run_suite("dihedral:64", [2.0], seed=0)
+    assert "re-im-closure@p=2" in {c.name for c in report.checks if c.status == "fail"}
+
+
+_RE_IM = next(check for check in REGISTRY if check.name == "re-im-closure")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", ["cyclic:256@counting", "circle:64", "dihedral:64",
+                                  "symmetric:5", "product:cyclic:8+cyclic:16"])
+def test_re_im_closure_passes_over_suite_seeds(spec):
+    # at p = 2 the margin over these seeds is as small as 8.0e-5 of upper(f)
+    # (circle:64): a route change that moves either end by that much shows here
+    model = ltp.build_group(spec)
+    for seed in range(30):
+        for p in (2.0, 1.5):
+            result = _execute_check(_RE_IM, model, p, seed, {}, False)
+            assert result.status == "pass", (seed, p, result.notes)
 
 
 def test_suite_probability_side_skips_discrete_checks():
@@ -347,6 +381,53 @@ def test_cli_empty_exponent_list_exits_2(p_text, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "names no exponent" in captured.err
+
+
+@pytest.mark.parametrize("p_text", ["2,", "2,,1.5"])
+def test_cli_empty_exponent_entry_exits_2(p_text, capsys):
+    assert main(["norm", "--group", "cyclic:4", "--f", "dirac", "--p", p_text]) == 2
+    assert main(["suite", "--group", "cyclic:4", "--p", p_text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has an empty entry" in captured.err
+
+
+def _no_check_runs(*args):
+    raise AssertionError("a check ran")
+
+
+def test_a_negative_seed_is_refused_before_any_check_runs(monkeypatch, capsys):
+    monkeypatch.setattr(suite, "_execute_check", _no_check_runs)
+    with pytest.raises(ltp.DomainError, match="seed >= 0, got -1"):
+        run_suite("cyclic:4", [2.0], seed=-1)
+    assert main(["suite", "--group", "cyclic:4", "--seed", "-1"]) == 2
+    assert "seed >= 0, got -1" in capsys.readouterr().err
+    with pytest.raises(ltp.DomainError, match="seed must be at least 0, got -1"):
+        IterConfig(seed=-1)
+
+
+def test_run_suite_refuses_a_model_of_another_group(monkeypatch):
+    monkeypatch.setattr(suite, "_execute_check", _no_check_runs)
+    for spec, other in (("z:4", "cyclic:4"), ("cyclic:4", "cyclic:5"),
+                        ("cyclic:4@probability", "cyclic:4"),
+                        ("product:cyclic:2+cyclic:4", "product:cyclic:4+cyclic:2")):
+        with pytest.raises(ltp.ModelMismatchError, match="is not the group of spec"):
+            run_suite(spec, [2.0], model=ltp.build_group(other))
+
+
+def test_run_suite_takes_a_model_its_spec_describes_however_written():
+    model = ltp.build_group("cyclic:4")
+    report = run_suite("cyclic:4@counting", [2.0], model=model)
+    assert report.spec == "cyclic:4" and report.ok
+    report = run_suite(ltp.parse_group_spec("r:0.50:2.0"), [2.0], model=ltp.build_group("r:0.5:2"))
+    assert report.spec == "r:0.5:2"
+
+
+def test_run_suite_takes_the_model_of_its_own_spec():
+    # the call the benchmark makes
+    model = ltp.build_group("dihedral:6")
+    assert run_suite(model.spec, [2.0, 1.5], seed=0, model=model).to_json() \
+        == run_suite("dihedral:6", [2.0, 1.5], seed=0).to_json()
 
 
 def test_run_suite_refuses_an_empty_exponent_list():

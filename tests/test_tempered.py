@@ -779,7 +779,15 @@ def test_dirac_scaling_affine_coarse():
 # Real and imaginary closure
 # ---------------------------------------------------------------------------
 
-def test_re_im_closure_real_function():
+def _re_im_reading(f, p, monkeypatch):
+    """re-im-closure's measurement of one draw whose probe is f."""
+    from ltp import suite
+    monkeypatch.setattr(suite, "_random_probe", lambda model, rng: f)
+    return suite._run_re_im(suite.SuiteContext(f.group, ltp.Exponent.of(p),
+                                               np.random.default_rng(0)))
+
+
+def test_re_im_closure_real_function(monkeypatch):
     G = ltp.build_group("cyclic:8@counting")
     f = ltp.random_function(G, 5, complex_valued=False)
     whole = tempered_norm(f, 2).value
@@ -787,14 +795,16 @@ def test_re_im_closure_real_function():
     im_norm = tempered_norm(ltp.imag_part(f), 2).value
     assert re_norm == pytest.approx(whole, rel=1e-12)
     assert im_norm == 0.0
-    assert ltp.re_im_closure_checks([f], 2)[0] <= 1e-9
+    for p in (2.0, 1.5):
+        assert max(0.0, _re_im_reading(f, p, monkeypatch)) == 0.0, p
 
 
 def test_re_im_closure_random_batch():
-    rng = np.random.default_rng(12)
+    from ltp.suite import SuiteContext, _run_re_im
     G = ltp.build_group("cyclic:12@counting")
-    fs = [ltp.random_function(G, rng) for _ in range(200)]
-    assert max(ltp.re_im_closure_checks(fs, 2)) <= 1e-9
+    for p in (2.0, 1.5):
+        ctx = SuiteContext(G, ltp.Exponent.of(p), np.random.default_rng(12))
+        assert max(_run_re_im(ctx) for _ in range(200)) <= 1e-9, p
 
 
 # ---------------------------------------------------------------------------
