@@ -10,9 +10,9 @@ deterministic batch verification suite with a CLI front end.
 
 __version__ = "0.1.0"
 
-from .errors import (DomainError, GridTooCoarse, LtpError, ModelMismatchError,
-                     NotAbelianError, NotPositiveError, ResourceError,
-                     SpecParseError, WindowLeakError, WindowTooSmall)
+from .errors import (DomainError, LtpError, ModelMismatchError, NotAbelianError,
+                     NotPositiveError, ResourceError, SpecParseError, WindowLeakError,
+                     WindowTooSmall)
 from .groups import (GroupModel, GroupSpec, OUT_OF_WINDOW, build_group,
                      parse_group_spec, validate_group)
 from .space import (Exponent, GFunction, box_function, decompose_l1_linf,
@@ -22,9 +22,8 @@ from .space import (Exponent, GFunction, box_function, decompose_l1_linf,
                     random_function, real_part, reflect, translate,
                     LEFT_DIRAC, RIGHT_DIRAC)
 from .convolve import ConvOperator, associativity_check, convolve
-from .tempered import (IterConfig, NormEstimate, dirac_scaling_checks,
-                       quasi_identity_blowup, tempered_norm, tempered_norms,
-                       tempered_upper, upper_bound_weighted_l1)
+from .tempered import (IterConfig, NormEstimate, dirac_scaling_checks, tempered_norm,
+                       tempered_norms, tempered_upper, upper_bound_weighted_l1)
 from .spectral import (DualModel, build_dual, character_orthogonality_residual,
                        convolution_theorem_check, fourier, inverse_fourier,
                        inverse_product_check, mult_operator_norm,

@@ -42,9 +42,5 @@ class NotPositiveError(LtpError):
     """A positivity-only statement was evaluated on a non-positive function."""
 
 
-class GridTooCoarse(LtpError):
-    """A shrinking-neighborhood requirement is not representable on the grid."""
-
-
 class WindowTooSmall(LtpError):
     """A required construction does not fit inside the truncation window."""

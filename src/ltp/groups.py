@@ -546,13 +546,10 @@ class GroupModel:
     Immutable after construction; all operations on it are pure.
     """
 
-    kind: str
     spec: GroupSpec
     carrier: _Carrier = field(repr=False)
     weights: np.ndarray = field(repr=False)
     modular: np.ndarray = field(repr=False)
-    normalization: str = COUNTING
-    name: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -560,10 +557,20 @@ class GroupModel:
         self.modular = np.asarray(self.modular, dtype=np.float64)
         self.weights.setflags(write=False)
         self.modular.setflags(write=False)
-        if not self.name:
-            self.name = self.spec.text
 
-    # -- basic facts ------------------------------------------------------
+    # -- basic facts, read from the spec or the carrier -----------------
+
+    @property
+    def kind(self) -> str:
+        return _FAMILIES[self.spec.family].kind
+
+    @property
+    def normalization(self) -> str:
+        return self.spec.normalization
+
+    @property
+    def name(self) -> str:
+        return self.spec.text
 
     @property
     def n(self) -> int:
@@ -664,9 +671,7 @@ def build_group(spec: GroupSpec | str) -> GroupModel:
     if spec.normalization == PROBABILITY:
         weights = weights / weights.sum()
 
-    model = GroupModel(kind=_FAMILIES[spec.family].kind, spec=spec, carrier=carrier,
-                       weights=weights, modular=modular,
-                       normalization=spec.normalization)
+    model = GroupModel(spec=spec, carrier=carrier, weights=weights, modular=modular)
     validate_group(model)
     return model
 

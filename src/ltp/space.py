@@ -389,7 +389,10 @@ def _axis_distances(model: GroupModel, what: str) -> np.ndarray:
 
 
 def box_function(model: GroupModel, radius: float) -> GFunction:
-    """Indicator of a coordinate box of the given radius around the identity."""
+    """Indicator of a coordinate box of the given radius around the identity;
+    radius 0 is the identity cell, a negative or NaN one a DomainError."""
+    if not radius >= 0:
+        raise DomainError(f"box radius must be at least 0, got {radius!r}")
     inside = np.all(_axis_distances(model, "box") <= radius, axis=0)
     return GFunction(model, inside.astype(np.float64))
 
@@ -404,7 +407,10 @@ def gauss_function(model: GroupModel, sigma: float) -> GFunction:
 
 def random_function(model: GroupModel, seed, *, complex_valued: bool = True,
                     positive: bool = False, support_radius: float | None = None) -> GFunction:
-    """Seeded random test function; optionally positive and box-supported."""
+    """Seeded random test function; optionally positive and box-supported.
+    A negative seed, or a negative or NaN support radius, is a DomainError."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise DomainError(f"random function needs a seed >= 0, got {seed}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if positive:
         values = np.abs(rng.standard_normal(model.n)).astype(np.complex128)

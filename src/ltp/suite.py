@@ -15,6 +15,11 @@ that proves it: a bound on ||f||_p^T from above reads ``upper`` (through
 and the lower side of finite-norm-equivalence).  re-im-closure reads the
 parts' lower ends against f's upper end at factor 1: g * conj f is
 conj(conj g * f), so ||conj f||_p^T = ||f||_p^T >= ||Re f||_p^T.
+
+restricted-isometry reads both tempered norms from the FFT route, on f's
+model and on the dual; spectral-svd-agreement alone sets the transform
+against the singular-value route.  quasi-identity-blowup measures
+||1_U / |U| ||_p on shrinking centred runs U of grid cells.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ from .spectral import (DUAL_CAP, build_dual, character_orthogonality_residual,
                        mult_operator_norm, parseval_check, plancherel_residual,
                        product_theorem_check, restricted_isometry_terms,
                        roundtrip_residual, tempered_norm_spectral)
-from .tempered import (METHOD_WL1_BOUND, dirac_scaling_checks, quasi_identity_blowup,
-                       tempered_norm, tempered_norms, tempered_upper, upper_bound_weighted_l1)
+from .tempered import (METHOD_WL1_BOUND, dirac_scaling_checks, tempered_norm, tempered_norms,
+                       tempered_upper, upper_bound_weighted_l1)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +196,12 @@ def _needs_unimodular(model, p):
 
 
 def _needs_real_line(model, p):
-    if model.kind == KIND_QUADRATURE and isinstance(model.carrier, _LatticeCarrier):
-        return None
-    return "needs a real-line quadrature model"
+    if model.kind != KIND_QUADRATURE or not isinstance(model.carrier, _LatticeCarrier):
+        return "needs a real-line quadrature model"
+    if not model.carrier.step < 0.5:
+        return (f"needs a grid step below 1/2, so that U_1 and U_2 exist, "
+                f"got {model.carrier.step:g}")
+    return None
 
 
 def _needs_folner_window(model, p):
@@ -391,15 +399,21 @@ def _run_submultiplicative(ctx: SuiteContext):
 
 
 def _run_quasi_identity(ctx: SuiteContext):
+    # U_n: the widest centred run of cells of Haar weight below 1/n, n = 1..16
+    # up to the first n with none; ||1_U_n / |U_n| ||_p = |U_n|^(1/p - 1) > n^(1 - 1/p)
     model = ctx.model
-    count = min(16, max(2, int(1.0 / model.carrier.step) - 1))
-    bounds = quasi_identity_blowup(model, ctx.p, count)
-    expected = [n ** (1.0 - 1.0 / ctx.p.p) for n in range(1, count + 1)]
-    worst = max(abs(b - e) for b, e in zip(bounds, expected))
-    monotone = all(b2 >= b1 - 1e-15 for b1, b2 in zip(bounds, bounds[1:]))
-    if not monotone:
-        worst = max(worst, 1.0)
-    return worst, f"n=1..{count}: lower bounds n^(1-1/p) grow without bound"
+    offsets = np.abs(model.carrier.coords[:, 0])
+    runs = np.cumsum(np.bincount(offsets, weights=model.weights))  # weight of |k| <= m
+    terms = []
+    for n in range(1, 17):
+        width = int(np.count_nonzero(runs < 1.0 / n))
+        if width == 0:
+            break
+        terms.append(lp_norm(GFunction(model, (offsets < width) / runs[width - 1]), ctx.p))
+    below = max(n ** (1.0 - 1.0 / ctx.p.p) - term for n, term in enumerate(terms, 1))
+    drop = max(a - b for a, b in zip(terms, terms[1:]))
+    return max(below, drop), (f"n=1..{len(terms)}: ||1_U_n / |U_n| ||_p >= n^(1-1/p) and "
+                              f"non-decreasing, |U_n| < 1/n")
 
 
 _POSITIVE_CONE_NOTE = "||f||_p^T = integral f Delta^(-1/q) for positive f"

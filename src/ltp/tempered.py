@@ -30,7 +30,9 @@ method the first route of that name that does:
   for complex f and near 224 for real f: dense against Lanczos took 7.6 vs
   9.7 ms at n = 200, 9.8 vs 8.1 ms at n = 224, 10.5 vs 6.4 ms at n = 225
   and 14.6 vs 7.8 ms at n = 256 for complex f, and 2.2 vs 3.3, 2.8 vs 2.9,
-  2.7 vs 2.8 and 3.9 vs 2.0 ms for real f.
+  2.7 vs 2.8 and 3.9 vs 2.0 ms for real f.  By name it serves every
+  model at p = 2; on the abelian models the suite names it only in
+  spectral-svd-agreement, which sets it against the transform.
 * other p: Boyd's signed-power iteration, alternating the operator with
   dual exponent maps.  All seeded restarts advance together as the columns
   of one block, and each column freezes once its ratio settles.  The best
@@ -82,8 +84,8 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import DomainError, GridTooCoarse, LtpError
-from .groups import KIND_FINITE, KIND_QUADRATURE, GroupModel, _AffineCarrier, _LatticeCarrier
+from .errors import DomainError, LtpError
+from .groups import KIND_FINITE, GroupModel, _AffineCarrier, _LatticeCarrier
 from .convolve import ConvOperator, _CirculantProduct, _kernel_blocks, convolve
 from .space import Exponent, GFunction, lp_norm, point_modular, translate, RIGHT_DIRAC
 
@@ -639,7 +641,7 @@ def _boyd_block(product, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
 
 
 # ---------------------------------------------------------------------------
-# Statement-level checks built on the norm
+# A statement-level check built on the norm
 # ---------------------------------------------------------------------------
 
 
@@ -665,27 +667,3 @@ def dirac_scaling_checks(f: GFunction, points, p) -> list[tuple[float, float]]:
         raise DomainError("dirac scaling needs a nonzero f")
     return [(num / den, point_modular(f.group, x) ** (-1.0 / exp.q))
             for x, num in zip(points, nums)]
-
-
-def quasi_identity_blowup(model: GroupModel, p, count: int) -> list[float]:
-    """Lower bounds n^{1 - 1/p} for the Lp size of a hypothetical left
-    quasi identity, using shrinking neighborhoods U_n with measure < 1/n.
-
-    Requires a real-line quadrature model whose cell is small enough to
-    realize every U_n; raises :class:`GridTooCoarse` otherwise.  For p > 1
-    the sequence is strictly increasing and unbounded, which rules the
-    quasi identity out on the non-discrete model.
-    """
-    exp = Exponent.of(p)
-    if model.kind != KIND_QUADRATURE or not isinstance(model.carrier, _LatticeCarrier):
-        raise DomainError("quasi-identity blowup runs on real-line quadrature models")
-    step = model.carrier.step
-    if count < 1:
-        raise DomainError("count must be at least 1")
-    bounds = []
-    for n in range(1, count + 1):
-        if not (step < 1.0 / n):
-            raise GridTooCoarse(
-                f"no neighborhood of measure < 1/{n} is representable at step {step}")
-        bounds.append(n ** (1.0 - 1.0 / exp.p))
-    return bounds

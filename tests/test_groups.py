@@ -11,9 +11,9 @@ import pytest
 import ltp
 from ltp.errors import (DomainError, ResourceError, SpecParseError,
                         WindowLeakError)
-from ltp.groups import (KIND_FINITE, OUT_OF_WINDOW, GroupModel,
-                        GroupValidationError, _CyclicCarrier, _SymmetricCarrier,
-                        parse_group_spec, validate_group)
+from ltp.groups import (OUT_OF_WINDOW, GroupModel, GroupValidationError,
+                        _CyclicCarrier, _SymmetricCarrier, parse_group_spec,
+                        validate_group)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +163,8 @@ def test_validation_rejects_non_associative_carrier(carrier):
     # both carriers pass the identity and inverse checks; only the
     # associativity test can reject them
     n = carrier.n
-    model = GroupModel(kind=KIND_FINITE, spec=parse_group_spec(f"cyclic:{n}"),
-                       carrier=carrier, weights=np.ones(n), modular=np.ones(n))
+    model = GroupModel(spec=parse_group_spec(f"cyclic:{n}"), carrier=carrier,
+                       weights=np.ones(n), modular=np.ones(n))
     with pytest.raises(GroupValidationError, match="associativity"):
         validate_group(model)
 

@@ -180,3 +180,15 @@ def test_generators():
     C = ltp.build_group("cyclic:8")
     wrap = ltp.box_function(C, 1)
     assert wrap.values.real.sum() == 3.0  # indices {7, 0, 1} via wrap distance
+
+
+def test_generators_refuse_a_radius_or_seed_that_cannot_apply():
+    G = ltp.build_group("z:8")
+    assert ltp.box_function(G, 0).values.real.sum() == 1.0  # the identity cell
+    for radius in (-1.0, float("nan")):
+        with pytest.raises(DomainError, match="box radius must be at least 0"):
+            ltp.box_function(G, radius)
+        with pytest.raises(DomainError, match="box radius must be at least 0"):
+            ltp.random_function(G, 0, support_radius=radius)
+    with pytest.raises(DomainError, match="seed >= 0, got -1"):
+        ltp.random_function(G, -1)

@@ -88,6 +88,40 @@ def test_suite_boyd_work_is_pinned(monkeypatch):
         assert work == expected, spec
 
 
+# Calls of the p = 2 singular-value route over one run_suite pass at p = 2
+# and 1.5, seed 0, dual models included: spectral-svd-agreement's 8 draws on
+# the abelian models, and every p = 2 norm on the nonabelian finite models and
+# the affine grid.  Recount with this test's counter when a check changes the
+# routes it reads, and state the old and new counts with that change.
+EXACT_SVD_CALLS = {"cyclic:256@counting": 8, "circle:64": 8, "product:cyclic:8+cyclic:16": 8,
+                   "dihedral:64": 81, "symmetric:5": 81, "affine:0.125:1:0.125:1": 21,
+                   "z:64": 0, "z2:8": 0, "r:0.05:4": 0}
+
+
+def test_every_benchmark_model_has_an_exact_svd_pin(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import SUITE_SPECS
+    assert {spec for specs in SUITE_SPECS.values() for spec in specs} <= set(EXACT_SVD_CALLS)
+
+
+def test_suite_exact_svd_calls_are_pinned(monkeypatch):
+    # routes look their function up at call time, so the wrapper sees every call
+    from ltp import tempered
+
+    calls = []
+    original = tempered._exact_svd
+
+    def counting(f):
+        calls.append(f.group.name)
+        return original(f)
+
+    monkeypatch.setattr(tempered, "_exact_svd", counting)
+    for spec, expected in EXACT_SVD_CALLS.items():
+        del calls[:]
+        run_suite(spec, (2.0, 1.5), seed=0)
+        assert len(calls) == expected, spec
+
+
 def test_exact_models_share_each_check_tolerance():
     models = [ltp.build_group(spec) for spec in ("cyclic:8", "z:8", "z2:2", "r:0.5:2")]
     for check in REGISTRY:
@@ -230,6 +264,43 @@ def test_suite_real_line_quasi_identity():
     by_name = {c.name: c for c in report.checks}
     assert by_name["quasi-identity-blowup@p=2"].status == "pass"
     assert report.summary["fail"] == 0
+
+
+def test_quasi_identity_skips_on_a_grid_step_of_one_half():
+    # U_2 needs a centred run of measure below 1/2, which a step of 1/2 cannot give
+    for seed in range(3):
+        by_name = {c.name: c for c in run_suite("r:0.5:2", [2.0, 1.5], seed=seed).checks}
+        for p in ("2", "1.5"):
+            check = by_name[f"quasi-identity-blowup@p={p}"]
+            assert check.status == "skipped", (seed, p)
+            assert "grid step below 1/2" in check.notes and "got 0.5" in check.notes
+
+
+def test_suite_catches_an_understated_quasi_identity_norm(monkeypatch):
+    # the check measures ||1_U / |U| ||_p: read 10% low, it falls below n^(1-1/p)
+    exact = suite.lp_norm
+    monkeypatch.setattr(suite, "lp_norm", lambda f, p: 0.9 * exact(f, p))
+    by_name = {c.name: c for c in run_suite("r:0.05:4", [2.0], seed=0).checks}
+    assert by_name["quasi-identity-blowup@p=2"].status == "fail"
+
+
+_QUASI_IDENTITY = next(check for check in REGISTRY if check.name == "quasi-identity-blowup")
+_RESTRICTED_ISOMETRY = next(check for check in REGISTRY if check.name == "restricted-isometry")
+
+
+@pytest.mark.slow
+def test_quasi_identity_and_restricted_isometry_over_suite_seeds():
+    cases = [(_QUASI_IDENTITY, "r:0.05:4", (2.0, 1.5), "pass"),
+             (_QUASI_IDENTITY, "r:0.25:2", (2.0, 1.5), "pass"),
+             (_QUASI_IDENTITY, "r:0.5:2", (2.0, 1.5), "skipped")]
+    cases += [(_RESTRICTED_ISOMETRY, spec, (None,), "pass")
+              for spec in ("cyclic:256@counting", "circle:64", "product:cyclic:8+cyclic:16")]
+    for check, spec, p_values, status in cases:
+        model = ltp.build_group(spec)
+        for seed in range(30):
+            for p in p_values:
+                result = _execute_check(check, model, p, seed, {}, False)
+                assert result.status == status, (check.name, spec, seed, p, result.notes)
 
 
 def test_tolerance_override_can_fail_a_check():
@@ -706,6 +777,14 @@ def test_function_source_generators():
     r1 = parse_function_source(G, "random:5")
     r2 = parse_function_source(G, "random:5")
     assert np.array_equal(r1.values, r2.values)
+
+
+def test_function_sources_that_cannot_apply_exit_2(capsys):
+    for source, message in (("box:-1", "box radius must be at least 0, got -1.0"),
+                            ("box:nan", "box radius must be at least 0, got nan"),
+                            ("random:-1", "seed >= 0, got -1")):
+        assert main(["norm", "--group", "cyclic:4", "--f", source]) == 2, source
+        assert message in capsys.readouterr().err, source
 
 
 def test_suite_digest_hashes_the_report_and_lists_its_checks():

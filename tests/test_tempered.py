@@ -12,9 +12,10 @@ import pytest
 
 import ltp
 from ltp.convolve import _CirculantProduct
-from ltp.errors import DomainError, GridTooCoarse, ResourceError
-from ltp.tempered import (IterConfig, _symbol_rounding, quasi_identity_blowup, tempered_norm,
-                          tempered_upper, upper_bound_weighted_l1)
+from ltp import suite
+from ltp.errors import DomainError, ResourceError
+from ltp.tempered import (IterConfig, _symbol_rounding, tempered_norm, tempered_upper,
+                          upper_bound_weighted_l1)
 
 
 def dft_max_oracle(model, values):
@@ -811,21 +812,36 @@ def test_re_im_closure_random_batch():
 # Quasi-identity blowup
 # ---------------------------------------------------------------------------
 
-def test_quasi_identity_sequences():
+def test_quasi_identity_sequences(monkeypatch):
+    # the suite's runner measures ||1_U_n / |U_n| ||_p for n = 1..16 on r:0.05:4
+    terms = []
+
+    def recording(f, p):
+        terms.append(ltp.lp_norm(f, p))
+        return terms[-1]
+
+    monkeypatch.setattr(suite, "lp_norm", recording)
     G = ltp.build_group("r:0.05:4")
-    bounds = quasi_identity_blowup(G, 2, 4)
-    assert bounds == pytest.approx([1.0, math.sqrt(2), math.sqrt(3), 2.0], abs=1e-12)
-    near_one = quasi_identity_blowup(G, 1.0001, 10)
-    assert max(near_one) - min(near_one) < 2e-3
-    assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
+    for p in (2.0, 1.5, 1.0):
+        del terms[:]
+        ctx = suite.SuiteContext(G, ltp.Exponent.of(p), np.random.default_rng(0))
+        measured, note = suite._run_quasi_identity(ctx)
+        assert len(terms) == 16 and note.startswith("n=1..16:")
+        bounds = [n ** (1.0 - 1.0 / p) for n in range(1, 17)]
+        assert all(t >= b - 1e-12 for t, b in zip(terms, bounds)), p
+        assert all(t2 >= t1 - 1e-12 for t1, t2 in zip(terms, terms[1:])), p
+        assert measured <= 1e-12
+        # U_1 is the 19 cells of measure 0.95 < 1, U_16 the centre cell of 1/20
+        assert terms[0] == pytest.approx(0.95 ** (1.0 / p - 1.0), rel=1e-12)
+        assert terms[-1] == pytest.approx(0.05 ** (1.0 / p - 1.0), rel=1e-12)
 
 
 def test_quasi_identity_grid_too_coarse():
-    G = ltp.build_group("r:0.5:4")
-    with pytest.raises(GridTooCoarse):
-        quasi_identity_blowup(G, 2, 5)
-    with pytest.raises(DomainError):
-        quasi_identity_blowup(ltp.build_group("cyclic:4"), 2, 3)
+    check = next(check for check in suite.REGISTRY if check.name == "quasi-identity-blowup")
+    exp = ltp.Exponent.of(2.0)
+    assert check.requires(ltp.build_group("r:0.4:2"), exp) is None
+    assert "grid step below 1/2" in check.requires(ltp.build_group("r:0.5:4"), exp)
+    assert "real-line" in check.requires(ltp.build_group("cyclic:4"), exp)
 
 
 @pytest.mark.parametrize("spec, radius", [("z:64", 64), ("z2:8", 8)])
