@@ -16,8 +16,8 @@ from . import __version__
 from .errors import LtpError, ResourceError, SpecParseError
 from .groups import build_group
 from .report import FORMATS, check_writable, emit_report, render_report
-from .space import GFunction, box_function, dirac, gauss_function, random_function
-from .spectral import build_dual, fourier, plancherel_restricted_isometry
+from .space import Exponent, GFunction, box_function, dirac, gauss_function, random_function
+from .spectral import build_dual, fourier, restricted_isometry_terms
 from .suite import run_suite
 from .folner import find_folner
 from .tempered import IterConfig, tempered_norm
@@ -83,6 +83,8 @@ def _parse_p_list(text: str) -> list[float]:
         raise SpecParseError(f"cannot parse exponent list {text!r}") from exc
     if len(set(p_values)) < len(p_values):
         raise SpecParseError(f"exponent list {text!r} names an exponent twice")
+    for p in p_values:
+        Exponent.of(p)  # refuse a bad exponent before any output
     return p_values
 
 
@@ -201,7 +203,8 @@ def _cmd_spectral(args) -> int:
     print("fhat:")
     for k, value in enumerate(fhat.values):
         print(f"  {k}: {value.real:+.12g}{value.imag:+.12g}j")
-    lhs, rhs = plancherel_restricted_isometry(dual, f)
+    norm_f, sup_f, sup_fhat, norm_fhat = restricted_isometry_terms(dual, f)
+    lhs, rhs = norm_f + sup_f, sup_fhat + norm_fhat
     print(f"||f||_2^T + ||f||_inf   = {lhs!r}")
     print(f"||fhat||_inf + ||fhat||_2^T = {rhs!r}")
     print(f"difference = {abs(lhs - rhs):.3e}")

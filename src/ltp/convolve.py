@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ResourceError
 from .groups import (KIND_FINITE, GroupModel, _AffineCarrier, _LatticeCarrier)
-from .space import Exponent, GFunction, lp_norm
+from .space import Exponent, GFunction
 
 DENSE_CAP = 4096
 _CHUNK = 256
@@ -299,12 +299,3 @@ def _operator_matrix(f: GFunction) -> np.ndarray:
     for start, stop, block in _kernel_blocks(model, values):
         out[:, start:stop] = block
     return out * model.weights[None, :]
-
-
-def associativity_check(f: GFunction, g: GFunction, h: GFunction) -> float:
-    """L2 norm of (f*g)*h - f*(g*h); bounded by 1e-10 on finite models where
-    the Fubini exchange is a finite sum.  Uses the direct summation path so
-    that Dirac triples cancel exactly."""
-    left = convolve(convolve(f, g, path="direct"), h, path="direct")
-    right = convolve(f, convolve(g, h, path="direct"), path="direct")
-    return lp_norm(left - right, 2)

@@ -1,6 +1,6 @@
-"""Box Folner sets on truncated lattices and the quantitative averaging
-inequality they support, plus the positive-cone norm equality on amenable
-models.
+"""Box Folner sets on truncated lattices and the terms of the quantitative
+averaging inequality they support, the chain behind the positive-cone norm
+equality on amenable models.
 
 Only boxes K = [-L, L]^d are constructed: for a shift x the overlap ratio
 |xK n K| / |K| has the closed form prod_i (side - |x_i|) / side, and every
@@ -17,7 +17,7 @@ from .errors import DomainError, NotPositiveError, WindowTooSmall
 from .groups import KIND_LATTICE, GroupModel, _LatticeCarrier
 from .convolve import convolve
 from .space import Exponent, GFunction, inner, lp_norm, modular_reflect, _cell
-from .tempered import tempered_norm, upper_bound_weighted_l1
+from .tempered import upper_bound_weighted_l1
 
 
 @dataclass
@@ -139,15 +139,3 @@ def averaging_inequality_check(f: GFunction, cert: FolnerCertificate,
 
     upper = lp_norm(g, exp) * upper_bound_weighted_l1(f, exp) * lp_norm(h, exp.q)
     return (1.0 - cert.epsilon) * integral_c, pairing, upper
-
-
-def positive_norm_equality(f: GFunction, p) -> tuple[float, float]:
-    """Both sides of the positive-cone equality ``(||f||_p^T, integral of
-    f * Delta^(-1/q))``: on amenable desk models the tempered norm of a
-    positive function is its weighted-L1 norm (plain ||f||_1 when
-    unimodular).
-    """
-    if not f.is_real or np.any(f.values.real < 0):
-        raise NotPositiveError("positive-cone equality needs f >= 0")
-    exp = Exponent.of(p)
-    return tempered_norm(f, exp).value, upper_bound_weighted_l1(f, exp)

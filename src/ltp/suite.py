@@ -20,6 +20,10 @@ restricted-isometry reads both tempered norms from the FFT route, on f's
 model and on the dual; spectral-svd-agreement alone sets the transform
 against the singular-value route.  quasi-identity-blowup measures
 ||1_U / |U| ||_p on shrinking centred runs U of grid cells.
+
+Each runner draws its probes and measures its statement from the
+quantities the library computes: transforms, norms, convolutions,
+certificates and the terms of the averaging chain.
 """
 
 from __future__ import annotations
@@ -39,20 +43,17 @@ from .groups import (COUNTING, KIND_FINITE, KIND_LATTICE, KIND_QUADRATURE,
                      _LatticeCarrier, build_group, parse_group_spec, validate_group,
                      modular_multiplicativity_residual, _affine_validation_points,
                      _affine_modular_residual)
-from .convolve import associativity_check, convolve
-from .folner import averaging_inequality_check, find_folner, positive_norm_equality
+from .convolve import convolve
+from .folner import averaging_inequality_check, find_folner
 from .report import FAIL, CheckResult, SuiteReport
 from .space import (Exponent, GFunction, dirac, dirac_measure, ess_sup,
                     estimate_modular, imag_part, inner, lp_norm, modular_reflect,
-                    random_function, real_part, translate, LEFT_DIRAC, RIGHT_DIRAC,
-                    decompose_l1_linf, _affine_bump_probe)
-from .spectral import (DUAL_CAP, build_dual, character_orthogonality_residual,
-                       convolution_theorem_check, inverse_product_check,
-                       mult_operator_norm, parseval_check, plancherel_residual,
-                       product_theorem_check, restricted_isometry_terms,
-                       roundtrip_residual, tempered_norm_spectral)
-from .tempered import (METHOD_WL1_BOUND, dirac_scaling_checks, tempered_norm, tempered_norms,
-                       tempered_upper, upper_bound_weighted_l1)
+                    point_modular, random_function, real_part, translate, LEFT_DIRAC,
+                    RIGHT_DIRAC, decompose_l1_linf, _affine_bump_probe)
+from .spectral import (DUAL_CAP, build_dual, fourier, inverse_fourier, mult_operator_norm,
+                       restricted_isometry_terms, tempered_norm_spectral)
+from .tempered import (METHOD_WL1_BOUND, tempered_norm, tempered_norms, tempered_upper,
+                       upper_bound_weighted_l1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +205,14 @@ def _needs_real_line(model, p):
     return None
 
 
+def _needs_probe_room(model, p):
+    carrier = model.carrier
+    if isinstance(carrier, _LatticeCarrier) and carrier.radius < 2:
+        return (f"window radius {carrier.radius} below 2 cells: the probe fills "
+                f"the window, so every translate leaks")
+    return None
+
+
 def _needs_folner_window(model, p):
     err = _needs_lattice(model, p)
     if err:
@@ -299,7 +308,10 @@ def _run_associativity(ctx: SuiteContext):
     h = _random_probe(ctx.model, ctx.rng)
     for func in (f, g, h):
         func.values /= max(lp_norm(func, 2), 1e-30)
-    return associativity_check(f, g, h)
+    # the direct summation path, so that Dirac triples cancel exactly
+    left = convolve(convolve(f, g, path="direct"), h, path="direct")
+    right = convolve(f, convolve(g, h, path="direct"), path="direct")
+    return lp_norm(left - right, 2)
 
 
 def _run_young(ctx: SuiteContext):
@@ -328,11 +340,23 @@ def _run_dirac_calculus(ctx: SuiteContext):
 
 
 def _run_dirac_scaling(ctx: SuiteContext):
-    f = _random_probe(ctx.model, ctx.rng, positive=True)
-    points = _scaling_points(ctx.model)
+    model = ctx.model
+    f = _random_probe(model, ctx.rng, positive=True)
+    points = _scaling_points(model)
+    family = [f] + [translate(f, x, RIGHT_DIRAC) for x in points]
+    if isinstance(model.carrier, _AffineCarrier):
+        # the upper ends: for positive f they are the true norms (the
+        # positive-cone equality), whereas the window-section lower end
+        # carries a compression deficit set by the window, which no step
+        # refinement removes; exact routes make the two ends agree elsewhere
+        den, *nums = [tempered_upper(g, ctx.p) for g in family]
+    else:
+        den, *nums = [est.lower for est in tempered_norms(family, ctx.p)]
     worst = 0.0
     details = []
-    for x, (ratio, expected) in zip(points, dirac_scaling_checks(f, points, ctx.p)):
+    for x, num in zip(points, nums):
+        ratio = num / den
+        expected = point_modular(model, x) ** (-1.0 / ctx.p.q)
         worst = max(worst, abs(ratio - expected) / expected)
         details.append(f"{x}:{ratio:.6g}/{expected:.6g}")
     return worst, "ratio vs Delta(x)^(-1/q): " + " ".join(details)
@@ -379,7 +403,7 @@ def _run_l1_identity(ctx: SuiteContext):
     f = _random_probe(ctx.model, ctx.rng)
     est = tempered_norm(f, 1)
     scale = max(lp_norm(f, 1), 1e-30)
-    return abs(est.value - lp_norm(f, 1)) / scale
+    return abs(est.lower - lp_norm(f, 1)) / scale
 
 
 def _run_re_im(ctx: SuiteContext):
@@ -426,7 +450,7 @@ def _run_positive_cone(ctx: SuiteContext):
     # asserted for concentrated data only
     affine = isinstance(model.carrier, _AffineCarrier)
     f = _random_probe(model, ctx.rng, positive=True, concentration=0.25 if affine else 0.45)
-    norm, target = positive_norm_equality(f, ctx.p)
+    norm, target = tempered_norm(f, ctx.p).lower, upper_bound_weighted_l1(f, ctx.p)
     if affine:
         return abs(norm - target), _POSITIVE_CONE_NOTE + \
             " (experimental: concentrated support, section deficit vs tolerance)"
@@ -451,38 +475,61 @@ def _run_folner_averaging(ctx: SuiteContext):
 
 
 def _run_character_orthogonality(ctx: SuiteContext):
-    return character_orthogonality_residual(build_dual(ctx.model))
+    # max |<chi_k, chi_l> - c delta_kl| with c forced by the normalization
+    dual = build_dual(ctx.model)
+    weighted = dual.characters * dual.base.weights[None, :]
+    gram = weighted @ np.conj(dual.characters.T)
+    c = float(np.sum(dual.base.weights))
+    return float(np.max(np.abs(gram - c * np.eye(dual.base.n))))
 
 
 def _run_plancherel(ctx: SuiteContext):
-    return plancherel_residual(build_dual(ctx.model), _random_probe(ctx.model, ctx.rng))
+    dual = build_dual(ctx.model)
+    f = _random_probe(ctx.model, ctx.rng)
+    return abs(lp_norm(f, 2) - lp_norm(fourier(dual, f), 2))
 
 
 def _run_roundtrip(ctx: SuiteContext):
-    return roundtrip_residual(build_dual(ctx.model), _random_probe(ctx.model, ctx.rng))
+    dual = build_dual(ctx.model)
+    f = _random_probe(ctx.model, ctx.rng)
+    back = inverse_fourier(dual, fourier(dual, f))
+    return float(np.max(np.abs(back.values - f.values)))
 
 
 def _unit(f: GFunction) -> GFunction:
     return GFunction(f.group, f.values / max(lp_norm(f, 2), 1e-30))
 
 
+def _product_rule(transform, f: GFunction, g: GFunction) -> float:
+    """||T(fg) - T(f) * T(g)||_2 for the transform T of f and g, the
+    convolution taken against the weights of T's side."""
+    lhs = transform(GFunction(f.group, f.values * g.values))
+    rhs = convolve(transform(f), transform(g))
+    return lp_norm(GFunction(lhs.group, lhs.values - rhs.values), 2)
+
+
 def _run_conv_theorem(ctx: SuiteContext):
     f = _unit(_random_probe(ctx.model, ctx.rng))
     g = _unit(_random_probe(ctx.model, ctx.rng))
-    return convolution_theorem_check(build_dual(ctx.model), f, g)
+    dual = build_dual(ctx.model)
+    lhs = fourier(dual, convolve(f, g))
+    fg = fourier(dual, f).values * fourier(dual, g).values
+    return lp_norm(GFunction(dual.dual_group, lhs.values - fg), 2)
 
 
 def _run_product_theorem(ctx: SuiteContext):
     f = _unit(_random_probe(ctx.model, ctx.rng))
     g = _unit(_random_probe(ctx.model, ctx.rng))
-    return product_theorem_check(build_dual(ctx.model), f, g)
+    dual = build_dual(ctx.model)
+    return _product_rule(lambda h: fourier(dual, h), f, g)
 
 
 def _run_parseval(ctx: SuiteContext):
     dual = build_dual(ctx.model)
     f = _unit(_random_probe(ctx.model, ctx.rng))
     g_vals = ctx.rng.standard_normal(ctx.model.n) + 1j * ctx.rng.standard_normal(ctx.model.n)
-    return parseval_check(dual, f, _unit(GFunction(dual.dual_group, g_vals)))
+    g = _unit(GFunction(dual.dual_group, g_vals))
+    return abs(inner(f, inverse_fourier(dual, g)) - inner(fourier(dual, f), g))
 
 
 def _run_inverse_product(ctx: SuiteContext):
@@ -490,7 +537,7 @@ def _run_inverse_product(ctx: SuiteContext):
     vals = ctx.rng.standard_normal((2, ctx.model.n)) \
         + 1j * ctx.rng.standard_normal((2, ctx.model.n))
     f, g = (_unit(GFunction(dual.dual_group, v)) for v in vals)
-    return inverse_product_check(dual, f, g)
+    return _product_rule(lambda h: inverse_fourier(dual, h), f, g)
 
 
 def _run_mult_operator(ctx: SuiteContext):
@@ -502,7 +549,7 @@ def _run_spectral_agreement(ctx: SuiteContext):
     dual = build_dual(ctx.model)
     f = _random_probe(ctx.model, ctx.rng)
     via_transform = tempered_norm_spectral(dual, f)
-    return abs(via_transform - tempered_norm(f, 2, method="exact_svd").value)
+    return abs(via_transform - tempered_norm(f, 2, method="exact_svd").lower)
 
 
 def _run_restricted_isometry(ctx: SuiteContext):
@@ -563,7 +610,7 @@ REGISTRY: list[CheckDef] = [
              requires=_needs_finite, tol=1e-12),
     CheckDef("dirac-scaling", "||f * delta_x||_p^T / ||f||_p^T = Delta(x)^(-1/q)",
              ("dirac-translation-scaling",), _run_dirac_scaling, per_p=True,
-             affine_tol=5e-2),
+             requires=_needs_probe_room, affine_tol=5e-2),
     CheckDef("dirac-identity-norm", "||delta_e||_p^T = 1",
              ("quasi-identity",), _run_dirac_identity_norm, per_p=True,
              requires=_needs_counting),
@@ -743,8 +790,9 @@ def run_suite(spec: GroupSpec | str, p_list=(2.0,), seed: int = 0,
 
     ``tol_overrides`` maps check names (without the @p suffix) to finite
     tolerances >= 0; any other key or value raises ``DomainError`` before a
-    check runs.  An empty ``p_list``, or one naming an exponent twice (2 and
-    2.0 alike), raises ``DomainError``: each check name appears once in a
+    check runs.  An exponent outside [1, inf) raises ``DomainError`` before a
+    check runs too.  An empty ``p_list``, or one naming an exponent twice (2
+    and 2.0 alike), raises ``DomainError``: each check name appears once in a
     report.  A negative ``seed`` raises ``DomainError``, and a ``model`` that
     is not the group ``spec`` describes raises ``ModelMismatchError``.
     """
@@ -758,7 +806,7 @@ def run_suite(spec: GroupSpec | str, p_list=(2.0,), seed: int = 0,
         overrides[name] = float(value)
         if not (math.isfinite(overrides[name]) and overrides[name] >= 0.0):
             raise DomainError(f"tolerance override {name}={value!r} is not a finite value >= 0")
-    p_values = [float(p) for p in p_list]
+    p_values = [Exponent.of(p).p for p in p_list]
     if not p_values:
         raise DomainError("run_suite needs at least one exponent")
     if len(set(p_values)) < len(p_values):

@@ -61,6 +61,9 @@ method the first route of that name that does:
   cyclic:256 in one 192-column block, a suite-finite pass peaked at 81.0 MB
   against 74.5-74.7 MB in 64-column blocks and 74.4 MB unbatched (one BLAS
   thread, 2-vCPU host).  The suite's widest block is now 48 columns.
+  ``IterConfig`` accepts at most 64 restarts, so that one f's restarts fit
+  one block: 256 restarts gave the same ``lower`` as the default 8 on
+  circle:64, dihedral:64 and cyclic:32 at p = 1.5.
 * any p, by name only: the Rayleigh ratio of g = f as ``lower`` and the
   weighted-L1 value as ``upper``, from one convolution.
 
@@ -72,6 +75,8 @@ where only that end is needed.  On the iterative and bound routes it
 returns the weighted-L1 value without the iteration, so it stays valid
 past the dense cap, where the Boyd route refuses on nonabelian models and
 the affine grid; on the exact routes it computes the norm.
+
+The statements about these norms are measured by the suite's runners.
 """
 
 from __future__ import annotations
@@ -85,16 +90,17 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import DomainError, LtpError
-from .groups import KIND_FINITE, GroupModel, _AffineCarrier, _LatticeCarrier
+from .groups import KIND_FINITE, GroupModel, _LatticeCarrier
 from .convolve import ConvOperator, _CirculantProduct, _kernel_blocks, convolve
-from .space import Exponent, GFunction, lp_norm, point_modular, translate, RIGHT_DIRAC
+from .space import Exponent, GFunction, lp_norm
 
 # Largest model whose p = 2 singular value comes from dense ``eigh`` of
 # M^H M; above it the Lanczos iteration is cheaper (measured, see the
 # docstring).
 _SVD_DENSE_CAP = 224
 # Widest block of Boyd columns that several f share: it bounds the memory of
-# a caller that passes many f (measured, see the docstring).
+# a caller that passes many f (measured, see the docstring).  It also bounds
+# the restarts of one f, whose columns share one block.
 _BLOCK_COLS = 64
 # Smallest normal double: magnitudes are floored here before a negative
 # power, which keeps |y|^(p-2) finite and makes y |y|^(p-2) vanish at y = 0.
@@ -120,6 +126,9 @@ class IterConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise DomainError(f"restarts must be at least 1, got {self.restarts}")
+        if self.restarts > _BLOCK_COLS:
+            raise DomainError(f"restarts must be at most {_BLOCK_COLS}, the columns of "
+                              f"one block, got {self.restarts}")
         if self.seed < 0:
             raise DomainError(f"seed must be at least 0, got {self.seed}")
 
@@ -154,11 +163,6 @@ class NormEstimate:
         if self.lower > self.upper * (1.0 + 1e-9) + 1e-300:
             raise LtpError(
                 f"norm bounds crossed: lower={self.lower!r} > upper={self.upper!r}")
-
-    @property
-    def value(self) -> float:
-        """Best point estimate (the certified lower bound)."""
-        return self.lower
 
 
 # ---------------------------------------------------------------------------
@@ -638,32 +642,3 @@ def _boyd_block(product, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
         x[:, cols] = xa
         products[cols] += 1
     return gamma, x, iters, converged, products
-
-
-# ---------------------------------------------------------------------------
-# A statement-level check built on the norm
-# ---------------------------------------------------------------------------
-
-
-def dirac_scaling_checks(f: GFunction, points, p) -> list[tuple[float, float]]:
-    """For every x in ``points``, measure ||f * delta_x||_p^T / ||f||_p^T
-    and return it with the predicted value Delta(x)^{-1/q} (1 on unimodular
-    models).  f and its translates are normed in one ``tempered_norms`` call.
-
-    On the affine quadrature model the ratio compares the certified upper
-    bounds: for the positive probes the suites use they equal the true norms
-    (amenable positive-cone equality), whereas the window-section lower
-    bound carries a compression deficit set by the window size, which no
-    step refinement removes.  Exact routes make the two readings coincide
-    everywhere else.
-    """
-    exp = Exponent.of(p)
-    family = [f] + [translate(f, x, RIGHT_DIRAC) for x in points]
-    if isinstance(f.group.carrier, _AffineCarrier):
-        den, *nums = [tempered_upper(g, exp) for g in family]
-    else:
-        den, *nums = [est.value for est in tempered_norms(family, exp)]
-    if den == 0.0:
-        raise DomainError("dirac scaling needs a nonzero f")
-    return [(num / den, point_modular(f.group, x) ** (-1.0 / exp.q))
-            for x, num in zip(points, nums)]

@@ -16,6 +16,7 @@ from ltp.cli import main, parse_function_source
 from ltp.report import CheckResult, SuiteReport, emit_report
 from ltp.suite import (REGISTRY, CheckDef, _execute_check, coverage_gaps,
                        registry_self_test, run_suite)
+from ltp.spectral import fourier
 from ltp.tempered import IterConfig, tempered_norm
 
 
@@ -501,6 +502,28 @@ def test_run_suite_takes_the_model_of_its_own_spec():
         == run_suite("dihedral:6", [2.0, 1.5], seed=0).to_json()
 
 
+def test_run_suite_refuses_a_bad_exponent_before_any_check_runs(monkeypatch):
+    monkeypatch.setattr(suite, "_execute_check", _no_check_runs)
+    with pytest.raises(ltp.DomainError, match=r"lie in \[1, inf\), got 0.5"):
+        run_suite("cyclic:8", [2.0, 0.5])
+
+
+def test_cli_norm_bad_exponent_exits_2_with_no_output(capsys):
+    assert main(["norm", "--group", "cyclic:8", "--f", "random:1", "--p", "2,0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "got 0.5" in captured.err
+
+
+def test_transform_checks_fail_when_the_transform_reads_one_percent_high(monkeypatch):
+    monkeypatch.setattr(suite, "fourier", lambda dual, f: 1.01 * fourier(dual, f))
+    report = run_suite("cyclic:16@counting", [2.0], seed=0)
+    status = {check.name: check.status for check in report.checks}
+    for name in ("plancherel-norm", "fourier-roundtrip", "conv-theorem",
+                 "product-theorem", "parseval-pairing"):
+        assert status[name] == "fail", name
+
+
 def test_run_suite_refuses_an_empty_exponent_list():
     with pytest.raises(ltp.DomainError, match="at least one exponent"):
         run_suite("cyclic:4", [])
@@ -548,6 +571,16 @@ def test_cli_norm_honours_small_restart_counts(capsys):
         assert main(["norm", "--group", "dihedral:6", "--f", "random:3", "--p", "1.5",
                      "--restarts", restarts]) == 2
         assert "restarts must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_norm_refuses_more_restarts_than_one_block(capsys):
+    argv = ["norm", "--group", "dihedral:6", "--f", "random:3", "--p", "1.5", "--restarts"]
+    assert main(argv + ["65"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "restarts must be at most 64" in captured.err
+    assert main(argv + ["64"]) == 0
+    with pytest.raises(ltp.DomainError, match="at most 64"):
+        IterConfig(restarts=65)
 
 
 def _printed(out: str, key: str) -> str:
