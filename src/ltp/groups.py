@@ -3,7 +3,7 @@
 Three carrier kinds are supported:
 
 * ``finite``: exact Cayley arithmetic (cyclic, dihedral, symmetric groups
-  and direct products of cyclics), optionally with probability-normalized
+  and direct products of these), optionally with probability-normalized
   Haar weights.
 * ``lattice-truncated``: boxes in Z^d with exact integer arithmetic;
   products falling outside the box map to an absorbing out-of-window state.
@@ -11,9 +11,12 @@ Three carrier kinds are supported:
   group.  The affine model stores a on a geometric grid a = exp(u) with
   uniform u, so group products are exact in u and interpolated in b.
 
-Elements are indices 0..n-1.  The sentinel ``OUT_OF_WINDOW`` (-1) flags
-products that land outside a truncated window; convolution sums drop those
-terms and account for the dropped mass.
+Elements are indices 0..n-1.  Cells with several coordinates (the factor
+cells of a product, the shifted coordinates of a lattice) are numbered in
+numpy's C order, ``np.ravel_multi_index``: the last coordinate varies
+fastest.  The sentinel ``OUT_OF_WINDOW`` (-1) flags products that land
+outside a truncated window; convolution sums drop those terms and account
+for the dropped mass.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ResourceError, SpecParseError
+from .errors import ModelMismatchError, ResourceError, SpecParseError
 
 OUT_OF_WINDOW = -1
 
@@ -232,115 +235,74 @@ class _DihedralCarrier(_Carrier):
         self.is_abelian = m <= 2
 
     def op(self, i, j):
-        i = np.asarray(i)
-        j = np.asarray(j)
-        r1, s1 = i % self.m, i // self.m
-        r2, s2 = j % self.m, j // self.m
-        r = (r1 + np.where(s1 == 1, -r2, r2)) % self.m
-        s = s1 ^ s2
-        return s * self.m + r
+        s1, r1 = np.divmod(i, self.m)
+        s2, r2 = np.divmod(j, self.m)
+        return (s1 ^ s2) * self.m + (r1 + np.where(s1 == 1, -r2, r2)) % self.m
 
     def inv(self, i):
-        i = np.asarray(i)
-        r, s = i % self.m, i // self.m
-        r_inv = np.where(s == 1, r, (-r) % self.m)
-        return s * self.m + r_inv
+        s, r = np.divmod(i, self.m)
+        return s * self.m + np.where(s == 1, r, -r % self.m)
 
 
 class _SymmetricCarrier(_Carrier):
     """Symmetric group on N letters, permutations in lexicographic order.
 
-    Composition convention: (p*q)(t) = p(q(t)).  Ranking uses the factorial
-    number system so no Cayley table is materialized.
+    Composition convention: (p*q)(t) = p(q(t)).  A permutation's rank is the
+    position of its base-N code among the codes of ``perms``, which ascend
+    with the lexicographic order, so no Cayley table is materialized.
     """
 
     def __init__(self, big_n: int):
         if big_n > 10:
             raise ResourceError(f"symmetric:{big_n} is far beyond desk scale")
-        self.big_n = big_n
         self.n = _capped(math.factorial(big_n))
         self.perms = np.array(list(itertools.permutations(range(big_n))), dtype=np.int64)
         self.identity = 0
         self.is_abelian = big_n <= 2
-        self._suffix_fact = np.array(
-            [math.factorial(big_n - 1 - i) for i in range(big_n)], dtype=np.int64)
+        # the codes fit in int64: ELEMENT_CAP stops N at 9, and 9**9 < 2**63
+        self._place = big_n ** np.arange(big_n - 1, -1, -1, dtype=np.int64)
+        self._codes = self.perms @ self._place
 
-    def _rank(self, perm_rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(perm_rows)
-        rank = np.zeros(rows.shape[0], dtype=np.int64)
-        for i in range(self.big_n - 1):
-            less = np.sum(rows[:, i + 1:] < rows[:, i:i + 1], axis=1)
-            rank += less * self._suffix_fact[i]
-        return rank
+    def _rank(self, rows: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self._codes, rows @ self._place)
 
     def op(self, i, j):
-        i = np.asarray(i)
-        j = np.asarray(j)
-        shape = np.broadcast_shapes(i.shape, j.shape)
-        i_flat = np.broadcast_to(i, shape).reshape(-1)
-        j_flat = np.broadcast_to(j, shape).reshape(-1)
-        q = self.perms[j_flat]
-        composed = self.perms[i_flat[:, None], q]
-        return self._rank(composed).reshape(shape)
+        i, j = np.broadcast_arrays(i, j)
+        return self._rank(self.perms[i[..., None], self.perms[j]])
 
     def inv(self, i):
-        i = np.asarray(i)
-        flat = i.reshape(-1)
-        inverted = np.argsort(self.perms[flat], axis=1)
-        return self._rank(inverted).reshape(i.shape)
+        return self._rank(np.argsort(self.perms[i], axis=-1))
 
 
 class _ProductCarrier(_Carrier):
-    """Direct product with mixed-radix indexing, first factor most significant."""
+    """Direct product; cell ``ravel_multi_index(factor cells, shape)``."""
 
     def __init__(self, children: Sequence[_Carrier]):
         self.children = list(children)
-        sizes = [c.n for c in self.children]
-        self.n = _capped(math.prod(sizes))
-        strides = []
-        acc = 1
-        for size in reversed(sizes):
-            strides.append(acc)
-            acc *= size
-        self.strides = np.array(list(reversed(strides)), dtype=np.int64)
-        self.sizes = np.array(sizes, dtype=np.int64)
-        self.identity = int(np.dot([c.identity for c in self.children], self.strides))
+        self.shape = tuple(c.n for c in self.children)
+        self.n = _capped(math.prod(self.shape))
+        self.identity = int(np.ravel_multi_index([c.identity for c in self.children], self.shape))
         self.is_abelian = all(c.is_abelian for c in self.children)
         if all(c.cyclic_factors is not None for c in self.children):
-            factors: list[int] = []
-            for c in self.children:
-                factors.extend(c.cyclic_factors)
-            self.cyclic_factors = tuple(factors)
-
-    def decode(self, i):
-        i = np.asarray(i)
-        parts = []
-        for stride, size in zip(self.strides, self.sizes):
-            parts.append((i // stride) % size)
-        return parts
-
-    def encode(self, parts):
-        total = np.zeros_like(np.asarray(parts[0]), dtype=np.int64)
-        for part, stride in zip(parts, self.strides):
-            total = total + np.asarray(part) * stride
-        return total
+            self.cyclic_factors = sum((c.cyclic_factors for c in self.children), ())
 
     def op(self, i, j):
-        pi = self.decode(i)
-        pj = self.decode(j)
-        return self.encode([c.op(a, b) for c, a, b in zip(self.children, pi, pj)])
+        pairs = zip(self.children, np.unravel_index(i, self.shape), np.unravel_index(j, self.shape))
+        return np.ravel_multi_index([c.op(a, b) for c, a, b in pairs], self.shape)
 
     def inv(self, i):
-        return self.encode([c.inv(a) for c, a in zip(self.children, self.decode(i))])
+        parts = zip(self.children, np.unravel_index(i, self.shape))
+        return np.ravel_multi_index([c.inv(a) for c, a in parts], self.shape)
 
 
 class _LatticeCarrier(_Carrier):
     """Truncated Z^d box [-R, R]^d; addition with an out-of-window sentinel.
 
     ``coords[i]`` holds the integer coordinates of cell i, the carrier's
-    only chart; ``from_coords`` is its inverse.  ``step`` is the length of
-    one lattice unit: 1 on Z and Z^2, the grid step h on the real-line
-    quadrature r:h:B.
+    only chart: cell ``ravel_multi_index(coords + R, shape)``, so the centre
+    cell is the identity.  ``from_coords`` is its inverse.  ``step`` is the
+    length of one lattice unit: 1 on Z and Z^2, the grid step h on the
+    real-line quadrature r:h:B.
     """
 
     def __init__(self, dim: int, radius: int, step: float = 1.0):
@@ -348,20 +310,21 @@ class _LatticeCarrier(_Carrier):
         self.radius = radius
         self.step = step
         self.side = 2 * radius + 1
-        self.n = _capped(self.side ** dim)
+        self.shape = (self.side,) * dim
+        self.n = _capped(math.prod(self.shape))
         self.is_abelian = True
-        strides = [self.side ** (dim - 1 - k) for k in range(dim)]
-        self.strides = np.array(strides, dtype=np.int64)
-        self.identity = int(np.dot([radius] * dim, self.strides))
-        grids = np.meshgrid(*[np.arange(-radius, radius + 1)] * dim, indexing="ij")
-        self.coords = np.stack([g.reshape(-1) for g in grids], axis=1)
+        self.identity = self.n // 2
+        self.coords = np.stack(np.unravel_index(np.arange(self.n), self.shape), axis=1) - radius
 
     def from_coords(self, coords):
+        """The cell of each coordinate row, ``OUT_OF_WINDOW`` off the box; the
+        box test comes before any int cast, so inf and 1e300 read outside."""
         coords = np.asarray(coords)
         inside = np.all(np.abs(coords) <= self.radius, axis=-1)
-        shifted = coords + self.radius
-        idx = np.sum(shifted * self.strides, axis=-1)
-        return np.where(inside, idx, OUT_OF_WINDOW)
+        cells = np.full(inside.shape, OUT_OF_WINDOW, dtype=np.int64)
+        shifted = (coords[inside] + self.radius).astype(np.intp, copy=False)
+        cells[inside] = np.ravel_multi_index(tuple(shifted.T), self.shape)
+        return cells
 
     def op(self, i, j):
         i = np.asarray(i)
@@ -635,7 +598,6 @@ class GroupModel:
 
     def require_same(self, other: "GroupModel"):
         if other is not self:
-            from .errors import ModelMismatchError
             raise ModelMismatchError(
                 f"functions live on different models: {self.name!r} vs {other.name!r}")
 

@@ -379,13 +379,8 @@ def _axis_distances(model: GroupModel, what: str) -> np.ndarray:
     if factors is None:
         raise DomainError(f"{what} generator needs coordinates or cyclic factors, "
                           f"not available on {model.name}")
-    idx = np.arange(model.n)
-    dists = []
-    for size in reversed(factors):
-        digit = idx % size
-        dists.append(np.minimum(digit, size - digit))
-        idx //= size
-    return np.array(dists, dtype=np.float64)
+    digits = np.array(np.unravel_index(np.arange(model.n), factors))
+    return np.minimum(digits, np.array(factors)[:, None] - digits).astype(np.float64)
 
 
 def box_function(model: GroupModel, radius: float) -> GFunction:

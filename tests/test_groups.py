@@ -2,7 +2,9 @@
 estimate."""
 
 import ast
+import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from ltp.errors import (DomainError, ResourceError, SpecParseError,
 from ltp.groups import (OUT_OF_WINDOW, GroupModel, GroupValidationError,
                         _CyclicCarrier, _SymmetricCarrier, parse_group_spec,
                         validate_group)
+from ltp.space import point_modular
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +113,17 @@ def test_dihedral_relations():
 
 
 def test_symmetric_composition_convention():
-    import itertools
-    G = ltp.build_group("symmetric:3")
-    perms = list(itertools.permutations(range(3)))
-    for i in (1, 4):
-        for j in (2, 5):
-            composed = tuple(perms[i][perms[j][t]] for t in range(3))
-            assert perms[int(G.op(i, j))] == composed
+    G = ltp.build_group("symmetric:4")
+    perms = list(itertools.permutations(range(4)))
+    idx = np.arange(G.n)
+    table = G.op(idx[:, None], idx)
+    for i, j in itertools.product(range(G.n), repeat=2):
+        composed = tuple(perms[i][perms[j][t]] for t in range(4))
+        assert perms[table[i, j]] == composed
+        assert G.op(i, j) == table[i, j]
+    rows = np.array(perms)
+    assert np.array_equal(rows[G.inv(idx)], np.argsort(rows, axis=1))
+    assert np.array_equal(G.carrier._rank(rows), idx)
 
 
 def test_product_factors():
@@ -124,6 +131,19 @@ def test_product_factors():
     assert G.n == 24
     assert G.is_abelian
     assert G.cyclic_factors == (2, 12)
+    # any finite factors; cells are the factor cells in C order
+    for spec in ("product:cyclic:3+dihedral:2", "product:symmetric:3+cyclic:2"):
+        G = ltp.build_group(spec)
+        A, B = (ltp.build_group(factor.text) for factor in G.spec.factors)
+        cells = list(itertools.product(range(A.n), range(B.n)))
+        index = {cell: k for k, cell in enumerate(cells)}
+        assert G.identity == index[(A.identity, B.identity)]
+        idx = np.arange(G.n)
+        table, inv = G.op(idx[:, None], idx), G.inv(idx)
+        for k, (a, b) in enumerate(cells):
+            assert inv[k] == index[(int(A.inv(a)), int(B.inv(b)))]
+            for m, (c, d) in enumerate(cells):
+                assert table[k, m] == index[(int(A.op(a, c)), int(B.op(b, d)))]
 
 
 def test_finite_inverses_exact():
@@ -219,6 +239,13 @@ def test_z2_carrier():
     assert G.n == 49
     assert np.all(G.inv(np.arange(G.n)) != OUT_OF_WINDOW)
     assert np.all(G.coords()[G.identity] == 0)
+    # the chart is the meshgrid "ij" chart, and from_coords its inverse
+    for spec in ("z:4", "z2:3", "r:0.25:1"):
+        carrier = ltp.build_group(spec).carrier
+        axes = [np.arange(-carrier.radius, carrier.radius + 1)] * carrier.dim
+        chart = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        assert np.array_equal(carrier.coords, chart)
+        assert np.array_equal(carrier.from_coords(carrier.coords), np.arange(carrier.n))
 
 
 def test_real_line_weights():
@@ -477,6 +504,15 @@ def test_resolve_point_errors():
     for spec, x in (("r:0.05:4", (0.5,)), ("z2:4", (1.5, 0)), ("z:8", (1, 2))):
         with pytest.raises(DomainError):
             ltp.translate(ltp.dirac(ltp.build_group(spec)), x, ltp.LEFT_DIRAC)
+    # huge or infinite coordinates lie outside, tested before any int cast
+    Z4 = ltp.build_group("z:4")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ((1e300,), (math.inf,), (-math.inf,)):
+            with pytest.raises(DomainError, match="lies outside the window"):
+                ltp.translate(ltp.dirac(Z4), x, ltp.LEFT_DIRAC)
+            with pytest.raises(DomainError, match="lies outside the window"):
+                point_modular(Z4, x)
     # a cell index is read in range, never from the end as numpy would
     C = ltp.build_group("cyclic:8")
     Z = ltp.build_group("z:8")
