@@ -89,11 +89,10 @@ def _kernel_blocks(model: GroupModel, values: np.ndarray):
         def block(cols):
             return ext[rows[:, None] - offset[cols]]
     else:
-        idx = model.division_table()
-        padded = np.concatenate([values, [0.0]])  # -1 sentinel gathers the zero pad
+        idx = model.division_table()  # a finite division table holds no -1
 
         def block(cols):
-            return padded[idx[:, cols]]
+            return values[idx[:, cols]]
 
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)

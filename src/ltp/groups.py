@@ -174,13 +174,14 @@ def _half_width(radius: float, step: float) -> int:
 
 
 class _Carrier:
-    """Vectorized index arithmetic.  Subclasses fill in op/inv.
-
-    The transports read the group law on points: ``points`` gives the
-    point of each cell, ``law`` and ``law_inverse`` move points, ``outside``
-    flags points off the window and ``read`` evaluates cell data at points.
-    On index carriers a point is its cell index, with ``OUT_OF_WINDOW`` for
-    products that leave a truncated window.
+    """A group stated once: subclasses define ``law`` and ``law_inverse`` on
+    points.  On index carriers a point is its cell index, ``OUT_OF_WINDOW``
+    for a product that leaves a truncated window; other carriers define
+    ``points``, the point of each cell, and ``cell``, the cell of a point
+    (``OUT_OF_WINDOW`` off the window).  ``op`` and ``inv``, the law on
+    cells that the division table and validation read, derive from these.
+    The transports read the law on points, ``outside`` flags points off
+    the window and ``read`` evaluates cell data at points.
     """
 
     n: int
@@ -188,20 +189,23 @@ class _Carrier:
     is_abelian: bool
     cyclic_factors: tuple[int, ...] | None = None
 
-    def op(self, i, j):
+    def law(self, x, y):
         raise NotImplementedError
 
-    def inv(self, i):
+    def law_inverse(self, x):
         raise NotImplementedError
 
     def points(self, cells):
         return np.asarray(cells)
 
-    def law(self, x, y):
-        return self.op(x, y)
+    def cell(self, x):
+        return x
 
-    def law_inverse(self, x):
-        return self.inv(x)
+    def op(self, i, j):
+        return self.cell(self.law(self.points(i), self.points(j)))
+
+    def inv(self, i):
+        return self.cell(self.law_inverse(self.points(i)))
 
     def outside(self, x):
         return np.asarray(x) == OUT_OF_WINDOW
@@ -218,10 +222,10 @@ class _CyclicCarrier(_Carrier):
         self.is_abelian = True
         self.cyclic_factors = (n,)
 
-    def op(self, i, j):
+    def law(self, i, j):
         return (np.asarray(i) + np.asarray(j)) % self.n
 
-    def inv(self, i):
+    def law_inverse(self, i):
         return (-np.asarray(i)) % self.n
 
 
@@ -234,12 +238,12 @@ class _DihedralCarrier(_Carrier):
         self.identity = 0
         self.is_abelian = m <= 2
 
-    def op(self, i, j):
+    def law(self, i, j):
         s1, r1 = np.divmod(i, self.m)
         s2, r2 = np.divmod(j, self.m)
         return (s1 ^ s2) * self.m + (r1 + np.where(s1 == 1, -r2, r2)) % self.m
 
-    def inv(self, i):
+    def law_inverse(self, i):
         s, r = np.divmod(i, self.m)
         return s * self.m + np.where(s == 1, r, -r % self.m)
 
@@ -266,11 +270,11 @@ class _SymmetricCarrier(_Carrier):
     def _rank(self, rows: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._codes, rows @ self._place)
 
-    def op(self, i, j):
+    def law(self, i, j):
         i, j = np.broadcast_arrays(i, j)
         return self._rank(self.perms[i[..., None], self.perms[j]])
 
-    def inv(self, i):
+    def law_inverse(self, i):
         return self._rank(np.argsort(self.perms[i], axis=-1))
 
 
@@ -286,13 +290,13 @@ class _ProductCarrier(_Carrier):
         if all(c.cyclic_factors is not None for c in self.children):
             self.cyclic_factors = sum((c.cyclic_factors for c in self.children), ())
 
-    def op(self, i, j):
+    def law(self, i, j):
         pairs = zip(self.children, np.unravel_index(i, self.shape), np.unravel_index(j, self.shape))
-        return np.ravel_multi_index([c.op(a, b) for c, a, b in pairs], self.shape)
+        return np.ravel_multi_index([c.law(a, b) for c, a, b in pairs], self.shape)
 
-    def inv(self, i):
+    def law_inverse(self, i):
         parts = zip(self.children, np.unravel_index(i, self.shape))
-        return np.ravel_multi_index([c.inv(a) for c, a in parts], self.shape)
+        return np.ravel_multi_index([c.law_inverse(a) for c, a in parts], self.shape)
 
 
 class _LatticeCarrier(_Carrier):
@@ -326,16 +330,11 @@ class _LatticeCarrier(_Carrier):
         cells[inside] = np.ravel_multi_index(tuple(shifted.T), self.shape)
         return cells
 
-    def op(self, i, j):
-        i = np.asarray(i)
-        j = np.asarray(j)
-        out = self.from_coords(self.coords[i] + self.coords[j])
-        return np.where((i == OUT_OF_WINDOW) | (j == OUT_OF_WINDOW), OUT_OF_WINDOW, out)
+    def law(self, x, y):
+        return self.from_coords(self.coords[x] + self.coords[y])
 
-    def inv(self, i):
-        i = np.asarray(i)
-        out = self.from_coords(-self.coords[i])
-        return np.where(i == OUT_OF_WINDOW, OUT_OF_WINDOW, out)
+    def law_inverse(self, x):
+        return self.from_coords(-self.coords[x])
 
 
 class _AffineCarrier(_Carrier):
@@ -346,8 +345,8 @@ class _AffineCarrier(_Carrier):
     in general: ``points`` reads the chart, ``law`` is the product
     (u1,b1)(u2,b2) = (u1+u2, exp(u1)*b2 + b1), exact on the u grid, and
     ``read`` evaluates cell data at points by bilinear interpolation, the
-    one place that decides how the transports sample off-grid.  op/inv
-    ``snap`` law and law_inverse to the nearest cell.
+    one place that decides how the transports sample off-grid.  ``cell``
+    snaps a point to the nearest cell.
     """
 
     def __init__(self, h_u: float, r_u: float, h_b: float, r_b: float):
@@ -374,6 +373,9 @@ class _AffineCarrier(_Carrier):
 
     def points(self, cells):
         return self.coords[cells, 0], self.coords[cells, 1]
+
+    def cell(self, x):
+        return self.snap(*x)
 
     def law(self, x, y):
         (u1, b1), (u2, b2) = x, y
@@ -415,17 +417,6 @@ class _AffineCarrier(_Carrier):
                                                np.clip(ib, 0, self.n_b - 1)], 0)
                 out = out + weight * contrib
         return out
-
-    def op(self, i, j):
-        i = np.asarray(i)
-        j = np.asarray(j)
-        out = self.snap(*self.law(self.points(i), self.points(j)))
-        return np.where((i == OUT_OF_WINDOW) | (j == OUT_OF_WINDOW), OUT_OF_WINDOW, out)
-
-    def inv(self, i):
-        i = np.asarray(i)
-        out = self.snap(*self.law_inverse(self.points(i)))
-        return np.where(i == OUT_OF_WINDOW, OUT_OF_WINDOW, out)
 
     def b_prefix(self, values: np.ndarray):
         """Extended b-profiles and their exact running integrals per u row.
@@ -556,11 +547,15 @@ class GroupModel:
         return bool(np.all(self.modular == 1.0))
 
     def op(self, i, j):
-        """Group product on indices; -1 where the product leaves the window."""
-        return self.carrier.op(i, j)
+        """Group product on indices; -1 where it leaves the window or an operand
+        is -1 (the carrier reads such an operand as cell 0, then it is masked)."""
+        i, j = np.asarray(i), np.asarray(j)
+        return np.where((i == OUT_OF_WINDOW) | (j == OUT_OF_WINDOW), OUT_OF_WINDOW,
+                        self.carrier.op(np.maximum(i, 0), np.maximum(j, 0)))
 
     def inv(self, i):
-        return self.carrier.inv(i)
+        i = np.asarray(i)
+        return np.where(i == OUT_OF_WINDOW, OUT_OF_WINDOW, self.carrier.inv(np.maximum(i, 0)))
 
     @property
     def inverses(self) -> np.ndarray:
@@ -572,7 +567,8 @@ class GroupModel:
         return inv
 
     def division_table(self) -> np.ndarray:
-        """idx[x, y] = index of y^{-1} x (or -1); cached, used by dense paths."""
+        """idx[x, y] = index of y^{-1} x, -1 where it or y^{-1} leaves the
+        window (affine only); cached, used by dense paths."""
         table = self._cache.get("division_table")
         if table is None:
             n = self.n
@@ -584,6 +580,7 @@ class GroupModel:
             for start in range(0, n, _TABLE_BLOCK):
                 block = inv_y[None, start:start + _TABLE_BLOCK]
                 table[:, start:start + _TABLE_BLOCK] = self.carrier.op(block, all_idx[:, None])
+            table[:, inv_y == OUT_OF_WINDOW] = OUT_OF_WINDOW
             table.setflags(write=False)
             self._cache["division_table"] = table
         return table
@@ -712,8 +709,9 @@ def validate_group(model: GroupModel):
 
 def _check_light(model: GroupModel):
     """Light's associativity test (Clifford & Preston, *The Algebraic Theory of
-    Semigroups* I, 1961, section 1.2) on the Cayley table x y = D[y, inv[x]]:
-    the elements g with (x g) y = x (g y) form a submagma: products pass too."""
+    Semigroups* I, 1961, section 1.2) on the division table D, x y = D[y, inv[x]]:
+    the elements g with (x g) y = x (g y) form a submagma: products pass too.
+    It starts from the identity, which ``validate_group`` checked from both sides."""
     n = model.n
     inv = model.inverses
     # the table reading needs an involution; indices outside 0..n-1 would wrap
@@ -722,14 +720,16 @@ def _check_light(model: GroupModel):
     division = model.division_table()
     if not np.all((division >= 0) & (division < n)):
         raise GroupValidationError("a product leaves the carrier")
-    cayley = division[:, inv].T
     reached = np.zeros(n, dtype=bool)
+    reached[model.identity] = True
     while not reached.all():
         g = int(np.argmin(reached))  # the first element not reached yet
-        if not np.array_equal(cayley[cayley[:, g]], cayley[:, cayley[g]]):
+        # (x g) y and x (g y), both indexed [y, x]
+        if not np.array_equal(division[:, inv[division[g, inv]]],
+                              division[np.ix_(division[:, inv[g]], inv)]):
             raise GroupValidationError(f"associativity fails at element {g}")
         reached[g] = True
-        while not reached[(products := cayley[np.ix_(reached, reached)])].all():
+        while not reached[(products := division[np.ix_(reached, inv[reached])])].all():
             reached[products] = True
 
 

@@ -47,19 +47,14 @@ class Exponent:
         if isinstance(p, Exponent):
             return p
         p = float(p)
-        if not (p >= 1.0) or not math.isfinite(p):
-            raise DomainError(f"exponent p must lie in [1, inf), got {p}")
-        q = math.inf if p == 1.0 else p / (p - 1.0)
-        return cls(p, q)
+        return cls(p, math.inf if p == 1.0 else p / (p - 1.0))
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise DomainError(f"exponent p must be >= 1, got {self.p}")
-        if math.isfinite(self.q):
-            if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-15:
-                raise DomainError(f"p={self.p} and q={self.q} are not conjugate")
-        elif self.p != 1.0:
-            raise DomainError("q = inf is only conjugate to p = 1")
+        if not (self.p >= 1.0 and math.isfinite(self.p)):
+            raise DomainError(f"exponent p must lie in [1, inf), got {self.p}")
+        conjugate = 1.0 <= self.q < math.inf and abs(1.0 / self.p + 1.0 / self.q - 1.0) <= 1e-15
+        if not (self.q == math.inf if self.p == 1.0 else conjugate):
+            raise DomainError(f"p={self.p} and q={self.q} are not conjugate")
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +127,8 @@ def lp_norm(f: GFunction, p) -> float:
 
 
 def ess_sup(f: GFunction) -> float:
-    """Essential supremum: max |f| over positive-weight cells."""
-    mask = f.group.weights > 0
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(np.abs(f.values[mask])))
+    """Essential supremum: max |f|, as every Haar weight is positive."""
+    return float(np.max(np.abs(f.values)))
 
 
 def inner(f: GFunction, g: GFunction) -> complex:
@@ -242,14 +234,14 @@ def _cell(model: GroupModel, i) -> int:
 def _point(model: GroupModel, x):
     """The carrier point of x, given as an index, integer lattice coordinates
     (in cells, one per axis; also on r:H:B), or, on the affine model, an
-    (a, b) pair with a > 0 (exact, maybe off-grid)."""
+    (a, b) pair of finite numbers with a > 0 (exact, maybe off-grid)."""
     carrier = model.carrier
     if isinstance(x, (int, np.integer)):
         return carrier.points(_cell(model, x))
     if isinstance(x, (tuple, list)) and isinstance(carrier, _AffineCarrier):
-        a, b = float(x[0]), float(x[1])
-        if a <= 0:
-            raise DomainError("affine points need a > 0")
+        a, b = (float(x[0]), float(x[1])) if len(x) == 2 else (math.nan, math.nan)
+        if not (a > 0 and math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"affine point {x} needs two finite numbers (a, b) with a > 0")
         return math.log(a), b
     if isinstance(x, (tuple, list)) and isinstance(carrier, _LatticeCarrier):
         coords = np.asarray(x, dtype=np.float64)

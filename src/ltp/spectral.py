@@ -115,10 +115,7 @@ def mult_operator_norm(f: GFunction) -> float:
     as the Rayleigh ratio ||f g||_2 / ||g||_2 that the witness g = indicator
     of an argmax cell attains.
     """
-    mask = f.group.weights > 0
-    if not np.any(mask) or f.is_zero:
-        return 0.0
-    best = int(np.argmax(np.where(mask, np.abs(f.values), -1.0)))
+    best = int(np.argmax(np.abs(f.values)))
     witness = np.zeros(f.group.n)
     witness[best] = 1.0
     g = GFunction(f.group, witness)

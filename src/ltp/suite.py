@@ -127,10 +127,12 @@ class CheckDef:
     all ``draws`` probes from ``ctx.rng`` in the order the draws would take
     them (``ctx.draws`` says how many) and returns the list of their
     measurements, or ``(measurements, note)``, so that their norms can come
-    from one ``tempered_norms`` call.  The suite keeps the largest of 0 and
-    the measurements, and judges it against ``expected`` within ``tol``:
-    one value for every model with exact arithmetic, ``affine_tol`` on the
-    interpolated affine grid where a check needs its own.
+    from one ``tempered_norms`` call.  A runner that gives no note reports
+    ``note``, or the statement ``ref`` when ``note`` is empty.  The suite
+    keeps the largest of 0 and the measurements, and judges it against
+    ``expected`` within ``tol``: one value for every model with exact
+    arithmetic, ``affine_tol`` on the interpolated affine grid where a check
+    needs its own.
     """
     name: str
     ref: str
@@ -588,8 +590,8 @@ REGISTRY: list[CheckDef] = [
              ("l1-linf-decomposition",), _run_l1_linf_split,
              note="f = f chi_A + f chi_complement with A = {|f| <= 1}", tol=0.0),
     CheckDef("holder-pairing", "|<f, g>| <= ||f||_p ||g||_q",
-             ("lp-norm-invariance",), _run_holder, note="|<f, g>| <= ||f||_p ||g||_q",
-             draws=8, per_p=True, tol=1e-12, affine_tol=5e-2),
+             ("lp-norm-invariance",), _run_holder, draws=8, per_p=True, tol=1e-12,
+             affine_tol=5e-2),
     CheckDef("reflect-norm-identity", "||Delta^(-1/p) f(. ^-1)||_p = ||f||_p",
              ("modular-reflection",), _run_reflect_norm, per_p=True,
              tol=1e-12, affine_tol=1e-2),
@@ -602,8 +604,8 @@ REGISTRY: list[CheckDef] = [
              note="||(f*g)*h - f*(g*h)||_2 on normalized triples", draws=4,
              requires=_needs_finite, tol=1e-10),
     CheckDef("young-inequality", "||g*f||_p <= ||g||_p ||f||_1",
-             ("unimodular-young-bound",), _run_young, note="||g*f||_p <= ||g||_p ||f||_1",
-             draws=8, per_p=True, requires=_needs_unimodular, tol=1e-12),
+             ("unimodular-young-bound",), _run_young, draws=8, per_p=True,
+             requires=_needs_unimodular, tol=1e-12),
     CheckDef("dirac-calculus", "delta translations and products",
              ("convolution-definition",), _run_dirac_calculus,
              note="delta_x * f is the left translation; delta_x * delta_y = delta_xy",
@@ -641,8 +643,7 @@ REGISTRY: list[CheckDef] = [
              note="lower(Re f), lower(Im f) <= upper(f): factor 1, as ||conj f||_p^T = ||f||_p^T",
              draws=12, per_p=True, requires=_needs_finite),
     CheckDef("submultiplicative-action", "||g*f||_p <= ||g||_p ||f||_p^T",
-             ("tempered-norm-definition",), _run_submultiplicative,
-             note="||g*f||_p <= ||g||_p ||f||_p^T", draws=6, per_p=True,
+             ("tempered-norm-definition",), _run_submultiplicative, draws=6, per_p=True,
              requires=_needs_finite),
     CheckDef("quasi-identity-blowup", "lower bounds n^(1-1/p) rule out a quasi identity",
              ("quasi-identity",), _run_quasi_identity, per_p=True,
@@ -663,24 +664,24 @@ REGISTRY: list[CheckDef] = [
              ("restricted-transform-isometry",), _run_character_orthogonality,
              note="sum_j w_j chi_k chi_l-bar = c delta_kl", requires=_needs_dual, tol=1e-12),
     CheckDef("plancherel-norm", "||f||_2 = ||fhat||_2",
-             ("restricted-transform-isometry",), _run_plancherel,
-             note="||f||_2 = ||fhat||_2", draws=8, requires=_needs_dual, tol=1e-12),
+             ("restricted-transform-isometry",), _run_plancherel, draws=8,
+             requires=_needs_dual, tol=1e-12),
     CheckDef("fourier-roundtrip", "inverse transform inverts the transform",
              ("restricted-transform-isometry",), _run_roundtrip,
              note="inverse transform of the transform returns f", draws=8,
              requires=_needs_dual, tol=1e-12),
     CheckDef("conv-theorem", "(f*g)^ = fhat ghat",
-             ("transform-of-convolution",), _run_conv_theorem, note="(f*g)^ = fhat ghat",
-             draws=6, requires=_needs_dual, tol=1e-10),
+             ("transform-of-convolution",), _run_conv_theorem, draws=6,
+             requires=_needs_dual, tol=1e-10),
     CheckDef("product-theorem", "(fg)^ = fhat * ghat",
-             ("transform-of-product",), _run_product_theorem, note="(fg)^ = fhat * ghat",
-             draws=6, requires=_needs_dual, tol=1e-10),
+             ("transform-of-product",), _run_product_theorem, draws=6,
+             requires=_needs_dual, tol=1e-10),
     CheckDef("parseval-pairing", "<f, g-check> = <fhat, g>",
-             ("parseval-duality",), _run_parseval, note="<f, g-check> = <fhat, g>",
-             draws=6, requires=_needs_dual, tol=1e-10),
+             ("parseval-duality",), _run_parseval, draws=6, requires=_needs_dual,
+             tol=1e-10),
     CheckDef("inverse-product", "(fg)-check = f-check * g-check",
-             ("inverse-transform-product",), _run_inverse_product,
-             note="(fg)-check = f-check * g-check", draws=6, requires=_needs_dual, tol=1e-10),
+             ("inverse-transform-product",), _run_inverse_product, draws=6,
+             requires=_needs_dual, tol=1e-10),
     CheckDef("mult-operator-norm", "||M_f|| = ||f||_inf",
              ("multiplication-operator-norm",), _run_mult_operator,
              note="||M_f|| = ||f||_inf with an attaining witness", draws=8, tol=1e-12),
@@ -766,7 +767,7 @@ def _execute_check(check: CheckDef, model: GroupModel, p: float | None,
     ctx = SuiteContext(model=model, p=exp, rng=rng, draws=check.draws)
     started = time.perf_counter()
     try:
-        worst, notes = 0.0, check.note
+        worst, notes = 0.0, check.note or check.ref
         for _ in range(1 if check.batched else check.draws):
             measured = check.runner(ctx)
             if isinstance(measured, tuple):

@@ -57,10 +57,10 @@ method the first route of that name that does:
   several matrices would make the same products); a real matrix multiplies
   in real arithmetic, the real and imaginary parts of the block together.
   A shared block holds at most 64 columns (eight f at eight restarts), a
-  bound for callers that pass many f: when re-im-closure normed 24 parts on
-  cyclic:256 in one 192-column block, a suite-finite pass peaked at 81.0 MB
-  against 74.5-74.7 MB in 64-column blocks and 74.4 MB unbatched (one BLAS
-  thread, 2-vCPU host).  The suite's widest block is now 48 columns.
+  bound on the memory of callers that pass many f: 24 f on cyclic:256 in
+  one 192-column block raised the peak RSS of a suite pass by about 6.5 MB
+  over 64-column blocks (one BLAS thread, 2-vCPU host).  The suite's widest
+  block is 48 columns.
   ``IterConfig`` accepts at most 64 restarts, so that one f's restarts fit
   one block: 256 restarts gave the same ``lower`` as the default 8 on
   circle:64, dihedral:64 and cyclic:32 at p = 1.5.
@@ -124,6 +124,10 @@ class IterConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.tol >= 0.0:
+            raise DomainError(f"tol must be at least 0, got {self.tol}")
+        if self.max_iters < 1:
+            raise DomainError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.restarts < 1:
             raise DomainError(f"restarts must be at least 1, got {self.restarts}")
         if self.restarts > _BLOCK_COLS:
@@ -583,8 +587,9 @@ def _boyd_block(product, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
     ``product`` (``apply`` and ``adjoint`` on a block), run on every column
     of ``starts`` at once.
 
-    A column freezes once its ratio moves by at most tol * max(1, ratio)
-    between two steps, once the ratio is 0, or once the dual step vanishes.
+    A column freezes once its ratio moves by at most tol * ratio between
+    two steps (so c f takes f's steps), once the ratio is 0, or once the
+    dual step vanishes.
     The active columns are kept as one compact block, gathered again only
     when a column freezes, and ``product.keep`` is told which columns they
     are.  Each step takes |y| and |z| once: with the magnitudes floored at
@@ -610,7 +615,7 @@ def _boyd_block(product, exp: Exponent, starts: np.ndarray, cfg: IterConfig):
         products[cols] += 1
         iters[cols] = step
         gamma[cols] = g
-        done = (g == 0.0) | (np.abs(g - prev) <= cfg.tol * np.maximum(1.0, g))
+        done = (g == 0.0) | (np.abs(g - prev) <= cfg.tol * g)
         if done.any():
             converged[cols[done]] = True
             x[:, cols[done]] = xa[:, done]

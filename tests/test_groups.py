@@ -229,9 +229,13 @@ def test_lattice_window_sentinel():
     six = int(np.flatnonzero(coords == 6)[0])
     assert int(G.op(five, six)) == OUT_OF_WINDOW
     assert int(G.op(five, int(np.flatnonzero(coords == -5)[0]))) == G.identity
-    # sentinel propagates
+    # sentinel propagates, on every model
     assert int(G.op(OUT_OF_WINDOW, five)) == OUT_OF_WINDOW
     assert int(G.inv(OUT_OF_WINDOW)) == OUT_OF_WINDOW
+    for spec in ("product:cyclic:2+cyclic:3", "symmetric:3", "affine:0.25:1:0.25:2"):
+        H = ltp.build_group(spec)
+        assert np.all(H.op([OUT_OF_WINDOW, 1], [1, OUT_OF_WINDOW]) == OUT_OF_WINDOW)
+        assert int(H.inv(OUT_OF_WINDOW)) == OUT_OF_WINDOW
 
 
 def test_z2_carrier():
@@ -513,6 +517,16 @@ def test_resolve_point_errors():
                 ltp.translate(ltp.dirac(Z4), x, ltp.LEFT_DIRAC)
             with pytest.raises(DomainError, match="lies outside the window"):
                 point_modular(Z4, x)
+    # an affine point is two finite numbers (a, b) with a > 0
+    dirac_a = ltp.dirac(A)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, -math.inf),
+                  (1.0, math.nan), (0.0, 0.0), (1.0,), (1.0, 0.0, 0.0)):
+            with pytest.raises(DomainError, match="two finite numbers"):
+                ltp.translate(dirac_a, x, ltp.LEFT_DIRAC)
+            with pytest.raises(DomainError, match="two finite numbers"):
+                point_modular(A, x)
     # a cell index is read in range, never from the end as numpy would
     C = ltp.build_group("cyclic:8")
     Z = ltp.build_group("z:8")

@@ -20,6 +20,19 @@ def test_exponent_conjugacy():
         Exponent.of(0.5)
 
 
+def test_exponent_constructor_refuses_what_of_refuses():
+    # one rule: p finite and at least 1, q its conjugate
+    for p, q in ((math.inf, 1.0), (math.inf, math.inf), (math.nan, 2.0), (0.5, -1.0),
+                 (1.0, math.nan), (1.0, 2.0), (2.0, math.inf), (2.0, 3.0), (2.0, 0.0),
+                 (2.0, math.nan)):
+        with pytest.raises(DomainError):
+            Exponent(p, q)
+    for p in (math.inf, math.nan, 0.5):
+        with pytest.raises(DomainError, match=r"\[1, inf\)"):
+            Exponent.of(p)
+    assert Exponent(1.5, 3.0) == Exponent.of(1.5)
+
+
 def test_lp_norm_examples():
     G = ltp.build_group("cyclic:4@counting")
     assert ltp.lp_norm(ltp.GFunction(G, [1, 1, 0, 0]), 1) == pytest.approx(2.0)

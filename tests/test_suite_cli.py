@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -56,7 +57,7 @@ def test_suite_boyd_call_counts_are_pinned(boyd_calls):
 # Boyd's work over the same passes: the products of all restarts and the
 # block steps of each call, summed over the calls.  How a product is
 # computed changes the cost of a step, not these totals.
-BOYD_WORK_AT_P15 = {"circle:64": (9160, 1069), "dihedral:64": (15622, 1859),
+BOYD_WORK_AT_P15 = {"circle:64": (9884, 1134), "dihedral:64": (15622, 1859),
                     "z:64": (14518, 1322), "z2:8": (27416, 2624),
                     "r:0.05:4": (1124, 98),
                     "product:cyclic:8+cyclic:16": (19646, 2135),
@@ -476,6 +477,16 @@ def test_a_negative_seed_is_refused_before_any_check_runs(monkeypatch, capsys):
     assert "seed >= 0, got -1" in capsys.readouterr().err
     with pytest.raises(ltp.DomainError, match="seed must be at least 0, got -1"):
         IterConfig(seed=-1)
+
+
+def test_iter_config_refuses_no_steps_and_a_bad_tolerance():
+    for steps in (0, -1):
+        with pytest.raises(ltp.DomainError, match=f"max_iters must be at least 1, got {steps}"):
+            IterConfig(max_iters=steps)
+    for tol in (-1e-8, math.nan, -math.inf):
+        with pytest.raises(ltp.DomainError, match="tol must be at least 0"):
+            IterConfig(tol=tol)
+    assert IterConfig(max_iters=1, tol=0.0).max_iters == 1
 
 
 def test_run_suite_refuses_a_model_of_another_group(monkeypatch):

@@ -311,6 +311,20 @@ def test_boyd_bracket_and_convergence_flag():
     assert est.lower > 0.25 * exact2
 
 
+@pytest.mark.parametrize("spec", ["cyclic:8", "dihedral:8", "z:16", "circle:64", "symmetric:4"])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_boyd_lower_end_does_not_depend_on_the_scale_of_f(spec, p):
+    # a column freezes on a move relative to its ratio, so c f takes the
+    # steps f takes and its lower end is c times f's
+    f = ltp.random_function(ltp.build_group(spec), 3)
+    est = tempered_norm(f, p)
+    assert est.method == "boyd_iteration"
+    for c in (1e-12, 1e-6, 1e3):
+        scaled = tempered_norm(f * c, p)
+        assert scaled.lower == pytest.approx(c * est.lower, rel=1e-9), c
+        assert scaled.matvecs == est.matvecs, c
+
+
 def _sequential_boyd(mat, exp, x0, cfg):
     """One restart of the power iteration as a plain loop: the reference
     the block engine must reproduce column by column."""
@@ -326,7 +340,7 @@ def _sequential_boyd(mat, exp, x0, cfg):
     for _ in range(cfg.max_iters):
         y = mat @ x
         gamma = pnorm(y)
-        if gamma == 0.0 or abs(gamma - gamma_prev) <= cfg.tol * max(1.0, gamma):
+        if gamma == 0.0 or abs(gamma - gamma_prev) <= cfg.tol * gamma:
             return gamma
         gamma_prev = gamma
         x_new = signed_power(mat.conj().T @ signed_power(y, exp.p - 1.0), exp.q - 1.0)
