@@ -39,6 +39,18 @@ KIND_QUADRATURE = "quadrature"
 COUNTING = "counting"
 PROBABILITY = "probability"
 
+# The properties a model states (``GroupModel.properties``) and the suite's
+# checks read as the hypotheses of their statements; the two normalizations
+# are properties too.
+FINITE = "finite"
+COMPACT = "compact"
+DISCRETE = "discrete"
+ABELIAN = "abelian"
+UNIMODULAR = "unimodular"
+REAL_LINE = "real line"
+PROPERTIES = frozenset({FINITE, COMPACT, DISCRETE, ABELIAN, UNIMODULAR, REAL_LINE,
+                        COUNTING, PROBABILITY})
+
 ELEMENT_CAP = 1 << 20  # largest carrier build_group makes
 
 # Finite models up to this size are validated exactly on their division
@@ -468,23 +480,29 @@ class _Family(NamedTuple):
     params: tuple[str, ...]  # the grammar's parameter names, in order
     kind: str
     carrier: Callable[..., _Carrier]  # called with the parsed parameters
+    properties: frozenset[str]  # every model's, abelian and the normalization aside
     normalization: str = COUNTING
 
+
+_FINITE_GROUP = frozenset({FINITE, COMPACT, DISCRETE, UNIMODULAR})
+_LATTICE = frozenset({DISCRETE, UNIMODULAR})
 
 # The grammar: one record per family.  A product's carrier is called with
 # its factor specs.
 _FAMILIES = {
-    "cyclic": _Family(("N",), KIND_FINITE, _CyclicCarrier),
-    "circle": _Family(("N",), KIND_FINITE, _CyclicCarrier, PROBABILITY),
-    "dihedral": _Family(("N",), KIND_FINITE, _DihedralCarrier),
-    "symmetric": _Family(("N",), KIND_FINITE, _SymmetricCarrier),
+    "cyclic": _Family(("N",), KIND_FINITE, _CyclicCarrier, _FINITE_GROUP),
+    "circle": _Family(("N",), KIND_FINITE, _CyclicCarrier, _FINITE_GROUP, PROBABILITY),
+    "dihedral": _Family(("N",), KIND_FINITE, _DihedralCarrier, _FINITE_GROUP),
+    "symmetric": _Family(("N",), KIND_FINITE, _SymmetricCarrier, _FINITE_GROUP),
     "product": _Family((), KIND_FINITE,
-                       lambda *factors: _ProductCarrier([_make_carrier(f) for f in factors])),
-    "z": _Family(("R",), KIND_LATTICE, lambda radius: _LatticeCarrier(1, radius)),
-    "z2": _Family(("R",), KIND_LATTICE, lambda radius: _LatticeCarrier(2, radius)),
+                       lambda *factors: _ProductCarrier([_make_carrier(f) for f in factors]),
+                       _FINITE_GROUP),
+    "z": _Family(("R",), KIND_LATTICE, lambda radius: _LatticeCarrier(1, radius), _LATTICE),
+    "z2": _Family(("R",), KIND_LATTICE, lambda radius: _LatticeCarrier(2, radius), _LATTICE),
     "r": _Family(("H", "B"), KIND_QUADRATURE,
-                 lambda h, b: _LatticeCarrier(1, _half_width(b, h), h)),
-    "affine": _Family(("HU", "RU", "HB", "RB"), KIND_QUADRATURE, _AffineCarrier),
+                 lambda h, b: _LatticeCarrier(1, _half_width(b, h), h),
+                 frozenset({UNIMODULAR, REAL_LINE})),
+    "affine": _Family(("HU", "RU", "HB", "RB"), KIND_QUADRATURE, _AffineCarrier, frozenset()),
 }
 
 
@@ -535,16 +553,15 @@ class GroupModel:
         return self.carrier.identity
 
     @property
-    def is_abelian(self) -> bool:
-        return self.carrier.is_abelian
+    def properties(self) -> frozenset[str]:
+        """The model's names from ``PROPERTIES``: its family's, abelian when
+        the carrier is, and its normalization."""
+        family = _FAMILIES[self.spec.family].properties | {self.normalization}
+        return family | {ABELIAN} if self.carrier.is_abelian else family
 
     @property
     def cyclic_factors(self) -> tuple[int, ...] | None:
         return getattr(self.carrier, "cyclic_factors", None)
-
-    @property
-    def is_unimodular(self) -> bool:
-        return bool(np.all(self.modular == 1.0))
 
     def op(self, i, j):
         """Group product on indices; -1 where it leaves the window or an operand

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, WindowLeakError
-from .groups import OUT_OF_WINDOW, GroupModel, _AffineCarrier, _LatticeCarrier
+from .groups import OUT_OF_WINDOW, UNIMODULAR, GroupModel, _AffineCarrier, _LatticeCarrier
 
 DEFAULT_MAX_LEAK = 1e-6
 
@@ -321,7 +321,7 @@ def estimate_modular(model: GroupModel, x, probe: GFunction | None = None,
     if probe is not None:
         model.require_same(probe.group)
     x_point = _point(model, x)
-    if model.is_unimodular:
+    if UNIMODULAR in model.properties:
         return 1.0
 
     carrier = model.carrier

@@ -2,9 +2,13 @@
 statement about tempered norms, convolution, amenability, or the transform
 on whatever models it applies to.
 
-Checks declare the model properties they need (kind, normalization, an
-abelian character table, a regime of exponents); a model that lacks them
-yields a skipped result with an explanatory note rather than a failure.
+Each check states what it needs once, in ``needs``: the hypotheses of its
+statement, read from the properties a model states (finite, compact,
+discrete, abelian, unimodular, counting, probability, real line), and the
+objects ltp builds for it (the dual, a Folner box, a leak-free probe, a
+route).  A model that lacks a hypothesis skips the check with the note
+``needs P: SPEC is not``; one where ltp has not built the object skips it
+with ``unbuilt: NAME: why``.
 Results are deterministic for fixed (spec, p list, seed): every check draws
 from its own generator seeded by (seed, check name), so registry order
 cannot change a single observed value.
@@ -31,15 +35,15 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .errors import DomainError, LtpError, ModelMismatchError
-from .groups import (COUNTING, KIND_FINITE, KIND_LATTICE, KIND_QUADRATURE,
-                     PROBABILITY, GroupModel, GroupSpec, _AffineCarrier,
+from .groups import (ABELIAN, COMPACT, COUNTING, DISCRETE, FINITE, PROBABILITY,
+                     PROPERTIES, REAL_LINE, UNIMODULAR, GroupModel, GroupSpec, _AffineCarrier,
                      _LatticeCarrier, build_group, parse_group_spec, validate_group,
                      modular_multiplicativity_residual, _affine_validation_points,
                      _affine_modular_residual)
@@ -50,7 +54,7 @@ from .space import (Exponent, GFunction, dirac, dirac_measure, ess_sup,
                     estimate_modular, imag_part, inner, lp_norm, modular_reflect,
                     point_modular, random_function, real_part, translate, LEFT_DIRAC,
                     RIGHT_DIRAC, decompose_l1_linf, _affine_bump_probe)
-from .spectral import (DUAL_CAP, build_dual, fourier, inverse_fourier, mult_operator_norm,
+from .spectral import (build_dual, fourier, inverse_fourier, mult_operator_norm,
                        restricted_isometry_terms, tempered_norm_spectral)
 from .tempered import (METHOD_WL1_BOUND, tempered_norm, tempered_norms, tempered_upper,
                        upper_bound_weighted_l1)
@@ -90,7 +94,7 @@ def _random_probe(model: GroupModel, rng, *, positive=False,
 
 def _scaling_points(model: GroupModel):
     """A few translation targets appropriate to the model."""
-    if model.kind == KIND_FINITE:
+    if FINITE in model.properties:
         picks = sorted({1 % model.n, model.n // 3, model.n - 1})
         return [int(i) for i in picks]
     carrier = model.carrier
@@ -115,6 +119,7 @@ class SuiteContext:
     p: Exponent | None
     rng: np.random.Generator
     draws: int = 1
+    built: dict = field(default_factory=dict)  # what the check's needs built, by name
 
 
 @dataclass
@@ -127,8 +132,11 @@ class CheckDef:
     all ``draws`` probes from ``ctx.rng`` in the order the draws would take
     them (``ctx.draws`` says how many) and returns the list of their
     measurements, or ``(measurements, note)``, so that their norms can come
-    from one ``tempered_norms`` call.  A runner that gives no note reports
-    ``note``, or the statement ``ref`` when ``note`` is empty.  The suite
+    from one ``tempered_norms`` call.  ``needs`` names the properties from
+    ``PROPERTIES`` that the statement assumes and the objects from
+    ``_BUILDS`` that the runner reads from ``ctx.built``; a model that lacks
+    one skips the check.  A runner that gives no note reports ``note``, or
+    the statement ``ref`` when ``note`` is empty.  The suite
     keeps the largest of 0 and the measurements, and judges it against
     ``expected`` within ``tol``: one value for every model with exact
     arithmetic, ``affine_tol`` on the interpolated affine grid where a check
@@ -142,7 +150,7 @@ class CheckDef:
     draws: int = 1
     per_p: bool = False
     batched: bool = False
-    requires: Callable[[GroupModel, Exponent | None], str | None] | None = None
+    needs: tuple[str, ...] = ()
     tol: float = 1e-9
     affine_tol: float | None = None
     expected: float | tuple[float, float] = 0.0
@@ -153,81 +161,50 @@ class CheckDef:
         return self.tol
 
 
-# -- requirement helpers ----------------------------------------------------
-# Each reads the model and the exponent (None for a check not run per p) and
-# returns the reason to skip, or None.
+# -- what ltp has built ------------------------------------------------------
 
 
-def _needs_finite(model, p):
-    return None if model.kind == KIND_FINITE else f"needs a finite model, got {model.kind}"
+def _refuse(reason: str):
+    raise DomainError(reason)
 
 
-def _needs_lattice(model, p):
-    return None if model.kind == KIND_LATTICE else f"needs a truncated lattice, got {model.kind}"
+# What a check needs besides properties, by the name its ``needs`` gives:
+# each builds it on the model at p, or raises LtpError saying why ltp has not
+# built it there.  The dual and the Folner box are the library's to refuse;
+# the rest are the suite's probes and routes.
+_BUILDS: dict[str, Callable[[GroupModel, Exponent | None], object]] = {
+    "dual": lambda model, p: build_dual(model),
+    "Folner box": lambda model, p: find_folner(model, 1, 0.1),
+    "leak-free probe": lambda model, p: None if FINITE in model.properties else _refuse(
+        f"products of probes can leave the window of {model.name}"),
+    "probe room": lambda model, p: None if getattr(model.carrier, "radius", 2) >= 2 else _refuse(
+        f"window radius {model.carrier.radius} below 2 cells: the probe fills the window, "
+        "so every translate leaks"),
+    "exact route": lambda model, p: (
+        None if FINITE in model.properties or p.p in (1.0, 2.0) else _refuse(
+            f"the iterative lower bound on a window section undershoots at p = {p.p:g}")),
+    "runs U_1 and U_2": lambda model, p: None if model.carrier.step < 0.5 else _refuse(
+        f"grid step {model.carrier.step:g} is not below 1/2"),
+    "modular estimate": lambda model, p: None if DISCRETE not in model.properties else _refuse(
+        f"{model.name} is discrete, where build_group sets the modular function to 1"),
+}
 
 
-def _needs_quadrature(model, p):
-    return None if model.kind == KIND_QUADRATURE else f"needs a quadrature model, got {model.kind}"
-
-
-def _needs_counting(model, p):
-    if model.normalization != COUNTING:
-        return "needs counting normalization (discrete-side statement)"
-    if model.kind not in (KIND_FINITE, KIND_LATTICE):
-        return "needs a discrete model"
-    return None
-
-
-def _needs_probability_finite(model, p):
-    if model.kind != KIND_FINITE:
-        return "needs a finite (compact) model"
-    if model.normalization != PROBABILITY:
-        return "needs probability normalization (compact-side statement)"
-    return None
-
-
-def _needs_dual(model, p):
-    if model.cyclic_factors is None:
-        return "dual not built: model is not a declared product of cyclic groups"
-    if model.n > DUAL_CAP:
-        return f"dual not built: n={model.n} beyond the character-table cap"
-    return None
-
-
-def _needs_unimodular(model, p):
-    return None if model.is_unimodular else "needs a unimodular model"
-
-
-def _needs_real_line(model, p):
-    if model.kind != KIND_QUADRATURE or not isinstance(model.carrier, _LatticeCarrier):
-        return "needs a real-line quadrature model"
-    if not model.carrier.step < 0.5:
-        return (f"needs a grid step below 1/2, so that U_1 and U_2 exist, "
-                f"got {model.carrier.step:g}")
-    return None
-
-
-def _needs_probe_room(model, p):
-    carrier = model.carrier
-    if isinstance(carrier, _LatticeCarrier) and carrier.radius < 2:
-        return (f"window radius {carrier.radius} below 2 cells: the probe fills "
-                f"the window, so every translate leaks")
-    return None
-
-
-def _needs_folner_window(model, p):
-    err = _needs_lattice(model, p)
-    if err:
-        return err
-    if model.carrier.radius < 12:
-        return "window radius below 12: certified box for eps=0.1 does not fit"
-    return None
-
-
-def _needs_exact_route(model, p):
-    if model.kind != KIND_FINITE and p.p not in (1.0, 2.0):
-        return ("outside the exact-route regime: the iterative lower "
-                "bound on a window section undershoots for general p")
+def _unmet(check: CheckDef, ctx: SuiteContext) -> str | None:
+    """The skip note of the check on ctx's model at ctx's p, or None when it
+    runs: ``needs P: SPEC is not`` names the properties the model lacks, and
+    ``unbuilt: NAME: why`` the first thing ltp has not built there.  What the
+    builds make goes into ``ctx.built``."""
+    model = ctx.model
+    missing = [need for need in check.needs if need in PROPERTIES and need not in model.properties]
+    if missing:
+        return f"needs {' and '.join(missing)}: {model.name} is not"
+    for need in check.needs:
+        if need not in PROPERTIES:
+            try:
+                ctx.built[need] = _BUILDS[need](model, ctx.p)
+            except LtpError as exc:
+                return f"unbuilt: {need}: {exc}"
     return None
 
 
@@ -460,14 +437,14 @@ def _run_positive_cone(ctx: SuiteContext):
 
 
 def _run_folner_certificate(ctx: SuiteContext):
-    cert = find_folner(ctx.model, 1, 0.1)
+    cert = ctx.built["Folner box"]
     return cert.worst_ratio, (f"L={cert.box_radius}, worst ratio {cert.worst_ratio:.6f} "
                               f"(recount matches closed form)")
 
 
 def _run_folner_averaging(ctx: SuiteContext):
     # one certificate for every f
-    cert = find_folner(ctx.model, 1, 0.1)
+    cert = ctx.built["Folner box"]
     worst = 0.0
     for _ in range(6):
         f = _random_probe(ctx.model, ctx.rng, positive=True)
@@ -478,7 +455,7 @@ def _run_folner_averaging(ctx: SuiteContext):
 
 def _run_character_orthogonality(ctx: SuiteContext):
     # max |<chi_k, chi_l> - c delta_kl| with c forced by the normalization
-    dual = build_dual(ctx.model)
+    dual = ctx.built["dual"]
     weighted = dual.characters * dual.base.weights[None, :]
     gram = weighted @ np.conj(dual.characters.T)
     c = float(np.sum(dual.base.weights))
@@ -486,13 +463,13 @@ def _run_character_orthogonality(ctx: SuiteContext):
 
 
 def _run_plancherel(ctx: SuiteContext):
-    dual = build_dual(ctx.model)
+    dual = ctx.built["dual"]
     f = _random_probe(ctx.model, ctx.rng)
     return abs(lp_norm(f, 2) - lp_norm(fourier(dual, f), 2))
 
 
 def _run_roundtrip(ctx: SuiteContext):
-    dual = build_dual(ctx.model)
+    dual = ctx.built["dual"]
     f = _random_probe(ctx.model, ctx.rng)
     back = inverse_fourier(dual, fourier(dual, f))
     return float(np.max(np.abs(back.values - f.values)))
@@ -513,7 +490,7 @@ def _product_rule(transform, f: GFunction, g: GFunction) -> float:
 def _run_conv_theorem(ctx: SuiteContext):
     f = _unit(_random_probe(ctx.model, ctx.rng))
     g = _unit(_random_probe(ctx.model, ctx.rng))
-    dual = build_dual(ctx.model)
+    dual = ctx.built["dual"]
     lhs = fourier(dual, convolve(f, g))
     fg = fourier(dual, f).values * fourier(dual, g).values
     return lp_norm(GFunction(dual.dual_group, lhs.values - fg), 2)
@@ -522,12 +499,12 @@ def _run_conv_theorem(ctx: SuiteContext):
 def _run_product_theorem(ctx: SuiteContext):
     f = _unit(_random_probe(ctx.model, ctx.rng))
     g = _unit(_random_probe(ctx.model, ctx.rng))
-    dual = build_dual(ctx.model)
+    dual = ctx.built["dual"]
     return _product_rule(lambda h: fourier(dual, h), f, g)
 
 
 def _run_parseval(ctx: SuiteContext):
-    dual = build_dual(ctx.model)
+    dual = ctx.built["dual"]
     f = _unit(_random_probe(ctx.model, ctx.rng))
     g_vals = ctx.rng.standard_normal(ctx.model.n) + 1j * ctx.rng.standard_normal(ctx.model.n)
     g = _unit(GFunction(dual.dual_group, g_vals))
@@ -535,7 +512,7 @@ def _run_parseval(ctx: SuiteContext):
 
 
 def _run_inverse_product(ctx: SuiteContext):
-    dual = build_dual(ctx.model)
+    dual = ctx.built["dual"]
     vals = ctx.rng.standard_normal((2, ctx.model.n)) \
         + 1j * ctx.rng.standard_normal((2, ctx.model.n))
     f, g = (_unit(GFunction(dual.dual_group, v)) for v in vals)
@@ -548,7 +525,7 @@ def _run_mult_operator(ctx: SuiteContext):
 
 
 def _run_spectral_agreement(ctx: SuiteContext):
-    dual = build_dual(ctx.model)
+    dual = ctx.built["dual"]
     f = _random_probe(ctx.model, ctx.rng)
     via_transform = tempered_norm_spectral(dual, f)
     return abs(via_transform - tempered_norm(f, 2, method="exact_svd").lower)
@@ -556,7 +533,7 @@ def _run_spectral_agreement(ctx: SuiteContext):
 
 def _run_restricted_isometry(ctx: SuiteContext):
     f = _random_probe(ctx.model, ctx.rng)
-    norm_f, sup_f, sup_fhat, norm_fhat = restricted_isometry_terms(build_dual(ctx.model), f)
+    norm_f, sup_f, sup_fhat, norm_fhat = restricted_isometry_terms(ctx.built["dual"], f)
     # the identity and the two cross identities behind its sum
     return max(abs((norm_f + sup_f) - (sup_fhat + norm_fhat)),
                abs(norm_f - sup_fhat), abs(norm_fhat - sup_f))
@@ -573,19 +550,19 @@ REGISTRY: list[CheckDef] = [
     CheckDef("group-axioms", "associativity, identity, inverses on the carrier",
              ("convolution-definition",), _run_group_axioms,
              note="identity/inverse/associativity re-verified",
-             requires=_needs_finite, tol=0.0),
+             needs=("leak-free probe",), tol=0.0),
     CheckDef("left-invariance", "||delta_x * f||_p = ||f||_p",
              ("lp-norm-invariance",), _run_left_invariance,
              note="||delta_x * f||_p == ||f||_p over sampled x", per_p=True,
-             requires=_needs_finite, tol=1e-12),
+             needs=("leak-free probe",), tol=1e-12),
     CheckDef("modular-consistency", "empirical Delta matches the stored closed form",
              ("modular-reflection",), _run_modular_consistency,
              note="real-line model is unimodular",
-             requires=_needs_quadrature, tol=1e-12, affine_tol=1e-2),
+             needs=("modular estimate",), tol=1e-12, affine_tol=1e-2),
     CheckDef("modular-multiplicativity", "Delta(xy) = Delta(x) Delta(y)",
              ("modular-reflection",), _run_modular_multiplicativity,
              note="Delta(xy) = Delta(x) Delta(y) on sampled pairs",
-             requires=_needs_quadrature, tol=1e-12),
+             needs=("modular estimate",), tol=1e-12),
     CheckDef("l1-linf-split", "f = f chi_A + f chi_{G minus A}, A = {|f| <= 1}",
              ("l1-linf-decomposition",), _run_l1_linf_split,
              note="f = f chi_A + f chi_complement with A = {|f| <= 1}", tol=0.0),
@@ -598,42 +575,42 @@ REGISTRY: list[CheckDef] = [
     CheckDef("conv-cross-path", "direct and spectral convolution agree",
              ("convolution-definition",), _run_conv_cross_path,
              note="direct vs spectral convolution, relative L2", draws=4,
-             requires=_needs_dual, tol=1e-10),
+             needs=("dual",), tol=1e-10),
     CheckDef("associativity", "(f*g)*h = f*(g*h)",
              ("convolution-definition",), _run_associativity,
              note="||(f*g)*h - f*(g*h)||_2 on normalized triples", draws=4,
-             requires=_needs_finite, tol=1e-10),
+             needs=("leak-free probe",), tol=1e-10),
     CheckDef("young-inequality", "||g*f||_p <= ||g||_p ||f||_1",
              ("unimodular-young-bound",), _run_young, draws=8, per_p=True,
-             requires=_needs_unimodular, tol=1e-12),
+             needs=(UNIMODULAR,), tol=1e-12),
     CheckDef("dirac-calculus", "delta translations and products",
              ("convolution-definition",), _run_dirac_calculus,
              note="delta_x * f is the left translation; delta_x * delta_y = delta_xy",
-             requires=_needs_finite, tol=1e-12),
+             needs=("leak-free probe",), tol=1e-12),
     CheckDef("dirac-scaling", "||f * delta_x||_p^T / ||f||_p^T = Delta(x)^(-1/q)",
              ("dirac-translation-scaling",), _run_dirac_scaling, per_p=True,
-             requires=_needs_probe_room, affine_tol=5e-2),
+             needs=("probe room",), affine_tol=5e-2),
     CheckDef("dirac-identity-norm", "||delta_e||_p^T = 1",
              ("quasi-identity",), _run_dirac_identity_norm, per_p=True,
-             requires=_needs_counting),
+             needs=(DISCRETE, COUNTING)),
     CheckDef("discrete-lower-bound", "||f||_p <= ||f||_p^T",
              ("discrete-norm-domination",), _run_discrete_lower,
              note="||f||_p <= ||f||_p^T on counting models", draws=6, per_p=True,
-             batched=True, requires=_needs_counting),
+             batched=True, needs=(DISCRETE, COUNTING)),
     CheckDef("compact-upper-bound", "||f||_p^T <= ||f||_p",
              ("compact-norm-domination",), _upper_within(lp_norm),
              note="||f||_p^T <= ||f||_p on probability models", draws=6, per_p=True,
-             requires=_needs_probability_finite),
+             needs=(COMPACT, PROBABILITY)),
     CheckDef("finite-norm-equivalence", "two-sided norm equivalence with explicit constants",
              ("finite-norm-equivalence",), _run_finite_equivalence, draws=6, per_p=True,
-             batched=True, requires=_needs_finite),
+             batched=True, needs=(FINITE,)),
     CheckDef("l1-identity", "||f||_1^T = ||f||_1",
              ("p1-norm-identity",), _run_l1_identity, note="||f||_1^T = ||f||_1 (relative)",
              draws=6, tol=1e-12, affine_tol=5e-2),
     CheckDef("l1-inclusion-discrete", "||f||_p^T <= ||f||_1 on discrete models",
              ("l1-inclusion-discrete",), _upper_within(lambda f, p: lp_norm(f, 1)),
              note="||f||_p^T <= ||f||_1 on discrete counting models", draws=6, per_p=True,
-             requires=_needs_counting),
+             needs=(DISCRETE, COUNTING)),
     CheckDef("weighted-l1-upper", "||f||_p^T <= integral |f| Delta^(-1/q)",
              ("weighted-l1-domination", "tempered-norm-definition"),
              _upper_within(upper_bound_weighted_l1),
@@ -641,59 +618,59 @@ REGISTRY: list[CheckDef] = [
     CheckDef("re-im-closure", "||Re f||_p^T <= 2 ||f||_p^T, same for Im",
              ("re-im-closure",), _run_re_im,
              note="lower(Re f), lower(Im f) <= upper(f): factor 1, as ||conj f||_p^T = ||f||_p^T",
-             draws=12, per_p=True, requires=_needs_finite),
+             draws=12, per_p=True, needs=("leak-free probe",)),
     CheckDef("submultiplicative-action", "||g*f||_p <= ||g||_p ||f||_p^T",
              ("tempered-norm-definition",), _run_submultiplicative, draws=6, per_p=True,
-             requires=_needs_finite),
+             needs=("leak-free probe",)),
     CheckDef("quasi-identity-blowup", "lower bounds n^(1-1/p) rule out a quasi identity",
              ("quasi-identity",), _run_quasi_identity, per_p=True,
-             requires=_needs_real_line, tol=1e-12),
+             needs=(REAL_LINE, "runs U_1 and U_2"), tol=1e-12),
     CheckDef("positive-cone-equality", "||f||_p^T = integral f Delta^(-1/q) for f >= 0",
              ("positive-cone-characterization",), _run_positive_cone,
-             note=_POSITIVE_CONE_NOTE, draws=8, per_p=True, requires=_needs_exact_route,
+             note=_POSITIVE_CONE_NOTE, draws=8, per_p=True, needs=("exact route",),
              tol=1e-6, affine_tol=5e-2),
     CheckDef("folner-certificate", "|xK n K| / |K| > 1 - eps for a box K",
              ("positive-cone-characterization",), _run_folner_certificate,
-             requires=_needs_folner_window, tol=0.0, expected=(0.9, 1.0)),
+             needs=("Folner box",), tol=0.0, expected=(0.9, 1.0)),
     CheckDef("folner-averaging",
              "(1-eps) int_C f~ <= <f~*g, h> <= ||g||_p ||f||_p^T ||h||_q",
              ("positive-cone-characterization",), _run_folner_averaging,
              note="averaging chain violation over random positive f", per_p=True,
-             requires=_needs_folner_window),
+             needs=("Folner box",)),
     CheckDef("character-orthogonality", "character rows are orthogonal",
              ("restricted-transform-isometry",), _run_character_orthogonality,
-             note="sum_j w_j chi_k chi_l-bar = c delta_kl", requires=_needs_dual, tol=1e-12),
+             note="sum_j w_j chi_k chi_l-bar = c delta_kl", needs=(ABELIAN, "dual"), tol=1e-12),
     CheckDef("plancherel-norm", "||f||_2 = ||fhat||_2",
              ("restricted-transform-isometry",), _run_plancherel, draws=8,
-             requires=_needs_dual, tol=1e-12),
+             needs=(ABELIAN, "dual"), tol=1e-12),
     CheckDef("fourier-roundtrip", "inverse transform inverts the transform",
              ("restricted-transform-isometry",), _run_roundtrip,
              note="inverse transform of the transform returns f", draws=8,
-             requires=_needs_dual, tol=1e-12),
+             needs=(ABELIAN, "dual"), tol=1e-12),
     CheckDef("conv-theorem", "(f*g)^ = fhat ghat",
              ("transform-of-convolution",), _run_conv_theorem, draws=6,
-             requires=_needs_dual, tol=1e-10),
+             needs=(ABELIAN, "dual"), tol=1e-10),
     CheckDef("product-theorem", "(fg)^ = fhat * ghat",
              ("transform-of-product",), _run_product_theorem, draws=6,
-             requires=_needs_dual, tol=1e-10),
+             needs=(ABELIAN, "dual"), tol=1e-10),
     CheckDef("parseval-pairing", "<f, g-check> = <fhat, g>",
-             ("parseval-duality",), _run_parseval, draws=6, requires=_needs_dual,
+             ("parseval-duality",), _run_parseval, draws=6, needs=(ABELIAN, "dual"),
              tol=1e-10),
     CheckDef("inverse-product", "(fg)-check = f-check * g-check",
              ("inverse-transform-product",), _run_inverse_product, draws=6,
-             requires=_needs_dual, tol=1e-10),
+             needs=(ABELIAN, "dual"), tol=1e-10),
     CheckDef("mult-operator-norm", "||M_f|| = ||f||_inf",
              ("multiplication-operator-norm",), _run_mult_operator,
              note="||M_f|| = ||f||_inf with an attaining witness", draws=8, tol=1e-12),
     CheckDef("spectral-svd-agreement", "max |fhat| equals the exact operator norm",
              ("transform-sup-equals-tempered",), _run_spectral_agreement,
              note="max |fhat| vs largest singular value of the weighted operator", draws=8,
-             requires=_needs_dual),
+             needs=(ABELIAN, "dual")),
     CheckDef("restricted-isometry",
              "||f||_2^T + ||f||_inf = ||fhat||_inf + ||fhat||_2^T",
              ("restricted-transform-isometry",), _run_restricted_isometry,
              note="||f||_2^T + ||f||_inf = ||fhat||_inf + ||fhat||_2^T (and cross identities)",
-             draws=8, requires=_needs_dual),
+             draws=8, needs=(ABELIAN, "dual")),
 ]
 
 # Every claim exercised by the suite must keep at least one registered check;
@@ -740,6 +717,9 @@ def registry_self_test() -> None:
     names = [c.name for c in REGISTRY]
     if len(names) != len(set(names)):
         raise LtpError("duplicate check names in the registry")
+    unknown = {need for c in REGISTRY for need in c.needs} - PROPERTIES - set(_BUILDS)
+    if unknown:
+        raise LtpError(f"suite registry needs names neither property nor build: {unknown}")
 
 
 # ---------------------------------------------------------------------------
@@ -759,14 +739,14 @@ def _execute_check(check: CheckDef, model: GroupModel, p: float | None,
     against its expected value within its tolerance or the override."""
     name = _task_name(check, p)
     exp = None if p is None else Exponent.of(p)
-    reason = check.requires(model, exp) if check.requires else None
-    if reason is not None:
-        return CheckResult.skip(name, check.ref, reason)
     tol = float(overrides.get(check.name, check.tolerance_for(model)))
     rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
     ctx = SuiteContext(model=model, p=exp, rng=rng, draws=check.draws)
     started = time.perf_counter()
     try:
+        reason = _unmet(check, ctx)
+        if reason is not None:
+            return CheckResult.skip(name, check.ref, reason)
         worst, notes = 0.0, check.note or check.ref
         for _ in range(1 if check.batched else check.draws):
             measured = check.runner(ctx)

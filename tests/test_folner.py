@@ -64,6 +64,21 @@ def test_window_too_small():
         find_folner(ltp.build_group("cyclic:8"), 1, 0.1)
 
 
+def test_suite_runs_the_folner_checks_wherever_a_box_fits():
+    # find_folner's own search decides: L = 5 on z and L = 10 on z2 for C of radius 1
+    for spec, runs in (("z:6", True), ("z2:11", True), ("z:5", False), ("z2:8", False)):
+        for seed in range(3):
+            report = ltp.run_suite(spec, [2.0, 1.5], seed=seed)
+            checks = [c for c in report.checks if c.name.startswith("folner-")]
+            assert len(checks) == 3
+            for check in checks:
+                if runs:
+                    assert check.status == "pass", (spec, seed, check.name, check.notes)
+                else:
+                    assert check.status == "skipped", (spec, check.name)
+                    assert check.notes.startswith("unbuilt: Folner box: "), check.notes
+
+
 def test_averaging_dirac():
     G = ltp.build_group("z:64@counting")
     cert = find_folner(G, 1, 0.1)

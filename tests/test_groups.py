@@ -106,7 +106,7 @@ def test_circle8_probability():
 def test_dihedral_relations():
     G = ltp.build_group("dihedral:4")
     assert G.n == 8
-    assert not G.is_abelian
+    assert "abelian" not in G.properties
     r, s = 1, 4  # a generating rotation and a flip
     # s r s = r^{-1}
     assert int(G.op(int(G.op(s, r)), s)) == int(G.inv(r))
@@ -129,7 +129,7 @@ def test_symmetric_composition_convention():
 def test_product_factors():
     G = ltp.build_group("product:cyclic:2+cyclic:12")
     assert G.n == 24
-    assert G.is_abelian
+    assert "abelian" in G.properties
     assert G.cyclic_factors == (2, 12)
     # any finite factors; cells are the factor cells in C order
     for spec in ("product:cyclic:3+dihedral:2", "product:symmetric:3+cyclic:2"):

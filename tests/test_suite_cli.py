@@ -124,6 +124,41 @@ def test_suite_exact_svd_calls_are_pinned(monkeypatch):
         assert len(calls) == expected, spec
 
 
+# Skipped checks of one run_suite pass at p = 2 and 1.5, seed 0: (needs,
+# unbuilt), the statements whose hypotheses the model lacks and those that
+# ltp has not built on it.  A check that comes to run where it skipped moves
+# a count here; state the old and new counts with that change.
+SKIPS_AT_SEED_0 = {"z:64": (6, 22), "z2:8": (6, 25), "r:0.05:4": (10, 23),
+                   "affine:0.125:1:0.125:1": (23, 14), "cyclic:256@counting": (4, 5),
+                   "circle:64": (8, 5), "dihedral:64": (13, 6), "symmetric:5": (13, 6),
+                   "product:cyclic:8+cyclic:16": (4, 5)}
+
+
+def test_every_benchmark_model_has_a_skip_pin(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import SUITE_SPECS
+    assert {spec for specs in SUITE_SPECS.values() for spec in specs} <= set(SKIPS_AT_SEED_0)
+
+
+def test_suite_skips_are_pinned_and_name_their_kind():
+    for spec, expected in SKIPS_AT_SEED_0.items():
+        model = ltp.build_group(spec)
+        needs = unbuilt = 0
+        for check in run_suite(spec, (2.0, 1.5), seed=0, model=model).checks:
+            if check.status != "skipped":
+                continue
+            if check.notes.startswith("unbuilt: "):
+                unbuilt += 1
+                continue
+            head, _, tail = check.notes.partition(": ")
+            assert head.startswith("needs ") and tail == f"{spec} is not", check.notes
+            missing = set(head.removeprefix("needs ").split(" and "))
+            assert missing <= ltp.groups.PROPERTIES - model.properties, check.notes
+            needs += 1
+        assert (needs, unbuilt) == expected, spec
+    assert sum(sum(pair) for pair in SKIPS_AT_SEED_0.values()) == 198
+
+
 def test_exact_models_share_each_check_tolerance():
     models = [ltp.build_group(spec) for spec in ("cyclic:8", "z:8", "z2:2", "r:0.5:2")]
     for check in REGISTRY:
@@ -240,7 +275,8 @@ def test_suite_probability_side_skips_discrete_checks():
     assert report.summary["fail"] == 0
     by_name = {c.name: c for c in report.checks}
     assert by_name["discrete-lower-bound@p=2"].status == "skipped"
-    assert "counting" in by_name["discrete-lower-bound@p=2"].notes
+    assert by_name["discrete-lower-bound@p=2"].notes == \
+        "needs counting: cyclic:16@probability is not"
     assert by_name["compact-upper-bound@p=2"].status == "pass"
 
 
@@ -250,7 +286,19 @@ def test_suite_affine_skips_spectral_with_reason():
     by_name = {c.name: c for c in report.checks}
     assert by_name["dirac-scaling@p=2"].status == "pass"
     assert by_name["conv-theorem"].status == "skipped"
-    assert "not a declared product" in by_name["conv-theorem"].notes
+    assert by_name["conv-theorem"].notes == "needs abelian: affine:0.25:2:0.25:4 is not"
+
+
+def test_dual_checks_skip_on_abelian_models_with_no_dual_as_unbuilt():
+    # abelian, but with no declared cyclic factors: build_dual refuses them
+    for spec in ("dihedral:2", "product:cyclic:2+dihedral:2"):
+        by_name = {c.name: c for c in run_suite(spec, [2.0], seed=0).checks}
+        assert by_name["conv-theorem"].status == "skipped"
+        assert by_name["conv-theorem"].notes == \
+            f"unbuilt: dual: {spec} is not a declared product of cyclic groups"
+    by_name = {c.name: c for c in run_suite("dihedral:64", [2.0], seed=0).checks}
+    assert by_name["conv-theorem"].status == "skipped"
+    assert by_name["conv-theorem"].notes == "needs abelian: dihedral:64 is not"
 
 
 def test_suite_z64_p1_identity():
@@ -275,7 +323,7 @@ def test_quasi_identity_skips_on_a_grid_step_of_one_half():
         for p in ("2", "1.5"):
             check = by_name[f"quasi-identity-blowup@p={p}"]
             assert check.status == "skipped", (seed, p)
-            assert "grid step below 1/2" in check.notes and "got 0.5" in check.notes
+            assert check.notes == "unbuilt: runs U_1 and U_2: grid step 0.5 is not below 1/2"
 
 
 def test_suite_catches_an_understated_quasi_identity_norm(monkeypatch):
@@ -303,6 +351,27 @@ def test_quasi_identity_and_restricted_isometry_over_suite_seeds():
             for p in p_values:
                 result = _execute_check(check, model, p, seed, {}, False)
                 assert result.status == status, (check.name, spec, seed, p, result.notes)
+
+
+def test_suite_catches_an_overstated_tempered_norm_in_restricted_isometry(monkeypatch):
+    # ||f||_2^T and ||fhat||_2^T 2% high break the identity and both cross identities
+    from ltp import spectral
+
+    exact = spectral.tempered_norm
+    specs = ("cyclic:256@counting", "product:cyclic:8+cyclic:16", "circle:64")
+    for spec in specs:
+        assert _execute_check(_RESTRICTED_ISOMETRY, ltp.build_group(spec), None, 0, {},
+                              False).status == "pass"
+
+    def overstated(f, p):
+        estimate = exact(f, p)
+        estimate.lower *= 1.02
+        return estimate
+
+    monkeypatch.setattr(spectral, "tempered_norm", overstated)
+    for spec in specs:
+        result = _execute_check(_RESTRICTED_ISOMETRY, ltp.build_group(spec), None, 0, {}, False)
+        assert result.status == "fail" and result.observed > 0.05, (spec, result.observed)
 
 
 def test_tolerance_override_can_fail_a_check():

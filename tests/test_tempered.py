@@ -792,7 +792,7 @@ def test_dirac_scaling_skips_windows_its_probe_fills():
         for check in report.checks:
             if check.name.startswith("dirac-scaling@"):
                 assert check.status == "skipped", (spec, check.name, check.notes)
-                assert "window radius 1 below 2 cells" in check.notes
+                assert check.notes.startswith("unbuilt: probe room: window radius 1 below 2 cells")
     report = ltp.run_suite("z:2", [2.0, 1.5], seed=0)
     assert [check.status for check in report.checks
             if check.name.startswith("dirac-scaling@")] == ["pass", "pass"]
@@ -880,10 +880,11 @@ def test_quasi_identity_sequences(monkeypatch):
 
 def test_quasi_identity_grid_too_coarse():
     check = next(check for check in suite.REGISTRY if check.name == "quasi-identity-blowup")
-    exp = ltp.Exponent.of(2.0)
-    assert check.requires(ltp.build_group("r:0.4:2"), exp) is None
-    assert "grid step below 1/2" in check.requires(ltp.build_group("r:0.5:4"), exp)
-    assert "real-line" in check.requires(ltp.build_group("cyclic:4"), exp)
+    results = {spec: suite._execute_check(check, ltp.build_group(spec), 2.0, 0, {}, False)
+               for spec in ("r:0.4:2", "r:0.5:4", "cyclic:4")}
+    assert results["r:0.4:2"].status == "pass"
+    assert results["r:0.5:4"].notes == "unbuilt: runs U_1 and U_2: grid step 0.5 is not below 1/2"
+    assert results["cyclic:4"].notes == "needs real line: cyclic:4 is not"
 
 
 @pytest.mark.parametrize("spec, radius", [("z:64", 64), ("z2:8", 8)])
