@@ -2,8 +2,11 @@
 
 The JSON schema is fixed: {version, spec, seed, checks:[{name, paper_ref,
 status, observed, expected, tolerance, runtime_ms, notes}], summary:{pass,
-fail, skipped}}.  Emission is byte-deterministic for fixed inputs; wall-clock
-timings are therefore opt-in (runtime_ms is 0 unless timings were requested).
+fail, skipped}}.  A check's keys, like the CSV columns, are the fields of
+:class:`CheckResult` in their order, and the report's are those of
+:class:`SuiteReport` followed by ``summary``.  Emission is byte-deterministic
+for fixed inputs; wall-clock timings are therefore opt-in (runtime_ms is 0
+unless timings were requested).
 """
 
 from __future__ import annotations
@@ -12,23 +15,11 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
-
-
-def _to_plain(value):
-    if isinstance(value, (list, tuple)):
-        return [_to_plain(v) for v in value]
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int,)):
-        return int(value)
-    return float(value)
 
 
 @dataclass
@@ -37,7 +28,8 @@ class CheckResult:
 
     ``expected`` may be a scalar (pass iff |observed - expected| <= tolerance)
     or a two-element interval [lo, hi] (pass iff observed lies inside, with
-    the tolerance widening both ends).
+    the tolerance widening both ends).  :meth:`build` stores both as Python
+    floats, an interval as a list of two.
     """
 
     name: str
@@ -53,8 +45,12 @@ class CheckResult:
     def build(cls, name: str, paper_ref: str, *, observed, expected,
               tolerance: float, notes: str = "", runtime_ms: float = 0.0) -> "CheckResult":
         status = PASS if cls.evaluate(observed, expected, tolerance) else FAIL
-        return cls(name, paper_ref, status, _to_plain(observed),
-                   _to_plain(expected), float(tolerance), float(runtime_ms), notes)
+        if isinstance(expected, (list, tuple)):
+            expected = [float(end) for end in expected]
+        else:
+            expected = float(expected)
+        return cls(name, paper_ref, status, float(observed), expected,
+                   float(tolerance), float(runtime_ms), notes)
 
     @classmethod
     def skip(cls, name: str, paper_ref: str, reason: str) -> "CheckResult":
@@ -72,16 +68,7 @@ class CheckResult:
         return self.status == PASS
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "paper_ref": self.paper_ref,
-            "status": self.status,
-            "observed": _to_plain(self.observed),
-            "expected": _to_plain(self.expected),
-            "tolerance": float(self.tolerance),
-            "runtime_ms": float(self.runtime_ms),
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -105,13 +92,7 @@ class SuiteReport:
         return self.summary["fail"] == 0
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "spec": self.spec,
-            "seed": int(self.seed),
-            "checks": [c.to_dict() for c in self.checks],
-            "summary": self.summary,
-        }
+        return {**asdict(self), "summary": self.summary}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
@@ -119,12 +100,9 @@ class SuiteReport:
     def to_csv(self) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        header = ["name", "paper_ref", "status", "observed", "expected",
-                  "tolerance", "runtime_ms", "notes"]
-        writer.writerow(header)
+        writer.writerow(column.name for column in fields(CheckResult))
         for check in self.checks:
-            row = check.to_dict()
-            writer.writerow([_flat(row[key]) for key in header])
+            writer.writerow(_flat(value) for value in astuple(check))
         return buffer.getvalue()
 
     def to_markdown(self) -> str:

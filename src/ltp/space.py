@@ -33,28 +33,26 @@ DEFAULT_MAX_LEAK = 1e-6
 
 @dataclass(frozen=True)
 class Exponent:
-    """A Lebesgue exponent p in [1, inf) with its conjugate q, 1/p + 1/q = 1.
+    """A Lebesgue exponent p in [1, inf); its conjugate q, 1/p + 1/q = 1, is
+    derived from p.
 
     q is math.inf when p == 1, and formulas in q hold there as written:
     IEEE arithmetic gives 1/q = 0 and Delta^(-1/q) = 1.
     """
 
     p: float
-    q: float
 
     @classmethod
     def of(cls, p) -> "Exponent":
-        if isinstance(p, Exponent):
-            return p
-        p = float(p)
-        return cls(p, math.inf if p == 1.0 else p / (p - 1.0))
+        return p if isinstance(p, Exponent) else cls(float(p))
 
     def __post_init__(self):
         if not (self.p >= 1.0 and math.isfinite(self.p)):
             raise DomainError(f"exponent p must lie in [1, inf), got {self.p}")
-        conjugate = 1.0 <= self.q < math.inf and abs(1.0 / self.p + 1.0 / self.q - 1.0) <= 1e-15
-        if not (self.q == math.inf if self.p == 1.0 else conjugate):
-            raise DomainError(f"p={self.p} and q={self.q} are not conjugate")
+
+    @property
+    def q(self) -> float:
+        return math.inf if self.p == 1.0 else self.p / (self.p - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +384,8 @@ def box_function(model: GroupModel, radius: float) -> GFunction:
 
 def gauss_function(model: GroupModel, sigma: float) -> GFunction:
     """exp(-d^2 / (2 sigma^2)) with d the coordinate distance to the identity."""
-    if sigma <= 0:
-        raise DomainError("gauss width must be positive")
+    if not sigma > 0:
+        raise DomainError(f"gauss width must be positive, got {sigma!r}")
     d2 = np.sum(_axis_distances(model, "gauss") ** 2, axis=0)
     return GFunction(model, np.exp(-0.5 * d2 / sigma ** 2))
 
@@ -395,10 +393,13 @@ def gauss_function(model: GroupModel, sigma: float) -> GFunction:
 def random_function(model: GroupModel, seed, *, complex_valued: bool = True,
                     positive: bool = False, support_radius: float | None = None) -> GFunction:
     """Seeded random test function; optionally positive and box-supported.
-    A negative seed, or a negative or NaN support radius, is a DomainError."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise DomainError(f"random function needs a seed >= 0, got {seed}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    A seed that is not a generator or an integer >= 0, or a negative or NaN
+    support radius, is a DomainError."""
+    if not (isinstance(seed, np.random.Generator)
+            or isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"random function needs a generator or an integer seed >= 0, "
+                          f"got {seed}")
+    rng = np.random.default_rng(seed)  # a generator is returned as it is
     if positive:
         values = np.abs(rng.standard_normal(model.n)).astype(np.complex128)
     elif complex_valued:

@@ -774,8 +774,9 @@ def run_suite(spec: GroupSpec | str, p_list=(2.0,), seed: int = 0,
     check runs.  An exponent outside [1, inf) raises ``DomainError`` before a
     check runs too.  An empty ``p_list``, or one naming an exponent twice (2
     and 2.0 alike), raises ``DomainError``: each check name appears once in a
-    report.  A negative ``seed`` raises ``DomainError``, and a ``model`` that
-    is not the group ``spec`` describes raises ``ModelMismatchError``.
+    report.  A ``seed`` that is not an integer >= 0 raises ``DomainError``,
+    and a ``model`` that is not the group ``spec`` describes raises
+    ``ModelMismatchError``.
     """
     registry_self_test()
     names = {check.name for check in REGISTRY}
@@ -792,8 +793,8 @@ def run_suite(spec: GroupSpec | str, p_list=(2.0,), seed: int = 0,
         raise DomainError("run_suite needs at least one exponent")
     if len(set(p_values)) < len(p_values):
         raise DomainError(f"run_suite got a repeated exponent in {p_values}")
-    if seed < 0:
-        raise DomainError(f"run_suite needs a seed >= 0, got {seed}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"run_suite needs an integer seed >= 0, got {seed}")
     if model is None:
         model = build_group(spec)
     elif (parse_group_spec(spec) if isinstance(spec, str) else spec) != model.spec:

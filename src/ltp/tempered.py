@@ -133,25 +133,27 @@ class IterConfig:
         if self.restarts > _BLOCK_COLS:
             raise DomainError(f"restarts must be at most {_BLOCK_COLS}, the columns of "
                               f"one block, got {self.restarts}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be at least 0, got {self.seed}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise DomainError(f"seed must be an integer at least 0, got {self.seed}")
 
 
 @dataclass
 class NormEstimate:
     """Certified bounds for a tempered norm.
 
-    ``lower`` is the value the route attained (or computed exactly), never
-    clamped; ``upper`` is never below the true norm, and a ``lower`` above
-    it by more than a relative 1e-9 raises :class:`LtpError`.  ``witness``,
-    when present, is a g whose Rayleigh ratio ||g*f||_p / ||g||_p meets the
-    lower bound.  The lattice p = 2 route has none: its ``lower`` is a value
-    of the symbol, attained on the periodic embedding and not on the window.
-    On the iterative route ``iterations`` counts the block steps the engine
-    ran for f's restarts (the most any of them took), ``matvecs`` the
-    operator products of all its restarts, and ``restart_spread`` the spread
-    (max - min) / max of their final ratios (0 for one restart or a zero
-    operator); other f sharing the block count apart.
+    ``lower``, ``upper`` and ``restart_spread`` are Python floats, whatever
+    number type a route computed them in.  ``lower`` is the value the route
+    attained (or computed exactly), never clamped; ``upper`` is never below
+    the true norm, and a ``lower`` above it by more than a relative 1e-9
+    raises :class:`LtpError`.  ``witness``, when present, is a g whose
+    Rayleigh ratio ||g*f||_p / ||g||_p meets the lower bound.  The lattice
+    p = 2 route has none: its ``lower`` is a value of the symbol, attained
+    on the periodic embedding and not on the window.  On the iterative route
+    ``iterations`` counts the block steps the engine ran for f's restarts
+    (the most any of them took), ``matvecs`` the operator products of all
+    its restarts, and ``restart_spread`` the spread (max - min) / max of
+    their final ratios (0 for one restart or a zero operator); other f
+    sharing the block count apart.
     """
 
     lower: float
@@ -164,6 +166,8 @@ class NormEstimate:
     restart_spread: float = 0.0
 
     def __post_init__(self):
+        self.lower, self.upper = float(self.lower), float(self.upper)
+        self.restart_spread = float(self.restart_spread)
         if self.lower > self.upper * (1.0 + 1e-9) + 1e-300:
             raise LtpError(
                 f"norm bounds crossed: lower={self.lower!r} > upper={self.upper!r}")
@@ -282,7 +286,7 @@ def _exact_l1(f: GFunction) -> NormEstimate:
     for start, stop, block in _kernel_blocks(model, values):
         col[start:stop] = w @ np.abs(block)  # sum_x |M[x, y]| / w_y
     best = int(np.argmax(col))
-    lower = float(col[best])
+    lower = col[best]
     upper = upper_bound_weighted_l1(f, 1.0)
     witness = np.zeros(n)
     witness[best] = 1.0
@@ -298,7 +302,7 @@ def _exact_l1(f: GFunction) -> NormEstimate:
 def _spectral_finite_abelian(f: GFunction) -> NormEstimate:
     product = _CirculantProduct(f)
     k = int(np.argmax(np.abs(product.symbol)))
-    value = float(np.abs(product.symbol.flat[k]))
+    value = np.abs(product.symbol.flat[k])
     witness = GFunction(f.group, product.character(k))
     return NormEstimate(value, value, METHOD_SPECTRAL, witness=witness)
 
@@ -366,7 +370,7 @@ def _symbol_supremum(f: GFunction) -> NormEstimate:
     while pad < 4 * carrier.side:
         pad *= 2
     product = _CirculantProduct(f, (pad,) * carrier.dim)
-    top = float(np.max(np.abs(product.symbol)))
+    top = np.max(np.abs(product.symbol))
     support = carrier.coords[np.flatnonzero(f.values)]
     eta = math.pi * float(np.sum(support.max(axis=0) - support.min(axis=0))) / pad
     upper = upper_bound_weighted_l1(f, 2.0)
@@ -401,7 +405,7 @@ def _exact_svd(f: GFunction) -> NormEstimate:
         # once (41 against 31 products on cyclic:256)
         v0 = np.random.default_rng(0).standard_normal(n)
         lam, vec = eigsh(op, k=1, which="LA", v0=v0, tol=0)
-    sigma = float(math.sqrt(max(float(lam[0]), 0.0)))
+    sigma = math.sqrt(max(lam[0], 0.0))
     witness = GFunction(model, scale_back * vec[:, 0])
     upper = sigma
     if model.kind != KIND_FINITE:
@@ -572,11 +576,11 @@ def _boyd(f: GFunction, exp: Exponent, cells: np.ndarray, run) -> NormEstimate:
     model = f.group
     gamma, x, iters, converged, products = run
     best = int(np.argmax(gamma))  # the first restart with the largest ratio
-    top = float(gamma[best])
+    top = gamma[best]
     vec = np.zeros(model.n, dtype=np.complex128)
     vec[cells] = x[:, best]
     witness = GFunction(model, (model.weights ** (-1.0 / exp.p)) * vec)
-    spread = (top - float(gamma.min())) / top if top > 0 else 0.0
+    spread = (top - gamma.min()) / top if top > 0 else 0.0
     return NormEstimate(top, upper_bound_weighted_l1(f, exp), METHOD_BOYD,
                         iterations=int(iters.max()), converged=bool(np.all(converged)),
                         witness=witness, matvecs=int(products.sum()), restart_spread=spread)

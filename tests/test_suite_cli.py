@@ -14,7 +14,7 @@ import pytest
 import ltp
 from ltp import suite
 from ltp.cli import main, parse_function_source
-from ltp.report import CheckResult, SuiteReport, emit_report
+from ltp.report import CheckResult, SuiteReport, emit_report, render_report
 from ltp.suite import (REGISTRY, CheckDef, _execute_check, coverage_gaps,
                        registry_self_test, run_suite)
 from ltp.spectral import fourier
@@ -446,6 +446,50 @@ def test_report_csv_and_markdown(tmp_path):
     assert "| name | status |" in md_path.read_text()
 
 
+def test_report_renders_byte_for_byte_in_every_format():
+    # a pass, a NaN fail, a skip, an interval, a runtime and notes that each
+    # format must escape
+    checks = [
+        CheckResult.build("dirac-scaling@p=2", "Lemma 2.1", observed=1e-12, expected=0.0,
+                          tolerance=1e-9),
+        CheckResult.build("re-im-closure@p=1.5", "Prop 3.4", observed=math.nan,
+                          expected=0.0, tolerance=1e-9, notes='worst of 3, "re" | "im"'),
+        CheckResult.skip("plancherel", "Thm 4.2", "needs abelian: dihedral:3 is not"),
+        CheckResult.build("folner-certificate", "Thm 5.1", observed=0.95, expected=[0.9, 1.0],
+                          tolerance=0.0, runtime_ms=12.5),
+    ]
+    report = SuiteReport(version="0.1.0", spec="dihedral:3", seed=3, checks=checks)
+    check_json = ('    {{\n      "name": "{}",\n      "paper_ref": "{}",\n'
+                  '      "status": "{}",\n      "observed": {},\n      "expected": {},\n'
+                  '      "tolerance": {},\n      "runtime_ms": {},\n      "notes": {}\n    }}')
+    rows = [("dirac-scaling@p=2", "Lemma 2.1", "pass", "1e-12", "0.0", "1e-09", "0.0", '""'),
+            ("re-im-closure@p=1.5", "Prop 3.4", "fail", "NaN", "0.0", "1e-09", "0.0",
+             r'"worst of 3, \"re\" | \"im\""'),
+            ("plancherel", "Thm 4.2", "skipped", "null", "null", "0.0", "0.0",
+             '"needs abelian: dihedral:3 is not"'),
+            ("folner-certificate", "Thm 5.1", "pass", "0.95",
+             "[\n        0.9,\n        1.0\n      ]", "0.0", "12.5", '""')]
+    assert render_report(report, "json") == (
+        '{\n  "version": "0.1.0",\n  "spec": "dihedral:3",\n  "seed": 3,\n  "checks": [\n'
+        + ",\n".join(check_json.format(*row) for row in rows)
+        + '\n  ],\n  "summary": {\n    "pass": 2,\n    "fail": 1,\n    "skipped": 1\n  }\n}\n')
+    assert render_report(report, "csv") == (
+        "name,paper_ref,status,observed,expected,tolerance,runtime_ms,notes\n"
+        "dirac-scaling@p=2,Lemma 2.1,pass,1e-12,0.0,1e-09,0.0,\n"
+        're-im-closure@p=1.5,Prop 3.4,fail,nan,0.0,1e-09,0.0,"worst of 3, ""re"" | ""im"""\n'
+        "plancherel,Thm 4.2,skipped,,,0.0,0.0,needs abelian: dihedral:3 is not\n"
+        "folner-certificate,Thm 5.1,pass,0.95,0.9;1.0,0.0,12.5,\n")
+    assert render_report(report, "markdown") == (
+        "# Suite report: dihedral:3\n\nversion 0.1.0, seed 3\n\n"
+        "| name | status | observed | expected | tolerance | notes |\n"
+        "| --- | --- | --- | --- | --- | --- |\n"
+        "| dirac-scaling@p=2 | pass | 1e-12 | 0.0 | 1e-09 |  |\n"
+        '| re-im-closure@p=1.5 | fail | nan | 0.0 | 1e-09 | worst of 3, "re" / "im" |\n'
+        "| plancherel | skipped |  |  | 0.0 | needs abelian: dihedral:3 is not |\n"
+        "| folner-certificate | pass | 0.95 | 0.9;1.0 | 0.0 |  |\n"
+        "\npass 2, fail 1, skipped 1\n")
+
+
 def test_report_determinism_same_inputs():
     a = run_suite("cyclic:16@counting", [2.0, 1.5], seed=7).to_json()
     b = run_suite("cyclic:16@counting", [2.0, 1.5], seed=7).to_json()
@@ -540,12 +584,14 @@ def _no_check_runs(*args):
 
 def test_a_negative_seed_is_refused_before_any_check_runs(monkeypatch, capsys):
     monkeypatch.setattr(suite, "_execute_check", _no_check_runs)
-    with pytest.raises(ltp.DomainError, match="seed >= 0, got -1"):
-        run_suite("cyclic:4", [2.0], seed=-1)
+    for seed in (-1, 1.5):
+        with pytest.raises(ltp.DomainError, match=f"integer seed >= 0, got {seed}"):
+            run_suite("cyclic:4", [2.0], seed=seed)
+        with pytest.raises(ltp.DomainError, match=f"seed must be an integer at least 0, "
+                                                  f"got {seed}"):
+            IterConfig(seed=seed)
     assert main(["suite", "--group", "cyclic:4", "--seed", "-1"]) == 2
     assert "seed >= 0, got -1" in capsys.readouterr().err
-    with pytest.raises(ltp.DomainError, match="seed must be at least 0, got -1"):
-        IterConfig(seed=-1)
 
 
 def test_iter_config_refuses_no_steps_and_a_bad_tolerance():
@@ -895,6 +941,7 @@ def test_function_source_generators():
 def test_function_sources_that_cannot_apply_exit_2(capsys):
     for source, message in (("box:-1", "box radius must be at least 0, got -1.0"),
                             ("box:nan", "box radius must be at least 0, got nan"),
+                            ("gauss:nan", "gauss width must be positive, got nan"),
                             ("random:-1", "seed >= 0, got -1")):
         assert main(["norm", "--group", "cyclic:4", "--f", source]) == 2, source
         assert message in capsys.readouterr().err, source

@@ -682,6 +682,18 @@ def test_route_grid(spec):
                 assert tempered_norm(f, p, method=method).method == method, (p, method)
 
 
+@pytest.mark.parametrize("spec", ["cyclic:8", "z:8", "affine:0.25:1:0.25:1"])
+def test_every_route_returns_python_floats(spec):
+    # one model per carrier kind; every route that serves it, by name
+    G = ltp.build_group(spec)
+    f = ltp.random_function(G, 1)
+    for p, (_, refused) in zip((1, 1.5, 2, 3), _ROUTE_GRID[spec]):
+        for method in {_L1, _SPECTRAL, _SVD, _BOYD, _BOUND} - refused:
+            est = tempered_norm(f, p, method=method)
+            for end in (est.lower, est.upper, est.restart_spread):
+                assert type(end) is float, (p, method, type(end))
+
+
 # ---------------------------------------------------------------------------
 # The upper end alone
 # ---------------------------------------------------------------------------
