@@ -10,15 +10,18 @@ the characters, and one circulant operator, :class:`_CirculantProduct`,
 holds the only FFT code for them: ``convolve``, the p = 2 route (its symbol
 and eigen-characters) and the products of Boyd's iteration all read from
 it.  It also places lattice data on a periodic embedding, whose symbol the
-lattice p = 2 scan reads and whose products Boyd's iteration takes.  Every
-other route (direct convolution, the operator matrix, the exact p = 1
-column supremum) reads K from one column-block generator,
-:func:`_kernel_blocks`.  Each carrier gives it one table per f and an index
-that does not depend on f, and every block is one gather: f zero-padded and
-indexed by coordinate differences on the lattices (z, z2, r), a table of
-cell averages indexed by (u_y, u_x, b_x - b_y) on the affine grid, and f
-indexed by the division table idx[x, y] = y^{-1} x on the other finite
-models.
+lattice p = 2 scan reads and whose products Boyd's iteration takes.  On
+the other finite models the irreducible representations split the map
+into blocks instead: :func:`irreducible_blocks` builds the blocks of the
+regular representation once per model, and the p = 2 route reads the
+blocks of f from them.  Every other route (direct convolution, the
+operator matrix, the exact p = 1 column supremum) reads K from one
+column-block generator, :func:`_kernel_blocks`.  Each carrier gives it one
+table per f and an index that does not depend on f, and every block is one
+gather: f zero-padded and indexed by coordinate differences on the
+lattices (z, z2, r), a table of cell averages indexed by
+(u_y, u_x, b_x - b_y) on the affine grid, and f indexed by the division
+table idx[x, y] = y^{-1} x on the other finite models.
 
 Every result carries the fraction of product mass dropped at a truncation
 boundary in its ``leak`` metadata.
@@ -30,8 +33,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
-from .errors import ResourceError
+from .errors import DomainError, LtpError, ResourceError
 from .groups import (KIND_FINITE, GroupModel, _AffineCarrier, _LatticeCarrier)
 from .space import Exponent, GFunction
 
@@ -255,6 +259,138 @@ class _CirculantProduct:
         impulse = np.zeros(self.shape + (1,), dtype=np.complex128)
         impulse.flat[k] = impulse.size
         return self._over_axes(np.fft.ifft, impulse).reshape(-1)
+
+
+@dataclass(frozen=True)
+class IrreducibleBlocks:
+    """The regular representation of a finite model split into irreducible
+    blocks, the Fourier transform of a group with no character table.
+
+    Each irreducible pi of dimension d appears in the right-translation
+    representation (rho(z) g)(x) = g(x z^{-1}) on an orthonormal basis
+    ``bases[k]`` (n x d) of an invariant subspace, where
+    T_z = E^H rho(z) E.  Right convolution by f is w0 sum_z f(z) rho(z),
+    so on that subspace it is the block fhat(pi) = w0 sum_z f(z) T_z, and
+    every other copy of pi carries the same block: the p = 2 tempered norm
+    is max_pi sigma_max(fhat(pi)) (Plancherel; Serre, Linear Representations
+    of Finite Groups, 2.6).  Row z of ``table`` holds every T_z raveled, the
+    irreducibles in the order of ``dims``, ascending: sum d^2 = n columns,
+    so the blocks of f are the row vector f @ table.
+    """
+
+    dims: np.ndarray
+    bases: tuple[np.ndarray, ...]
+    table: np.ndarray
+
+
+# The build cap, the dense cap of the p = 2 singular-value route.  The build
+# is one dense eigh of an n x n matrix plus a gather of n^2 d values per
+# irreducible of dimension d; past the cap, where that route turns to
+# Lanczos, it costs as much as many calls: 0.9 s and a 133 MB gather for the
+# 16-dimensional irreducibles of symmetric:6 (720 cells), against 67 ms a
+# Lanczos call, and 31 ms on dihedral:64 (one BLAS thread, 2-vCPU host).
+BLOCKS_CAP = 224
+# Seeded draws the build tries before it refuses, and the relative gap below
+# which two eigenvalues of a draw count as one.
+_BLOCK_DRAWS = 4
+_BLOCK_SPLIT = 1e-8
+
+
+def _hermitian_draw(rng, labels: np.ndarray, inverses: np.ndarray) -> np.ndarray:
+    """A random complex h, constant on the level sets of ``labels`` (cell
+    indices), with h(z^{-1}) = conj h(z).  It is complex: a real h of that
+    symmetry gives pi and its conjugate one eigenvalue."""
+    r = rng.standard_normal(labels.size) + 1j * rng.standard_normal(labels.size)
+    h = r[labels]
+    return h + h[inverses].conj()
+
+
+def _split_blocks(model: GroupModel, right: np.ndarray, classes: np.ndarray,
+                  rng) -> IrreducibleBlocks | None:
+    """One seeded draw of the blocks, or None when the draw does not
+    separate the irreducibles.
+
+    Left convolution by a central Hermitian c is c[right] (x z^{-1} at
+    [x, z]); its eigenspaces are the isotypic components, one of dimension
+    d^2 per irreducible.  Left convolution by a Hermitian a, a[right],
+    commutes with every rho(z), so each of its eigenspaces inside a
+    component is invariant: one of dimension d is E.  The draw is refused
+    unless every component has a square size, its top d eigenvalues of a
+    are one cluster, T at the identity is I and every T_z is unitary (E's
+    span is invariant), and sum_pi d tr T_z is n at the identity and 0
+    elsewhere (the blocks hold every irreducible, d times over).
+    """
+    n = model.n
+    inverses = model.inverses
+    c = _hermitian_draw(rng, classes, inverses)
+    a = _hermitian_draw(rng, np.arange(n), inverses)
+    lam, vec = eigh(c[right])
+    # sum |c| bounds the eigenvalues; one component's agree to rounding
+    cuts = np.flatnonzero(np.diff(lam) > _BLOCK_SPLIT * float(np.sum(np.abs(c)))) + 1
+    bounds = np.concatenate(([0], cuts, [n]))
+    sizes = np.diff(bounds)
+    dims = np.rint(np.sqrt(sizes)).astype(np.int64)
+    if np.any(dims * dims != sizes):
+        return None
+    spread = _BLOCK_SPLIT * float(np.sum(np.abs(a)))
+    moved = a[right] @ vec
+    bases = []
+    for start, stop, d in zip(bounds[:-1], bounds[1:], dims):
+        lam_a, vec_a = eigh(vec[:, start:stop].conj().T @ moved[:, start:stop])
+        top = lam_a[-d:]
+        if top[-1] - top[0] > spread or (d < stop - start and top[0] - lam_a[-d - 1] <= spread):
+            return None
+        bases.append(np.linalg.qr(vec[:, start:stop] @ vec_a[:, -d:])[0])
+    order = np.argsort(dims, kind="stable")
+    dims = dims[order]
+    bases = tuple(bases[k] for k in order)
+    # T[z, i, j] = sum_x conj E[x, i] E[x z^{-1}, j], one matmul per block
+    blocks = [(basis.conj().T @ basis[right].reshape(n, -1)).reshape(d, n, d).transpose(1, 0, 2)
+              for basis, d in zip(bases, dims)]
+    tol = 1e-10  # every residual is below 2e-14 up to the cap
+    e = model.identity
+    if any(np.max(np.abs(t[e] - np.eye(d))) > tol
+           or np.max(np.abs(np.sum(np.abs(t) ** 2, axis=(1, 2)) - d)) > tol
+           for t, d in zip(blocks, dims)):
+        return None
+    regular = sum(d * np.trace(t, axis1=1, axis2=2) for t, d in zip(blocks, dims))
+    regular[e] -= n
+    if np.max(np.abs(regular)) > tol:
+        return None
+    table = np.concatenate([t.reshape(n, -1) for t in blocks], axis=1)
+    return IrreducibleBlocks(dims, bases, table)
+
+
+def irreducible_blocks(model: GroupModel) -> IrreducibleBlocks:
+    """The irreducible blocks of a finite model of at most ``BLOCKS_CAP``
+    cells, built once per model and cached.
+
+    Each of ``_BLOCK_DRAWS`` seeded draws is checked (see ``_split_blocks``)
+    and the first that passes is kept, so the blocks are the same on every
+    build; when none passes the build raises :class:`LtpError`, and never
+    returns a block it could not check.
+    """
+    cached = model._cache.get("blocks")
+    if cached is not None:
+        return cached
+    if model.kind != KIND_FINITE:
+        raise DomainError(f"irreducible blocks need a finite model, {model.name} is not")
+    n = model.n
+    if n > BLOCKS_CAP:
+        raise ResourceError(f"irreducible blocks for n={n} exceed the cap {BLOCKS_CAP}")
+    cells = np.arange(n)
+    carrier = model.carrier
+    right = carrier.op(cells[:, None], model.inverses[None, :])
+    # the conjugacy class of x named by its least member g x g^{-1}
+    classes = carrier.op(carrier.op(cells[:, None], cells[None, :]),
+                         model.inverses[:, None]).min(axis=0)
+    for draw in range(_BLOCK_DRAWS):
+        blocks = _split_blocks(model, right, classes, np.random.default_rng(draw))
+        if blocks is not None:
+            model._cache["blocks"] = blocks
+            return blocks
+    raise LtpError(f"irreducible blocks of {model.name}: none of {_BLOCK_DRAWS} seeded "
+                   "draws separated its representations")
 
 
 @dataclass

@@ -5,10 +5,10 @@ on whatever models it applies to.
 Each check states what it needs once, in ``needs``: the hypotheses of its
 statement, read from the properties a model states (finite, compact,
 discrete, abelian, unimodular, counting, probability, real line), and the
-objects ltp builds for it (the dual, a Folner box, a leak-free probe, a
-route).  A model that lacks a hypothesis skips the check with the note
-``needs P: SPEC is not``; one where ltp has not built the object skips it
-with ``unbuilt: NAME: why``.
+objects ltp builds for it (the dual, a transform, a Folner box, a
+leak-free probe, a route).  A model that lacks a hypothesis skips the check
+with the note ``needs P: SPEC is not``; one where ltp has not built the
+object skips it with ``unbuilt: NAME: why``.
 Results are deterministic for fixed (spec, p list, seed): every check draws
 from its own generator seeded by (seed, check name), so registry order
 cannot change a single observed value.
@@ -21,9 +21,11 @@ parts' lower ends against f's upper end at factor 1: g * conj f is
 conj(conj g * f), so ||conj f||_p^T = ||f||_p^T >= ||Re f||_p^T.
 
 restricted-isometry reads both tempered norms from the FFT route, on f's
-model and on the dual; spectral-svd-agreement alone sets the transform
-against the singular-value route.  quasi-identity-blowup measures
-||1_U / |U| ||_p on shrinking centred runs U of grid cells.
+model and on the dual; spectral-svd-agreement alone sets a transform
+against the singular-value route: the character table on declared products
+of cyclic groups, the irreducible blocks on the other finite models.
+quasi-identity-blowup measures ||1_U / |U| ||_p on shrinking centred runs U
+of grid cells.
 
 Each runner draws its probes and measures its statement from the
 quantities the library computes: transforms, norms, convolutions,
@@ -47,17 +49,17 @@ from .groups import (ABELIAN, COMPACT, COUNTING, DISCRETE, FINITE, PROBABILITY,
                      _LatticeCarrier, build_group, parse_group_spec, validate_group,
                      modular_multiplicativity_residual, _affine_validation_points,
                      _affine_modular_residual)
-from .convolve import convolve
+from .convolve import convolve, irreducible_blocks
 from .folner import averaging_inequality_check, find_folner
 from .report import FAIL, CheckResult, SuiteReport
 from .space import (Exponent, GFunction, dirac, dirac_measure, ess_sup,
                     estimate_modular, imag_part, inner, lp_norm, modular_reflect,
                     point_modular, random_function, real_part, translate, LEFT_DIRAC,
                     RIGHT_DIRAC, decompose_l1_linf, _affine_bump_probe)
-from .spectral import (build_dual, fourier, inverse_fourier, mult_operator_norm,
+from .spectral import (DualModel, build_dual, fourier, inverse_fourier, mult_operator_norm,
                        restricted_isometry_terms, tempered_norm_spectral)
-from .tempered import (METHOD_WL1_BOUND, tempered_norm, tempered_norms, tempered_upper,
-                       upper_bound_weighted_l1)
+from .tempered import (METHOD_BLOCKS, METHOD_WL1_BOUND, tempered_norm, tempered_norms,
+                       tempered_upper, upper_bound_weighted_l1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +176,10 @@ def _refuse(reason: str):
 # the rest are the suite's probes and routes.
 _BUILDS: dict[str, Callable[[GroupModel, Exponent | None], object]] = {
     "dual": lambda model, p: build_dual(model),
+    # the character table on declared products of cyclic groups, the
+    # irreducible blocks on the other finite models
+    "transform": lambda model, p: (build_dual(model) if model.cyclic_factors is not None
+                                   else irreducible_blocks(model)),
     "Folner box": lambda model, p: find_folner(model, 1, 0.1),
     "leak-free probe": lambda model, p: None if FINITE in model.properties else _refuse(
         f"products of probes can leave the window of {model.name}"),
@@ -525,9 +531,12 @@ def _run_mult_operator(ctx: SuiteContext):
 
 
 def _run_spectral_agreement(ctx: SuiteContext):
-    dual = ctx.built["dual"]
+    transform = ctx.built["transform"]
     f = _random_probe(ctx.model, ctx.rng)
-    via_transform = tempered_norm_spectral(dual, f)
+    if isinstance(transform, DualModel):
+        via_transform = tempered_norm_spectral(transform, f)
+    else:
+        via_transform = tempered_norm(f, 2, method=METHOD_BLOCKS).lower
     return abs(via_transform - tempered_norm(f, 2, method="exact_svd").lower)
 
 
@@ -665,7 +674,7 @@ REGISTRY: list[CheckDef] = [
     CheckDef("spectral-svd-agreement", "max |fhat| equals the exact operator norm",
              ("transform-sup-equals-tempered",), _run_spectral_agreement,
              note="max |fhat| vs largest singular value of the weighted operator", draws=8,
-             needs=(ABELIAN, "dual")),
+             needs=("transform",)),
     CheckDef("restricted-isometry",
              "||f||_2^T + ||f||_inf = ||fhat||_inf + ||fhat||_2^T",
              ("restricted-transform-isometry",), _run_restricted_isometry,

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import json
 import math
 import subprocess
@@ -92,11 +93,12 @@ def test_suite_boyd_work_is_pinned(monkeypatch):
 
 # Calls of the p = 2 singular-value route over one run_suite pass at p = 2
 # and 1.5, seed 0, dual models included: spectral-svd-agreement's 8 draws on
-# the abelian models, and every p = 2 norm on the nonabelian finite models and
-# the affine grid.  Recount with this test's counter when a check changes the
-# routes it reads, and state the old and new counts with that change.
+# the finite models, and every p = 2 norm on the affine grid (the irreducible
+# blocks serve the other p = 2 norms on the nonabelian finite models).
+# Recount with this test's counter when a check changes the routes it reads,
+# and state the old and new counts with that change.
 EXACT_SVD_CALLS = {"cyclic:256@counting": 8, "circle:64": 8, "product:cyclic:8+cyclic:16": 8,
-                   "dihedral:64": 81, "symmetric:5": 81, "affine:0.125:1:0.125:1": 21,
+                   "dihedral:64": 8, "symmetric:5": 8, "affine:0.125:1:0.125:1": 21,
                    "z:64": 0, "z2:8": 0, "r:0.05:4": 0}
 
 
@@ -124,13 +126,31 @@ def test_suite_exact_svd_calls_are_pinned(monkeypatch):
         assert len(calls) == expected, spec
 
 
+def test_suite_builds_the_irreducible_blocks_once_per_model(monkeypatch):
+    conv = importlib.import_module("ltp.convolve")  # ltp.convolve is also the function
+
+    builds = []
+    original = conv._split_blocks
+
+    def counting(*args):
+        blocks = original(*args)
+        builds.append(blocks is not None)
+        return blocks
+
+    monkeypatch.setattr(conv, "_split_blocks", counting)
+    model = ltp.build_group("dihedral:64")
+    for _ in range(2):
+        run_suite("dihedral:64", (2.0, 1.5), seed=0, model=model)
+    assert builds == [True]
+
+
 # Skipped checks of one run_suite pass at p = 2 and 1.5, seed 0: (needs,
 # unbuilt), the statements whose hypotheses the model lacks and those that
 # ltp has not built on it.  A check that comes to run where it skipped moves
 # a count here; state the old and new counts with that change.
 SKIPS_AT_SEED_0 = {"z:64": (6, 22), "z2:8": (6, 25), "r:0.05:4": (10, 23),
-                   "affine:0.125:1:0.125:1": (23, 14), "cyclic:256@counting": (4, 5),
-                   "circle:64": (8, 5), "dihedral:64": (13, 6), "symmetric:5": (13, 6),
+                   "affine:0.125:1:0.125:1": (22, 15), "cyclic:256@counting": (4, 5),
+                   "circle:64": (8, 5), "dihedral:64": (12, 6), "symmetric:5": (12, 6),
                    "product:cyclic:8+cyclic:16": (4, 5)}
 
 
@@ -156,7 +176,7 @@ def test_suite_skips_are_pinned_and_name_their_kind():
             assert missing <= ltp.groups.PROPERTIES - model.properties, check.notes
             needs += 1
         assert (needs, unbuilt) == expected, spec
-    assert sum(sum(pair) for pair in SKIPS_AT_SEED_0.values()) == 198
+    assert sum(sum(pair) for pair in SKIPS_AT_SEED_0.values()) == 196
 
 
 def test_exact_models_share_each_check_tolerance():
@@ -601,6 +621,9 @@ def test_iter_config_refuses_no_steps_and_a_bad_tolerance():
     for tol in (-1e-8, math.nan, -math.inf):
         with pytest.raises(ltp.DomainError, match="tol must be at least 0"):
             IterConfig(tol=tol)
+    for name in ("max_iters", "restarts"):
+        with pytest.raises(ltp.DomainError, match=f"{name} must be an integer, got 2.5"):
+            IterConfig(**{name: 2.5})
     assert IterConfig(max_iters=1, tol=0.0).max_iters == 1
 
 

@@ -5,7 +5,9 @@ The p = 2 oracle used here is an explicit DFT maximum computed with a
 double loop, independent of the library's FFT and SVD paths.
 """
 
+import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -295,6 +297,67 @@ def test_spectral_witness_is_the_top_character(spec):
     image = ltp.convolve(est.witness, f, path="direct")
     ratio = ltp.lp_norm(image, 2) / ltp.lp_norm(est.witness, 2)
     assert abs(ratio - est.lower) <= 1e-12 * est.lower
+
+
+@pytest.mark.parametrize("spec", ["dihedral:63", "dihedral:64", "symmetric:3", "symmetric:4",
+                                  "symmetric:5", "product:dihedral:4+cyclic:3",
+                                  "product:symmetric:3+cyclic:2"])
+def test_irreducible_blocks_meet_the_dense_svd_and_their_witness(spec):
+    # product:dihedral:4+cyclic:3 has irreducibles with complex characters,
+    # which a real class function would not tell from their conjugates
+    G = ltp.build_group(spec)
+    rng = np.random.default_rng(17)
+    for complex_valued in (True, False, True, False):
+        f = ltp.random_function(G, rng, complex_valued=complex_valued)
+        est = tempered_norm(f, 2)
+        assert est.method == "irreducible_blocks" and est.lower == est.upper
+        dense = tempered_norm(f, 2, method="exact_svd").lower
+        assert abs(est.lower - dense) <= 1e-12 * dense
+        image = ltp.convolve(est.witness, f, path="direct")
+        ratio = ltp.lp_norm(image, 2) / ltp.lp_norm(est.witness, 2)
+        assert abs(ratio - est.lower) <= 1e-12 * est.lower
+
+
+def test_fresh_irreducible_blocks_give_bit_identical_estimates():
+    first, second = (ltp.build_group("dihedral:64") for _ in range(2))
+    for seed in range(3):
+        a = tempered_norm(ltp.random_function(first, seed), 2)
+        b = tempered_norm(ltp.random_function(second, seed), 2)
+        assert a.lower == b.lower
+        np.testing.assert_array_equal(a.witness.values, b.witness.values)
+
+
+@pytest.mark.parametrize("spec, draw", [
+    ("dihedral:4", lambda h: np.zeros_like(h)),  # one cluster of 8 cells, not a square
+    ("dihedral:8", lambda h: np.zeros_like(h)),  # one cluster of 16 = 4^2 cells, no split
+    # a real class function symmetric under inversion joins each pi of the
+    # cyclic factor to its conjugate: clusters of 2 and 8 cells
+    ("product:dihedral:4+cyclic:3", lambda h: h.real.astype(complex)),
+])
+def test_irreducible_blocks_refuse_draws_that_do_not_separate(spec, draw, monkeypatch):
+    conv = importlib.import_module("ltp.convolve")  # ltp.convolve is also the function
+
+    original = conv._hermitian_draw
+    monkeypatch.setattr(conv, "_hermitian_draw", lambda *args: draw(original(*args)))
+    G = ltp.build_group(spec)
+    f = ltp.random_function(G, 0)
+    for attempt in (lambda: conv.irreducible_blocks(G), lambda: tempered_norm(f, 2)):
+        with pytest.raises(ltp.LtpError, match=re.escape(f"blocks of {spec}: none of 4")):
+            attempt()
+    assert "blocks" not in G._cache
+    assert tempered_norm(f, 2, method="exact_svd").lower > 0
+
+
+def test_irreducible_blocks_serve_finite_models_up_to_the_cap():
+    from ltp.convolve import BLOCKS_CAP, irreducible_blocks
+
+    large = ltp.build_group("dihedral:113")
+    assert large.n == BLOCKS_CAP + 2
+    with pytest.raises(ResourceError, match="exceed the cap 224"):
+        irreducible_blocks(large)
+    assert tempered_norm(ltp.random_function(large, 0), 2).method == "exact_svd"
+    with pytest.raises(DomainError, match="need a finite model, z:8 is not"):
+        irreducible_blocks(ltp.build_group("z:8"))
 
 
 def test_boyd_bracket_and_convergence_flag():
@@ -650,20 +713,24 @@ def test_method_validation():
         tempered_norm(ltp.random_function(D, 0), 2, method="spectral_abelian")
 
 
-_L1, _SPECTRAL, _SVD, _BOYD, _BOUND = ("exact_l1", "spectral_abelian", "exact_svd",
-                                       "boyd_iteration", "bound_weighted_l1")
-_OFF_P1 = {_SPECTRAL, _SVD, _BOYD}
-_OFF_P = {_L1, _SPECTRAL, _SVD}  # at p = 1.5 and p = 3
+_L1, _SPECTRAL, _BLOCKS, _SVD, _BOYD, _BOUND = (
+    "exact_l1", "spectral_abelian", "irreducible_blocks", "exact_svd", "boyd_iteration",
+    "bound_weighted_l1")
+_METHODS = (_L1, _SPECTRAL, _BLOCKS, _SVD, _BOYD, _BOUND)
+_OFF_P1 = {_SPECTRAL, _BLOCKS, _SVD, _BOYD}
+_OFF_P = {_L1, _SPECTRAL, _BLOCKS, _SVD}  # at p = 1.5 and p = 3
+_UNFINITE_P2 = {_L1, _BLOCKS}
 # per model, at p = 1, 1.5, 2 and 3: the route "auto" takes, and the named
 # methods that raise DomainError
 _ROUTE_GRID = {
     "cyclic:8": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SPECTRAL, {_L1}), (_BOYD, _OFF_P)],
-    "dihedral:3": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SVD, {_L1, _SPECTRAL}), (_BOYD, _OFF_P)],
-    "z:8": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SPECTRAL, {_L1}), (_BOYD, _OFF_P)],
-    "z2:2": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SPECTRAL, {_L1}), (_BOYD, _OFF_P)],
-    "r:0.5:2": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SPECTRAL, {_L1}), (_BOYD, _OFF_P)],
-    "affine:0.25:1:0.25:1": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SVD, {_L1, _SPECTRAL}),
-                             (_BOYD, _OFF_P)],
+    "dihedral:3": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_BLOCKS, {_L1, _SPECTRAL}),
+                   (_BOYD, _OFF_P)],
+    "z:8": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SPECTRAL, _UNFINITE_P2), (_BOYD, _OFF_P)],
+    "z2:2": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SPECTRAL, _UNFINITE_P2), (_BOYD, _OFF_P)],
+    "r:0.5:2": [(_L1, _OFF_P1), (_BOYD, _OFF_P), (_SPECTRAL, _UNFINITE_P2), (_BOYD, _OFF_P)],
+    "affine:0.25:1:0.25:1": [(_L1, _OFF_P1), (_BOYD, _OFF_P),
+                             (_SVD, _UNFINITE_P2 | {_SPECTRAL}), (_BOYD, _OFF_P)],
 }
 
 
@@ -674,7 +741,7 @@ def test_route_grid(spec):
     f = ltp.random_function(G, 0)
     for p, (auto, refused) in zip((1, 1.5, 2, 3), _ROUTE_GRID[spec]):
         assert tempered_norm(zero, p).method == auto, p
-        for method in (_L1, _SPECTRAL, _SVD, _BOYD, _BOUND):
+        for method in _METHODS:
             if method in refused:
                 with pytest.raises(DomainError):
                     tempered_norm(f, p, method=method)
@@ -688,7 +755,7 @@ def test_every_route_returns_python_floats(spec):
     G = ltp.build_group(spec)
     f = ltp.random_function(G, 1)
     for p, (_, refused) in zip((1, 1.5, 2, 3), _ROUTE_GRID[spec]):
-        for method in {_L1, _SPECTRAL, _SVD, _BOYD, _BOUND} - refused:
+        for method in set(_METHODS) - refused:
             est = tempered_norm(f, p, method=method)
             for end in (est.lower, est.upper, est.restart_spread):
                 assert type(end) is float, (p, method, type(end))
