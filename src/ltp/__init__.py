@@ -24,8 +24,7 @@ from .space import (Exponent, GFunction, box_function, decompose_l1_linf,
 from .convolve import ConvOperator, convolve
 from .tempered import (IterConfig, NormEstimate, tempered_norm, tempered_norms,
                        tempered_upper, upper_bound_weighted_l1)
-from .spectral import (DualModel, build_dual, fourier, inverse_fourier,
-                       mult_operator_norm, tempered_norm_spectral)
+from .spectral import DualModel, build_dual, fourier, inverse_fourier
 from .folner import FolnerCertificate, averaging_inequality_check, find_folner
 from .report import CheckResult, SuiteReport, emit_report
 from .suite import REGISTRY, coverage_gaps, registry_self_test, run_suite

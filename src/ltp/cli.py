@@ -187,8 +187,9 @@ def _cmd_norm(args) -> int:
     f = parse_function_source(model, args.source)
     p_values = _parse_p_list(args.p)
     cfg = IterConfig(restarts=args.restarts, seed=args.seed)
-    for p in p_values:
-        est = tempered_norm(f, p, cfg=cfg, method=args.method)
+    # every estimate before any output: an exponent that fails prints nothing
+    estimates = [tempered_norm(f, p, cfg=cfg, method=args.method) for p in p_values]
+    for p, est in zip(p_values, estimates):
         print(f"p={p:g}\n  method={est.method}")
         for name in ("lower", "upper", "iterations", "converged", "matvecs", "restart_spread"):
             print(f"  {name}={getattr(est, name)!r}")

@@ -13,15 +13,18 @@ it.  It also places lattice data on a periodic embedding, whose symbol the
 lattice p = 2 scan reads and whose products Boyd's iteration takes.  On
 the other finite models the irreducible representations split the map
 into blocks instead: :func:`irreducible_blocks` builds the blocks of the
-regular representation once per model, and the p = 2 route reads the
-blocks of f from them.  Every other route (direct convolution, the
-operator matrix, the exact p = 1 column supremum) reads K from one
-column-block generator, :func:`_kernel_blocks`.  Each carrier gives it one
-table per f and an index that does not depend on f, and every block is one
-gather: f zero-padded and indexed by coordinate differences on the
-lattices (z, z2, r), a table of cell averages indexed by
-(u_y, u_x, b_x - b_y) on the affine grid, and f indexed by the division
-table idx[x, y] = y^{-1} x on the other finite models.
+regular representation once per model, up to ``DENSE_EIGH_CAP`` cells,
+from the products the model's division table holds, and the p = 2 route
+reads the blocks of f from them.  Either transform is the route that
+spectral-svd-agreement sets against the dense singular value.  Every
+other route (direct convolution, the operator matrix, the exact p = 1
+column supremum) reads K from one column-block generator,
+:func:`_kernel_blocks`.  Each carrier gives it one table per f and an
+index that does not depend on f, and every block is one gather: f
+zero-padded and indexed by coordinate differences on the lattices (z, z2,
+r), a table of cell averages indexed by (u_y, u_x, b_x - b_y) on the affine
+grid, and f indexed by the division table idx[x, y] = y^{-1} x on the
+other finite models.
 
 Every result carries the fraction of product mass dropped at a truncation
 boundary in its ``leak`` metadata.
@@ -283,13 +286,19 @@ class IrreducibleBlocks:
     table: np.ndarray
 
 
-# The build cap, the dense cap of the p = 2 singular-value route.  The build
-# is one dense eigh of an n x n matrix plus a gather of n^2 d values per
-# irreducible of dimension d; past the cap, where that route turns to
-# Lanczos, it costs as much as many calls: 0.9 s and a 133 MB gather for the
-# 16-dimensional irreducibles of symmetric:6 (720 cells), against 67 ms a
-# Lanczos call, and 31 ms on dihedral:64 (one BLAS thread, 2-vCPU host).
-BLOCKS_CAP = 224
+# Largest model on which a dense n x n ``eigh`` pays: the p = 2 singular-value
+# route takes the top eigenpair of M^H M from it up to here and a Lanczos
+# iteration above, and the irreducible blocks, whose build is one dense eigh
+# plus a gather of n^2 d values per irreducible of dimension d, are built up
+# to here and not above.  On one core dense eigh and Lanczos cross between
+# 200 and 224 cells for complex f and near 224 for real f: 7.6 vs 9.7 ms at
+# n = 200, 9.8 vs 8.1 ms at n = 224, 10.5 vs 6.4 ms at n = 225 and 14.6 vs
+# 7.8 ms at n = 256 for complex f, and 2.2 vs 3.3, 2.8 vs 2.9, 2.7 vs 2.8 and
+# 3.9 vs 2.0 ms for real f.  A blocks build takes 31 ms on dihedral:64; past
+# the cap it costs as much as many Lanczos calls: 0.9 s and a 133 MB gather
+# for the 16-dimensional irreducibles of symmetric:6 (720 cells), against
+# 67 ms a call (one BLAS thread, 2-vCPU host).
+DENSE_EIGH_CAP = 224
 # Seeded draws the build tries before it refuses, and the relative gap below
 # which two eigenvalues of a draw count as one.
 _BLOCK_DRAWS = 4
@@ -358,11 +367,13 @@ def _split_blocks(model: GroupModel, right: np.ndarray, classes: np.ndarray,
     if np.max(np.abs(regular)) > tol:
         return None
     table = np.concatenate([t.reshape(n, -1) for t in blocks], axis=1)
+    for array in (dims, table) + bases:
+        array.setflags(write=False)
     return IrreducibleBlocks(dims, bases, table)
 
 
 def irreducible_blocks(model: GroupModel) -> IrreducibleBlocks:
-    """The irreducible blocks of a finite model of at most ``BLOCKS_CAP``
+    """The irreducible blocks of a finite model of at most ``DENSE_EIGH_CAP``
     cells, built once per model and cached.
 
     Each of ``_BLOCK_DRAWS`` seeded draws is checked (see ``_split_blocks``)
@@ -376,14 +387,18 @@ def irreducible_blocks(model: GroupModel) -> IrreducibleBlocks:
     if model.kind != KIND_FINITE:
         raise DomainError(f"irreducible blocks need a finite model, {model.name} is not")
     n = model.n
-    if n > BLOCKS_CAP:
-        raise ResourceError(f"irreducible blocks for n={n} exceed the cap {BLOCKS_CAP}")
-    cells = np.arange(n)
-    carrier = model.carrier
-    right = carrier.op(cells[:, None], model.inverses[None, :])
-    # the conjugacy class of x named by its least member g x g^{-1}
-    classes = carrier.op(carrier.op(cells[:, None], cells[None, :]),
-                         model.inverses[:, None]).min(axis=0)
+    if n > DENSE_EIGH_CAP:
+        raise ResourceError(f"irreducible blocks for n={n} exceed the cap {DENSE_EIGH_CAP}")
+    # every product from the division table D[x, y] = y^{-1} x: the right
+    # translations x z^{-1} = D[z^{-1}, x^{-1}], C-contiguous, since gathers
+    # through a transposed index come out transposed and the block table
+    # then moves by rounding
+    table = model.division_table()
+    inv = model.inverses
+    right = np.ascontiguousarray(table[np.ix_(inv, inv)].T)
+    # the conjugacy class of x named by its least member g x g^{-1}, with
+    # g x = D[x, g^{-1}]
+    classes = right[table[:, inv], np.arange(n)].min(axis=1)
     for draw in range(_BLOCK_DRAWS):
         blocks = _split_blocks(model, right, classes, np.random.default_rng(draw))
         if blocks is not None:

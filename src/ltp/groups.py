@@ -331,6 +331,7 @@ class _LatticeCarrier(_Carrier):
         self.is_abelian = True
         self.identity = self.n // 2
         self.coords = np.stack(np.unravel_index(np.arange(self.n), self.shape), axis=1) - radius
+        self.coords.setflags(write=False)
 
     def from_coords(self, coords):
         """The cell of each coordinate row, ``OUT_OF_WINDOW`` off the box; the
@@ -375,6 +376,7 @@ class _AffineCarrier(_Carrier):
         self.is_abelian = False
         iu, ib = np.divmod(np.arange(self.n), self.n_b)
         self.coords = np.stack([self.u_values[iu], self.b_values[ib]], axis=1)
+        self.coords.setflags(write=False)
 
     def snap(self, u, b):
         """Nearest grid index for exact coordinates (u, b); -1 outside."""

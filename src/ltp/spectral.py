@@ -1,6 +1,6 @@
 """Fourier analysis on finite abelian models: character tables, the
-Plancherel transform pair, and the L2 quantities that tie the tempered norm
-to the sup norm of the transform (the restricted-isometry terms).  The
+Plancherel transform pair, and the terms of the restricted-isometry
+identity that tie the tempered norm to the sup norm of the transform.  The
 identities between them are measured by the suite's runners.
 
 Character phases are reduced with integer arithmetic before the complex
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NotAbelianError, ResourceError
 from .groups import COUNTING, PROBABILITY, build_group
-from .space import GFunction, ess_sup, lp_norm
+from .space import GFunction, ess_sup
 from .tempered import tempered_norm
 
 if TYPE_CHECKING:
@@ -69,6 +69,7 @@ def build_dual(model: GroupModel) -> DualModel:
         phase = (np.outer(j, j) % size).astype(np.float64) / size
         tables.append(np.exp(2j * np.pi * phase))
     characters = reduce(np.kron, tables)
+    characters.setflags(write=False)
 
     dual_norm = PROBABILITY if model.normalization == COUNTING else COUNTING
     text = "+".join(f"cyclic:{size}" for size in factors)
@@ -100,26 +101,8 @@ def inverse_fourier(dual: DualModel, g: GFunction) -> GFunction:
 
 
 # ---------------------------------------------------------------------------
-# Tempered norms through the transform
+# Tempered norms and the transform
 # ---------------------------------------------------------------------------
-
-
-def tempered_norm_spectral(dual: DualModel, f: GFunction) -> float:
-    """The L2 tempered norm of f on the group read off the character-table
-    transform: max |fhat|."""
-    return ess_sup(fourier(dual, f))
-
-
-def mult_operator_norm(f: GFunction) -> float:
-    """Operator norm of g -> f g on weighted L2, the essential sup of |f|,
-    as the Rayleigh ratio ||f g||_2 / ||g||_2 that the witness g = indicator
-    of an argmax cell attains.
-    """
-    best = int(np.argmax(np.abs(f.values)))
-    witness = np.zeros(f.group.n)
-    witness[best] = 1.0
-    g = GFunction(f.group, witness)
-    return lp_norm(GFunction(f.group, f.values * g.values), 2) / lp_norm(g, 2)
 
 
 def restricted_isometry_terms(dual: DualModel, f: GFunction):

@@ -23,29 +23,25 @@ method the first route of that name that does:
   that route takes the weighted-L1 value as its upper end there.
   ``lower`` is attained by a character of the periodic embedding, not by a
   function on the window, so the route returns no witness.
-* p = 2, finite models of at most 224 cells (by "auto" those without
-  cyclic factors: nonabelian models and their products): max over the
-  irreducibles pi of sigma_max(fhat(pi)), read from the model's irreducible
-  blocks (``convolve.IrreducibleBlocks``), built once per model on first use.
-  Each f costs one product with the n x n block table and one batched SVD
-  per block dimension: 0.13-0.25 ms a call on dihedral:64 and symmetric:5,
-  where the dense route below takes 0.9-2.3 ms (one core).  The cap is
-  that route's dense cap: the build is one dense eigh of an n x n matrix,
-  and past the cap, where that route turns to Lanczos, a build costs as
-  much as many calls (0.9 s on symmetric:6 against 67 ms a Lanczos call;
-  see ``convolve.BLOCKS_CAP``).  The witness is E v, v the top right
-  singular vector of the largest block.
+* p = 2, finite models of at most ``convolve.DENSE_EIGH_CAP`` cells (by
+  "auto" those without cyclic factors: nonabelian models and their
+  products): max over the irreducibles pi of sigma_max(fhat(pi)), read from
+  the model's irreducible blocks (``convolve.IrreducibleBlocks``), built
+  once per model on first use.  Each f costs one product with the n x n
+  block table and one batched SVD per block dimension: 0.13-0.25 ms a call
+  on dihedral:64 and symmetric:5, where the dense route below takes
+  0.9-2.3 ms (one core).  The build is one dense eigh of an n x n matrix,
+  so it stops at the cap where the route below turns from dense eigh to
+  Lanczos (the constant's comment holds the measurements).  The witness is
+  E v, v the top right singular vector of the largest block.
 * p = 2, general (affine quadrature, larger finite models): largest singular
   value of the weighted similarity D^{1/2} M D^{-1/2}, from the top
-  eigenpair of M^H M (dense up to 224 cells, a deterministic Lanczos
-  iteration above).  On one core the two cross between 200 and 224 cells
-  for complex f and near 224 for real f: dense against Lanczos took 7.6 vs
-  9.7 ms at n = 200, 9.8 vs 8.1 ms at n = 224, 10.5 vs 6.4 ms at n = 225
-  and 14.6 vs 7.8 ms at n = 256 for complex f, and 2.2 vs 3.3, 2.8 vs 2.9,
-  2.7 vs 2.8 and 3.9 vs 2.0 ms for real f.  By name it serves every
+  eigenpair of M^H M: dense ``eigh`` up to ``convolve.DENSE_EIGH_CAP``
+  cells, a deterministic Lanczos iteration above.  By name it serves every
   model at p = 2; on the finite models up to the cap the suite names it
-  only in spectral-svd-agreement, which sets it against the transform
-  routes above as their independent dense reference.
+  only in spectral-svd-agreement, which sets it against the route "auto"
+  takes there (the FFT above on declared cyclic products, the irreducible
+  blocks elsewhere) as their independent dense reference.
 * other p: Boyd's signed-power iteration, alternating the operator with
   dual exponent maps.  All seeded restarts advance together as the columns
   of one block, and each column freezes once its ratio settles.  The best
@@ -104,14 +100,10 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import DomainError, LtpError
 from .groups import KIND_FINITE, GroupModel, _LatticeCarrier
-from .convolve import (BLOCKS_CAP, ConvOperator, _CirculantProduct, _kernel_blocks, convolve,
-                       irreducible_blocks)
+from .convolve import (DENSE_EIGH_CAP, ConvOperator, _CirculantProduct, _kernel_blocks,
+                       convolve, irreducible_blocks)
 from .space import Exponent, GFunction, lp_norm
 
-# Largest model whose p = 2 singular value comes from dense ``eigh`` of
-# M^H M; above it the Lanczos iteration is cheaper (measured, see the
-# docstring).
-_SVD_DENSE_CAP = 224
 # Widest block of Boyd columns that several f share: it bounds the memory of
 # a caller that passes many f (measured, see the docstring).  It also bounds
 # the restarts of one f, whose columns share one block.
@@ -269,7 +261,8 @@ _ROUTES = (
            lambda model, p: p == 2.0 and isinstance(model.carrier, _LatticeCarrier),
            lambda fs, exp, cfg: [_symbol_supremum(f) for f in fs]),
     _Route(METHOD_BLOCKS,
-           lambda model, p: p == 2.0 and model.kind == KIND_FINITE and model.n <= BLOCKS_CAP,
+           lambda model, p: (p == 2.0 and model.kind == KIND_FINITE
+                             and model.n <= DENSE_EIGH_CAP),
            lambda fs, exp, cfg: [_block_norm(f) for f in fs]),
     _Route(METHOD_EXACT_SVD, lambda model, p: p == 2.0,
            lambda fs, exp, cfg: [_exact_svd(f) for f in fs]),
@@ -437,7 +430,7 @@ def _exact_svd(f: GFunction) -> NormEstimate:
     mat = ConvOperator(f).weighted_matrix(2)
     scale_back = model.weights ** (-0.5)
     # the top eigenpair of M^H M: sigma^2 and the top right singular vector
-    if n <= _SVD_DENSE_CAP:
+    if n <= DENSE_EIGH_CAP:
         lam, vec = eigh(mat.conj().T @ mat, subset_by_index=[n - 1, n - 1])
     else:
         adjoint = mat.conj().T

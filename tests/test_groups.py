@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ltp
+from ltp.convolve import irreducible_blocks
 from ltp.errors import (DomainError, ResourceError, SpecParseError,
                         WindowLeakError)
 from ltp.groups import (OUT_OF_WINDOW, GroupModel, GroupValidationError,
@@ -191,7 +192,8 @@ def test_validation_rejects_non_associative_carrier(carrier):
 
 def test_symmetric_build_evaluates_each_pair_once(monkeypatch):
     # validation reads the Cayley table off the division table, so building
-    # evaluates op on n^2 pairs rather than on the n^3 of a triple loop
+    # evaluates op on n^2 pairs rather than on the n^3 of a triple loop; the
+    # irreducible blocks read every product from that table too
     evaluated = []
     op = _SymmetricCarrier.op
 
@@ -202,6 +204,9 @@ def test_symmetric_build_evaluates_each_pair_once(monkeypatch):
     monkeypatch.setattr(_SymmetricCarrier, "op", counting_op)
     G = ltp.build_group("symmetric:5")
     assert sum(evaluated) <= 2 * G.n ** 2
+    del evaluated[:]
+    irreducible_blocks(G)
+    assert sum(evaluated) == 0
 
 
 @pytest.mark.parametrize("spec", [

@@ -1,6 +1,7 @@
 """The theorem suite, report emission, determinism, and the CLI."""
 
 import ast
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -148,8 +149,8 @@ def test_suite_builds_the_irreducible_blocks_once_per_model(monkeypatch):
 # unbuilt), the statements whose hypotheses the model lacks and those that
 # ltp has not built on it.  A check that comes to run where it skipped moves
 # a count here; state the old and new counts with that change.
-SKIPS_AT_SEED_0 = {"z:64": (6, 22), "z2:8": (6, 25), "r:0.05:4": (10, 23),
-                   "affine:0.125:1:0.125:1": (22, 15), "cyclic:256@counting": (4, 5),
+SKIPS_AT_SEED_0 = {"z:64": (7, 21), "z2:8": (7, 24), "r:0.05:4": (11, 22),
+                   "affine:0.125:1:0.125:1": (23, 14), "cyclic:256@counting": (4, 5),
                    "circle:64": (8, 5), "dihedral:64": (12, 6), "symmetric:5": (12, 6),
                    "product:cyclic:8+cyclic:16": (4, 5)}
 
@@ -658,10 +659,14 @@ def test_run_suite_refuses_a_bad_exponent_before_any_check_runs(monkeypatch):
 
 
 def test_cli_norm_bad_exponent_exits_2_with_no_output(capsys):
-    assert main(["norm", "--group", "cyclic:8", "--f", "random:1", "--p", "2,0.5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "got 0.5" in captured.err
+    # the second exponent fails after p = 2 succeeds: p = 2 is not printed
+    for p_text, method, error in (("2,0.5", "auto", "got 0.5"),
+                                  ("2,1.5", "spectral_abelian", "does not apply at p = 1.5")):
+        assert main(["norm", "--group", "cyclic:8", "--f", "random:1", "--p", p_text,
+                     "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error in captured.err
 
 
 def test_transform_checks_fail_when_the_transform_reads_one_percent_high(monkeypatch):
@@ -671,6 +676,28 @@ def test_transform_checks_fail_when_the_transform_reads_one_percent_high(monkeyp
     for name in ("plancherel-norm", "fourier-roundtrip", "conv-theorem",
                  "product-theorem", "parseval-pairing"):
         assert status[name] == "fail", name
+
+
+@pytest.mark.parametrize("route, specs", [
+    ("_spectral_finite_abelian", ("cyclic:16@counting", "circle:64")),
+    ("_block_norm", ("dihedral:64",)),
+])
+def test_spectral_svd_agreement_fails_when_the_route_auto_takes_reads_high(
+        route, specs, monkeypatch):
+    # the check reads the p = 2 route "auto" takes (the FFT on declared
+    # cyclic products, the irreducible blocks elsewhere) against exact_svd
+    from ltp import tempered
+
+    original = getattr(tempered, route)
+
+    def high(f):
+        est = original(f)
+        return dataclasses.replace(est, lower=1.02 * est.lower, upper=1.02 * est.upper)
+
+    monkeypatch.setattr(tempered, route, high)
+    for spec in specs:
+        status = {c.name: c.status for c in run_suite(spec, [2.0], seed=0).checks}
+        assert status["spectral-svd-agreement"] == "fail", spec
 
 
 def test_run_suite_refuses_an_empty_exponent_list():
@@ -979,8 +1006,12 @@ def test_suite_digest_hashes_the_report_and_lists_its_checks():
     lines = subprocess.run([sys.executable, str(script), "--checks", "--spec", "cyclic:4", "0"],
                            capture_output=True, text=True, check=True,
                            timeout=600).stdout.splitlines()
-    assert lines == [f"0 cyclic:4 {c.name} {c.status} "
-                     f"{'-' if c.observed is None else repr(c.observed)}" for c in report.checks]
+    # a skip reads the kind of its note, needs or unbuilt, in place of a value
+    values = [c.notes.partition(" ")[0].rstrip(":") if c.observed is None else repr(c.observed)
+              for c in report.checks]
+    assert {"needs", "unbuilt"} <= set(values)
+    assert lines == [f"0 cyclic:4 {c.name} {c.status} {value}"
+                     for c, value in zip(report.checks, values)]
 
 
 def test_suite_digest_prints_one_line_per_registry_check():

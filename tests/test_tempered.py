@@ -349,15 +349,31 @@ def test_irreducible_blocks_refuse_draws_that_do_not_separate(spec, draw, monkey
 
 
 def test_irreducible_blocks_serve_finite_models_up_to_the_cap():
-    from ltp.convolve import BLOCKS_CAP, irreducible_blocks
+    from ltp.convolve import DENSE_EIGH_CAP, irreducible_blocks
 
     large = ltp.build_group("dihedral:113")
-    assert large.n == BLOCKS_CAP + 2
+    assert large.n == DENSE_EIGH_CAP + 2
     with pytest.raises(ResourceError, match="exceed the cap 224"):
         irreducible_blocks(large)
     assert tempered_norm(ltp.random_function(large, 0), 2).method == "exact_svd"
     with pytest.raises(DomainError, match="need a finite model, z:8 is not"):
         irreducible_blocks(ltp.build_group("z:8"))
+
+
+def test_cached_transforms_and_charts_are_read_only():
+    # a write would corrupt every later result on the model
+    from ltp.convolve import irreducible_blocks
+
+    blocks = irreducible_blocks(ltp.build_group("dihedral:4"))
+    affine = ltp.build_group("affine:0.125:1:0.125:1")
+    arrays = {"characters": ltp.build_dual(ltp.build_group("cyclic:8")).characters,
+              "dims": blocks.dims, "table": blocks.table, "bases[0]": blocks.bases[0],
+              "bases[-1]": blocks.bases[-1], "z:8 coords": ltp.build_group("z:8").carrier.coords,
+              "affine coords": affine.carrier.coords, "affine chart": affine.coords()}
+    for name, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+        assert not array.flags.writeable, name
 
 
 def test_boyd_bracket_and_convergence_flag():
@@ -980,11 +996,10 @@ def test_exact_svd_upper_covers_the_lattice_norm(spec, radius):
 
 def test_exact_svd_lanczos_branch_matches_dense_eigh():
     # n = 1026 lies between the dense cap and the Lanczos cap
-    from ltp.convolve import DENSE_CAP
-    from ltp.tempered import _SVD_DENSE_CAP
+    from ltp.convolve import DENSE_CAP, DENSE_EIGH_CAP
 
     G = ltp.build_group("dihedral:513")
-    assert _SVD_DENSE_CAP < G.n <= DENSE_CAP
+    assert DENSE_EIGH_CAP < G.n <= DENSE_CAP
     _assert_exact_svd_matches_dense_eigh(ltp.random_function(G, np.random.default_rng(4)))
 
 
@@ -993,10 +1008,10 @@ def test_exact_svd_lanczos_branch_matches_dense_eigh():
 def test_exact_svd_matches_dense_eigh_at_the_dense_cap(spec, complex_valued):
     # z2:7 (225 cells) is the first size past the cap, so it takes Lanczos;
     # dihedral:112 (224 cells) is the last size that takes dense eigh
-    from ltp.tempered import _SVD_DENSE_CAP
+    from ltp.convolve import DENSE_EIGH_CAP
 
     G = ltp.build_group(spec)
-    assert G.n in (_SVD_DENSE_CAP, _SVD_DENSE_CAP + 1)
+    assert G.n in (DENSE_EIGH_CAP, DENSE_EIGH_CAP + 1)
     f = ltp.random_function(G, np.random.default_rng(4), complex_valued=complex_valued)
     _assert_exact_svd_matches_dense_eigh(f)
 
@@ -1005,10 +1020,10 @@ def test_exact_svd_matches_dense_eigh_at_the_dense_cap(spec, complex_valued):
 def test_exact_svd_lanczos_meets_the_transform_maximum(spec):
     # on abelian models all ones is the character 0, an eigenvector of
     # M^H M; the Lanczos start must not depend on it
-    from ltp.tempered import _SVD_DENSE_CAP
+    from ltp.convolve import DENSE_EIGH_CAP
 
     G = ltp.build_group(spec)
-    assert G.n > _SVD_DENSE_CAP
+    assert G.n > DENSE_EIGH_CAP
     for seed in range(3):
         f = ltp.random_function(G, seed)
         est = tempered_norm(f, 2, method="exact_svd")

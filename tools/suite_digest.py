@@ -11,7 +11,9 @@ checked by diffing the output of two checkouts:
 
 With ``--checks`` it prints one ``seed spec check status observed`` line per
 check instead, so the same diff names every check whose status or observed
-value moved (a skipped check reads ``-``):
+value moved.  A skipped check reads the first word of its note in place of
+a value, ``needs`` (the model lacks a hypothesis) or ``unbuilt`` (ltp has
+not built what the check reads), so a skip whose kind moves shows as well:
 
     python tools/suite_digest.py --checks $(seq 0 29) > before.txt
 
@@ -56,7 +58,10 @@ def main(argv: list[str]) -> int:
             report = run_suite(spec, SUITE_P, seed=seed)
             if args.checks:
                 for check in report.checks:
-                    observed = "-" if check.observed is None else repr(check.observed)
+                    if check.observed is None:  # needs or unbuilt
+                        observed = check.notes.split(maxsplit=1)[0].rstrip(":")
+                    else:
+                        observed = repr(check.observed)
                     print(f"{seed} {spec} {check.name} {check.status} {observed}")
                 sys.stdout.flush()
                 continue
