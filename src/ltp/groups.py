@@ -376,7 +376,8 @@ class _AffineCarrier(_Carrier):
         self.is_abelian = False
         iu, ib = np.divmod(np.arange(self.n), self.n_b)
         self.coords = np.stack([self.u_values[iu], self.b_values[ib]], axis=1)
-        self.coords.setflags(write=False)
+        for array in (self.u_values, self.b_values, self.coords):
+            array.setflags(write=False)
 
     def snap(self, u, b):
         """Nearest grid index for exact coordinates (u, b); -1 outside."""

@@ -9,9 +9,14 @@ objects ltp builds for it (the dual, a transform, a Folner box, a
 leak-free probe, a route).  A model that lacks a hypothesis skips the check
 with the note ``needs P: SPEC is not``; one where ltp has not built the
 object skips it with ``unbuilt: NAME: why``.
-Results are deterministic for fixed (spec, p list, seed): every check draws
-from its own generator seeded by (seed, check name), so registry order
-cannot change a single observed value.
+Results are deterministic for fixed (spec, p list, seed): every probe batch
+draws from its own generator seeded by (seed, batch name), so registry order
+cannot change a single observed value.  A check's batch is its own unless it
+names one in ``batch``: the checks that name one share its probes and, within
+one ``run_suite`` call, its ``tempered_norms`` estimates, computed by
+whichever of them runs first.  discrete-lower-bound and the lower side of
+finite-norm-equivalence are one inequality on counting models, and read
+one batch.
 
 A statement is read from the end of the certified bracket [lower, upper]
 that proves it: a bound on ||f||_p^T from above reads ``upper`` (through
@@ -38,6 +43,7 @@ from __future__ import annotations
 import math
 import time
 import zlib
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -58,8 +64,8 @@ from .space import (Exponent, GFunction, dirac, dirac_measure, ess_sup,
                     point_modular, random_function, real_part, translate, LEFT_DIRAC,
                     RIGHT_DIRAC, decompose_l1_linf, _affine_bump_probe)
 from .spectral import build_dual, fourier, inverse_fourier, restricted_isometry_terms
-from .tempered import (METHOD_WL1_BOUND, tempered_norm, tempered_norms, tempered_upper,
-                       upper_bound_weighted_l1)
+from .tempered import (METHOD_WL1_BOUND, NormEstimate, tempered_norm, tempered_norms,
+                       tempered_upper, upper_bound_weighted_l1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +128,9 @@ class SuiteContext:
     rng: np.random.Generator
     draws: int = 1
     built: dict = field(default_factory=dict)  # what the check's needs built, by name
+    # the probes and estimates of the check's batch, once drawn; one dict for
+    # every check of a run_suite call that names the batch
+    batch: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -138,7 +147,12 @@ class CheckDef:
     ``PROPERTIES`` that the statement assumes and the objects from
     ``_BUILDS`` that the runner reads from ``ctx.built``; a model that lacks
     one skips the check.  A runner that gives no note reports ``note``, or
-    the statement ``ref`` when ``note`` is empty.  The suite
+    the statement ``ref`` when ``note`` is empty.  Checks that name one
+    ``batch`` draw their probes from its generator, seeded by (seed, batch
+    at p), and read one ``ctx.batch``: the probes and their
+    ``tempered_norms`` estimates, computed once per ``run_suite`` call by
+    whichever check runs first, so they state one ``draws``, ``per_p`` and
+    ``batched``.  The suite
     keeps the largest of 0 and the measurements, and judges it against
     ``expected`` within ``tol``: one value for every model with exact
     arithmetic, ``affine_tol`` on the interpolated affine grid where a check
@@ -152,6 +166,7 @@ class CheckDef:
     draws: int = 1
     per_p: bool = False
     batched: bool = False
+    batch: str = ""
     needs: tuple[str, ...] = ()
     tol: float = 1e-9
     affine_tol: float | None = None
@@ -354,14 +369,18 @@ def _run_dirac_identity_norm(ctx: SuiteContext):
     return worst, f"||delta_e||_p^T = 1 (method={est.method})"
 
 
-def _probes(ctx: SuiteContext) -> list[GFunction]:
-    """The probes of every draw of a batched runner, in draw order."""
-    return [_random_probe(ctx.model, ctx.rng) for _ in range(ctx.draws)]
+def _probe_batch(ctx: SuiteContext) -> tuple[list[GFunction], list[NormEstimate]]:
+    """The probes of every draw of a batched runner, in draw order, and
+    their ``tempered_norms`` estimates, drawn from ``ctx.rng`` by the first
+    runner that reads ``ctx.batch``."""
+    if not ctx.batch:
+        fs = [_random_probe(ctx.model, ctx.rng) for _ in range(ctx.draws)]
+        ctx.batch.update(probes=fs, estimates=tempered_norms(fs, ctx.p))
+    return ctx.batch["probes"], ctx.batch["estimates"]
 
 
 def _run_discrete_lower(ctx: SuiteContext):
-    fs = _probes(ctx)
-    return [lp_norm(f, ctx.p) - est.lower for f, est in zip(fs, tempered_norms(fs, ctx.p))]
+    return [lp_norm(f, ctx.p) - est.lower for f, est in zip(*_probe_batch(ctx))]
 
 
 def _upper_within(bound: Callable[[GFunction, Exponent], float]):
@@ -376,9 +395,8 @@ def _run_finite_equivalence(ctx: SuiteContext):
     model = ctx.model
     growth = model.n ** (1.0 / ctx.p.q)
     c_lower, c_upper = (1.0, growth) if model.normalization == COUNTING else (growth, 1.0)
-    fs = _probes(ctx)
     measured = []
-    for f, est in zip(fs, tempered_norms(fs, ctx.p)):
+    for f, est in zip(*_probe_batch(ctx)):
         plain = lp_norm(f, ctx.p)
         measured.append(max(plain - c_lower * est.lower, est.upper - c_upper * plain))
     note = f"||f||_p <= {c_lower:g} ||f||_p^T and ||f||_p^T <= {c_upper:g} ||f||_p"
@@ -551,6 +569,10 @@ def _run_restricted_isometry(ctx: SuiteContext):
 # Registry
 # ---------------------------------------------------------------------------
 
+# The batch of the two statements that bound ||f||_p^T from below; it takes
+# discrete-lower-bound's name, and so that check's generator and values
+_LOWER_END = "discrete-lower-bound"
+
 REGISTRY: list[CheckDef] = [
     CheckDef("identity-translation", "delta_e * f = f",
              ("convolution-definition",), _run_identity_translation,
@@ -604,14 +626,14 @@ REGISTRY: list[CheckDef] = [
     CheckDef("discrete-lower-bound", "||f||_p <= ||f||_p^T",
              ("discrete-norm-domination",), _run_discrete_lower,
              note="||f||_p <= ||f||_p^T on counting models", draws=6, per_p=True,
-             batched=True, needs=(DISCRETE, COUNTING)),
+             batched=True, batch=_LOWER_END, needs=(DISCRETE, COUNTING)),
     CheckDef("compact-upper-bound", "||f||_p^T <= ||f||_p",
              ("compact-norm-domination",), _upper_within(lp_norm),
              note="||f||_p^T <= ||f||_p on probability models", draws=6, per_p=True,
              needs=(COMPACT, PROBABILITY)),
     CheckDef("finite-norm-equivalence", "two-sided norm equivalence with explicit constants",
              ("finite-norm-equivalence",), _run_finite_equivalence, draws=6, per_p=True,
-             batched=True, needs=(FINITE,)),
+             batched=True, batch=_LOWER_END, needs=(FINITE,)),
     CheckDef("l1-identity", "||f||_1^T = ||f||_1",
              ("p1-norm-identity",), _run_l1_identity, note="||f||_1^T = ||f||_1 (relative)",
              draws=6, tol=1e-12, affine_tol=5e-2),
@@ -728,6 +750,14 @@ def registry_self_test() -> None:
     unknown = {need for c in REGISTRY for need in c.needs} - PROPERTIES - set(_BUILDS)
     if unknown:
         raise LtpError(f"suite registry needs names neither property nor build: {unknown}")
+    sizes: dict[str, set] = {}
+    for c in REGISTRY:
+        if c.batch:
+            sizes.setdefault(c.batch, set()).add((c.draws, c.per_p, c.batched))
+    uneven = sorted(batch for batch, size in sizes.items() if len(size) > 1)
+    if uneven:
+        raise LtpError(f"checks that name one probe batch differ in draws, per_p or "
+                       f"batched: {uneven}")
 
 
 # ---------------------------------------------------------------------------
@@ -735,21 +765,29 @@ def registry_self_test() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _task_name(check: CheckDef, p: float | None) -> str:
+def _task_name(name: str, p: float | None) -> str:
     if p is None:
-        return check.name
-    return f"{check.name}@p={p:g}"
+        return name
+    return f"{name}@p={p:g}"
+
+
+# The probe batches of the run_suite call under way, by (batch, p); run_suite
+# sets a fresh store and drops it on return, so no estimate outlives the call
+_BATCHES: ContextVar[dict | None] = ContextVar("ltp_suite_batches", default=None)
 
 
 def _execute_check(check: CheckDef, model: GroupModel, p: float | None,
                    seed: int, overrides: dict, timings: bool) -> CheckResult:
     """Run the check's draws and judge the worst of them, a NaN included,
     against its expected value within its tolerance or the override."""
-    name = _task_name(check, p)
+    name = _task_name(check.name, p)
     exp = None if p is None else Exponent.of(p)
     tol = float(overrides.get(check.name, check.tolerance_for(model)))
-    rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-    ctx = SuiteContext(model=model, p=exp, rng=rng, draws=check.draws)
+    batch_name = _task_name(check.batch or check.name, p)
+    rng = np.random.default_rng([seed, zlib.crc32(batch_name.encode())])
+    store = _BATCHES.get()
+    batch = {} if store is None or not check.batch else store.setdefault((check.batch, p), {})
+    ctx = SuiteContext(model=model, p=exp, rng=rng, draws=check.draws, batch=batch)
     started = time.perf_counter()
     try:
         reason = _unmet(check, ctx)
@@ -807,8 +845,12 @@ def run_suite(spec: GroupSpec | str, p_list=(2.0,), seed: int = 0,
         model = build_group(spec)
     elif (parse_group_spec(spec) if isinstance(spec, str) else spec) != model.spec:
         raise ModelMismatchError(f"model {model.spec.text!r} is not the group of spec {spec!r}")
-    results = [_execute_check(check, model, p, seed, overrides, timings)
-               for check in REGISTRY
-               for p in (p_values if check.per_p else [None])]
+    token = _BATCHES.set({})
+    try:
+        results = [_execute_check(check, model, p, seed, overrides, timings)
+                   for check in REGISTRY
+                   for p in (p_values if check.per_p else [None])]
+    finally:
+        _BATCHES.reset(token)
     return SuiteReport(version=__version__, spec=model.spec.text, seed=int(seed),
                        checks=results)

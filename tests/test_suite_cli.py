@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,22 @@ def test_registry_covers_every_anchor():
 def test_registry_names_unique():
     names = [c.name for c in REGISTRY]
     assert len(names) == len(set(names))
+
+
+_DISCRETE_LOWER = next(check for check in REGISTRY if check.name == "discrete-lower-bound")
+_FINITE_EQUIVALENCE = next(check for check in REGISTRY
+                           if check.name == "finite-norm-equivalence")
+
+
+def test_registry_refuses_two_sizes_of_one_probe_batch(monkeypatch):
+    # the checks that read one batch state its size once
+    twin = dataclasses.replace(_DISCRETE_LOWER, name="planted-lower-bound")
+    monkeypatch.setattr(suite, "REGISTRY", REGISTRY + [twin])
+    registry_self_test()
+    for change in ({"draws": 5}, {"per_p": False}, {"batched": False}):
+        monkeypatch.setattr(suite, "REGISTRY", REGISTRY + [dataclasses.replace(twin, **change)])
+        with pytest.raises(ltp.LtpError, match="one probe batch differ"):
+            registry_self_test()
 
 
 def test_suite_cyclic16_all_pass():
@@ -59,11 +76,11 @@ def test_suite_boyd_call_counts_are_pinned(boyd_calls):
 # Boyd's work over the same passes: the products of all restarts and the
 # block steps of each call, summed over the calls.  How a product is
 # computed changes the cost of a step, not these totals.
-BOYD_WORK_AT_P15 = {"circle:64": (9884, 1134), "dihedral:64": (15622, 1859),
+BOYD_WORK_AT_P15 = {"circle:64": (6992, 634), "dihedral:64": (8796, 1163),
                     "z:64": (14518, 1322), "z2:8": (27416, 2624),
                     "r:0.05:4": (1124, 98),
-                    "product:cyclic:8+cyclic:16": (19646, 2135),
-                    "cyclic:256@counting": (13342, 1549), "symmetric:5": (10442, 1115),
+                    "product:cyclic:8+cyclic:16": (9696, 1176),
+                    "cyclic:256@counting": (7704, 962), "symmetric:5": (6904, 630),
                     "affine:0.125:1:0.125:1": (0, 0)}
 
 
@@ -227,6 +244,89 @@ def test_batched_lower_bound_draws_the_probes_of_single_draws(spec):
     np.testing.assert_allclose(measured, expected, rtol=1e-12, atol=0)
 
 
+def test_finite_equivalence_measures_the_probes_of_the_lower_bound_generator(monkeypatch):
+    # circle:64 is no counting model: discrete-lower-bound skips there, and
+    # finite-norm-equivalence draws the batch from the generator they share
+    from ltp.suite import SuiteContext, _random_probe, _run_finite_equivalence
+    model = ltp.build_group("circle:64")
+    exp = ltp.Exponent.of(1.5)
+    measured, _ = _run_finite_equivalence(SuiteContext(model, exp, np.random.default_rng(5), 6))
+    rng = np.random.default_rng(5)
+    probes = [_random_probe(model, rng) for _ in range(6)]
+    growth = model.n ** (1.0 / exp.q)
+    expected = []
+    for f in probes:
+        plain, est = ltp.lp_norm(f, exp), tempered_norm(f, exp)
+        expected.append(max(plain - growth * est.lower, est.upper - plain))
+    np.testing.assert_allclose(measured, expected, rtol=1e-12, atol=0)
+
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(_random_probe(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(suite, "_random_probe", recording)
+    assert _execute_check(_FINITE_EQUIVALENCE, model, 1.5, 0, {}, False).status == "pass"
+    rng = np.random.default_rng([0, zlib.crc32(b"discrete-lower-bound@p=1.5")])
+    assert len(drawn) == 6
+    for f in drawn:
+        np.testing.assert_array_equal(f.values, _random_probe(model, rng).values)
+
+
+def test_two_suite_runs_compute_the_lower_end_batch_twice(boyd_calls):
+    # the batch lives in one run_suite call: a later call on the same model
+    # estimates its probes again
+    model = ltp.build_group("dihedral:64")
+    run_suite("dihedral:64", [1.5], seed=0, model=model)
+    once = len(boyd_calls)
+    del boyd_calls[:]
+    for _ in range(2):
+        run_suite("dihedral:64", [1.5], seed=0, model=model)
+    assert once > 0 and len(boyd_calls) == 2 * once
+
+
+def test_lower_end_checks_read_one_batch_in_either_order(monkeypatch):
+    # whichever of the two runs first computes the batch; the other reads it
+    model = ltp.build_group("dihedral:64")
+
+    def recorded(check, log):
+        def run(ctx):
+            measured = check.runner(ctx)
+            log.append((check.name, ctx.p.p, repr(measured)))
+            return measured
+        return dataclasses.replace(check, runner=run)
+
+    reports, logs = [], []
+    for swap in (False, True):
+        registry = list(REGISTRY)
+        i, j = registry.index(_DISCRETE_LOWER), registry.index(_FINITE_EQUIVALENCE)
+        if swap:
+            registry[i], registry[j] = registry[j], registry[i]
+        log = []
+        monkeypatch.setattr(suite, "REGISTRY",
+                            [recorded(c, log) if c.batch else c for c in registry])
+        reports.append(run_suite("dihedral:64", [2.0, 1.5], seed=0, model=model))
+        logs.append(sorted(log))
+    forward, swapped = reports
+    assert [c.name for c in forward.checks] != [c.name for c in swapped.checks]
+    order = {c.name: k for k, c in enumerate(forward.checks)}
+    rows = sorted(swapped.checks, key=lambda c: order[c.name])
+    assert dataclasses.replace(swapped, checks=rows).to_json() == forward.to_json()
+    assert len(logs[0]) == 4 and logs[0] == logs[1]
+
+
+def test_an_error_in_the_lower_end_batch_fails_both_checks(monkeypatch):
+    def refused(fs, p, *args, **kwargs):
+        raise ltp.LtpError("planted refusal")
+
+    monkeypatch.setattr(suite, "tempered_norms", refused)
+    by_name = {c.name: c for c in run_suite("dihedral:64", [1.5], seed=0).checks}
+    for name in ("discrete-lower-bound@p=1.5", "finite-norm-equivalence@p=1.5"):
+        assert by_name[name].status == "fail", name
+        assert by_name[name].notes == "error: LtpError: planted refusal", name
+
+
 def test_suite_catches_an_overstated_symbol_bracket_on_the_real_line(monkeypatch):
     # both ends 2% high is a false certificate on r, whose arithmetic is exact
     from ltp import tempered
@@ -263,6 +363,28 @@ def test_suite_catches_an_overstated_boyd_ratio(monkeypatch):
     for spec, check in cases:
         report = run_suite(spec, [1.5], seed=0)
         assert check in {c.name for c in report.checks if c.status == "fail"}, spec
+
+
+def test_suite_catches_an_understated_boyd_ratio(monkeypatch):
+    # a ratio half the one attained is still a lower end, but too low for
+    # the two statements that bound ||f||_p^T from below
+    from ltp import tempered
+
+    exact = tempered._boyd_block
+
+    def understated(*args):
+        gamma, *rest = exact(*args)
+        return (0.5 * gamma, *rest)
+
+    both = {"discrete-lower-bound@p=1.5", "finite-norm-equivalence@p=1.5"}
+    cases = {"dihedral:64": both, "cyclic:256@counting": both,
+             "circle:64": {"finite-norm-equivalence@p=1.5"}}
+    for spec in cases:
+        assert run_suite(spec, [1.5], seed=0).ok
+    monkeypatch.setattr(tempered, "_boyd_block", understated)
+    for spec, checks in cases.items():
+        report = run_suite(spec, [1.5], seed=0)
+        assert checks <= {c.name for c in report.checks if c.status == "fail"}, spec
 
 
 def test_suite_catches_an_understated_upper_end(monkeypatch):
@@ -521,7 +643,7 @@ def test_report_determinism_same_inputs():
 
 @pytest.mark.parametrize("spec", ["cyclic:16@counting", "z:64", "affine:0.125:1:0.125:1"])
 def test_report_independent_of_registry_order(spec, monkeypatch):
-    # each check draws from its own generator, seeded by (seed, check name)
+    # each probe batch draws from its own generator, seeded by (seed, batch name)
     model = ltp.build_group(spec)
     forward = run_suite(spec, [2.0, 1.5], seed=7, model=model)
     monkeypatch.setattr(suite, "REGISTRY", suite.REGISTRY[::-1])

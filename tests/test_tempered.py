@@ -369,7 +369,9 @@ def test_cached_transforms_and_charts_are_read_only():
     arrays = {"characters": ltp.build_dual(ltp.build_group("cyclic:8")).characters,
               "dims": blocks.dims, "table": blocks.table, "bases[0]": blocks.bases[0],
               "bases[-1]": blocks.bases[-1], "z:8 coords": ltp.build_group("z:8").carrier.coords,
-              "affine coords": affine.carrier.coords, "affine chart": affine.coords()}
+              "affine coords": affine.carrier.coords, "affine chart": affine.coords(),
+              "affine u values": affine.carrier.u_values,
+              "affine b values": affine.carrier.b_values}
     for name, array in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
