@@ -39,11 +39,10 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import DomainError, LtpError, ResourceError
-from .groups import (KIND_FINITE, GroupModel, _AffineCarrier, _LatticeCarrier)
+from .groups import (KIND_FINITE, GroupModel, _AffineCarrier, _CHUNK, _LatticeCarrier)
 from .space import Exponent, GFunction
 
 DENSE_CAP = 4096
-_CHUNK = 256
 
 
 def _kernel_blocks(model: GroupModel, values: np.ndarray):
@@ -117,9 +116,13 @@ def _product_leak(g: GFunction, f: GFunction) -> float:
     support_g = np.nonzero(mg)[0]
     support_f = np.nonzero(mf)[0]
     carrier = model.carrier
-    out = carrier.outside(carrier.law(carrier.points(support_g[:, None]),
-                                      carrier.points(support_f[None, :])))
-    leaked = float(np.sum(mg[support_g][:, None] * mf[support_f][None, :] * out))
+    points_f, mass_f = carrier.points(support_f[None, :]), mf[support_f][None, :]
+    leaked = 0.0
+    # _CHUNK cells of g's support at a time: no |supp g| x |supp f| array
+    for start in range(0, support_g.size, _CHUNK):
+        rows = support_g[start:start + _CHUNK]
+        out = carrier.outside(carrier.law(carrier.points(rows[:, None]), points_f))
+        leaked += float(np.sum(mg[rows][:, None] * mass_f * out))
     return leaked / total
 
 

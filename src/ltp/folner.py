@@ -1,10 +1,10 @@
-"""Box Folner sets on truncated lattices and the terms of the quantitative
-averaging inequality they support, the chain behind the positive-cone norm
-equality on amenable models.
+"""Box Folner sets on the truncated lattices z and z2 and the real-line grid
+r, and the terms of the quantitative averaging inequality they support, the
+chain behind the positive-cone norm equality on amenable models.
 
-Only boxes K = [-L, L]^d are constructed: for a shift x the overlap ratio
-|xK n K| / |K| has the closed form prod_i (side - |x_i|) / side, and every
-certificate is re-verified by exhaustive intersection counting.
+Only boxes K = [-L, L]^d of cells are constructed: for a shift x the
+overlap ratio |xK n K| / |K| has the closed form prod_i (side - |x_i|) / side,
+and every certificate is re-verified by exhaustive intersection counting.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotPositiveError, WindowTooSmall
-from .groups import KIND_LATTICE, GroupModel, _LatticeCarrier
+from .groups import GroupModel, _LatticeCarrier
 from .convolve import convolve
 from .space import Exponent, GFunction, inner, lp_norm, modular_reflect, _cell
 from .tempered import upper_bound_weighted_l1
@@ -38,7 +38,7 @@ class FolnerCertificate:
 
 
 def _lattice_carrier(model: GroupModel) -> _LatticeCarrier:
-    if model.kind != KIND_LATTICE:
+    if not isinstance(model.carrier, _LatticeCarrier):
         raise DomainError(
             f"Folner boxes are implemented for truncated lattices, not {model.name}")
     return model.carrier

@@ -57,7 +57,7 @@ ELEMENT_CAP = 1 << 20  # largest carrier build_group makes
 # table; larger ones and lattices on seeded samples, with no n x n table.
 _EXACT_LIMIT = 512
 _SAMPLED_TRIPLES = 4096
-_TABLE_BLOCK = 256  # division-table columns per vectorized op call
+_CHUNK = 256  # rows or columns per vectorized call: division table, kernel, leak
 # Affine validation tolerances: modular multiplicativity at the snapped
 # product, and the empirical modular estimate against Delta = e^{-u}.
 _AFFINE_TOL_MULT = 1e-12
@@ -597,9 +597,9 @@ class GroupModel:
             all_idx = np.arange(n)
             inv_y = self.inverses
             table = np.empty((n, n), dtype=np.int64)
-            for start in range(0, n, _TABLE_BLOCK):
-                block = inv_y[None, start:start + _TABLE_BLOCK]
-                table[:, start:start + _TABLE_BLOCK] = self.carrier.op(block, all_idx[:, None])
+            for start in range(0, n, _CHUNK):
+                block = inv_y[None, start:start + _CHUNK]
+                table[:, start:start + _CHUNK] = self.carrier.op(block, all_idx[:, None])
             table[:, inv_y == OUT_OF_WINDOW] = OUT_OF_WINDOW
             table.setflags(write=False)
             self._cache["division_table"] = table

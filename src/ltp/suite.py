@@ -12,10 +12,11 @@ object skips it with ``unbuilt: NAME: why``.
 Results are deterministic for fixed (spec, p list, seed): every probe batch
 draws from its own generator seeded by (seed, batch name), so registry order
 cannot change a single observed value.  A check's batch is its own unless it
-names one in ``batch``: the checks that name one share its probes and, within
-one ``run_suite`` call, its ``tempered_norms`` estimates, computed by
-whichever of them runs first.  discrete-lower-bound and the lower side of
-finite-norm-equivalence are one inequality on counting models, and read
+names one in ``batch``.  A check that names a batch is measured in one runner
+call, and it shares the batch's probes and ``tempered_norms`` estimates
+within one ``run_suite`` call, whose store ``run_suite`` passes down; the
+first of them to run computes them.  discrete-lower-bound and the lower side
+of finite-norm-equivalence are one inequality on counting models, and read
 one batch.
 
 A statement is read from the end of the certified bracket [lower, upper]
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -139,21 +139,20 @@ class CheckDef:
 
     ``runner`` measures one draw and returns the measurement, or
     ``(measurement, note)`` when the note depends on the draw; the suite
-    calls it ``draws`` times.  A ``batched`` runner is called once: it draws
-    all ``draws`` probes from ``ctx.rng`` in the order the draws would take
-    them (``ctx.draws`` says how many) and returns the list of their
-    measurements, or ``(measurements, note)``, so that their norms can come
-    from one ``tempered_norms`` call.  ``needs`` names the properties from
-    ``PROPERTIES`` that the statement assumes and the objects from
-    ``_BUILDS`` that the runner reads from ``ctx.built``; a model that lacks
-    one skips the check.  A runner that gives no note reports ``note``, or
-    the statement ``ref`` when ``note`` is empty.  Checks that name one
-    ``batch`` draw their probes from its generator, seeded by (seed, batch
-    at p), and read one ``ctx.batch``: the probes and their
-    ``tempered_norms`` estimates, computed once per ``run_suite`` call by
-    whichever check runs first, so they state one ``draws``, ``per_p`` and
-    ``batched``.  The suite
-    keeps the largest of 0 and the measurements, and judges it against
+    calls it ``draws`` times.  A check that names a ``batch`` is measured in
+    one runner call: the runner draws all ``draws`` probes from ``ctx.rng``
+    in the order the draws would take them (``ctx.draws`` says how many) and
+    returns the list of their measurements, or ``(measurements, note)``, so
+    that their norms come from one ``tempered_norms`` call.  Its generator is
+    seeded by (seed, batch at p), and within one ``run_suite`` call, whose
+    store ``run_suite`` passes down, every check that names the batch reads
+    one ``ctx.batch``: the probes and their estimates, computed by whichever
+    check runs first; so they state one ``draws`` and ``per_p``.  ``needs``
+    names the properties from ``PROPERTIES`` that the statement assumes and
+    the objects from ``_BUILDS`` that the runner reads from ``ctx.built``; a
+    model that lacks one skips the check.  A runner that gives no note
+    reports ``note``, or the statement ``ref`` when ``note`` is empty.  The
+    suite keeps the largest of 0 and the measurements, and judges it against
     ``expected`` within ``tol``: one value for every model with exact
     arithmetic, ``affine_tol`` on the interpolated affine grid where a check
     needs its own.
@@ -165,7 +164,6 @@ class CheckDef:
     note: str = ""
     draws: int = 1
     per_p: bool = False
-    batched: bool = False
     batch: str = ""
     needs: tuple[str, ...] = ()
     tol: float = 1e-9
@@ -370,9 +368,9 @@ def _run_dirac_identity_norm(ctx: SuiteContext):
 
 
 def _probe_batch(ctx: SuiteContext) -> tuple[list[GFunction], list[NormEstimate]]:
-    """The probes of every draw of a batched runner, in draw order, and
-    their ``tempered_norms`` estimates, drawn from ``ctx.rng`` by the first
-    runner that reads ``ctx.batch``."""
+    """The probes of every draw of a check that names a batch, in draw
+    order, and their ``tempered_norms`` estimates, drawn from ``ctx.rng`` by
+    the first runner that reads ``ctx.batch``."""
     if not ctx.batch:
         fs = [_random_probe(ctx.model, ctx.rng) for _ in range(ctx.draws)]
         ctx.batch.update(probes=fs, estimates=tempered_norms(fs, ctx.p))
@@ -626,14 +624,14 @@ REGISTRY: list[CheckDef] = [
     CheckDef("discrete-lower-bound", "||f||_p <= ||f||_p^T",
              ("discrete-norm-domination",), _run_discrete_lower,
              note="||f||_p <= ||f||_p^T on counting models", draws=6, per_p=True,
-             batched=True, batch=_LOWER_END, needs=(DISCRETE, COUNTING)),
+             batch=_LOWER_END, needs=(DISCRETE, COUNTING)),
     CheckDef("compact-upper-bound", "||f||_p^T <= ||f||_p",
              ("compact-norm-domination",), _upper_within(lp_norm),
              note="||f||_p^T <= ||f||_p on probability models", draws=6, per_p=True,
              needs=(COMPACT, PROBABILITY)),
     CheckDef("finite-norm-equivalence", "two-sided norm equivalence with explicit constants",
              ("finite-norm-equivalence",), _run_finite_equivalence, draws=6, per_p=True,
-             batched=True, batch=_LOWER_END, needs=(FINITE,)),
+             batch=_LOWER_END, needs=(FINITE,)),
     CheckDef("l1-identity", "||f||_1^T = ||f||_1",
              ("p1-norm-identity",), _run_l1_identity, note="||f||_1^T = ||f||_1 (relative)",
              draws=6, tol=1e-12, affine_tol=5e-2),
@@ -753,11 +751,10 @@ def registry_self_test() -> None:
     sizes: dict[str, set] = {}
     for c in REGISTRY:
         if c.batch:
-            sizes.setdefault(c.batch, set()).add((c.draws, c.per_p, c.batched))
+            sizes.setdefault(c.batch, set()).add((c.draws, c.per_p))
     uneven = sorted(batch for batch, size in sizes.items() if len(size) > 1)
     if uneven:
-        raise LtpError(f"checks that name one probe batch differ in draws, per_p or "
-                       f"batched: {uneven}")
+        raise LtpError(f"checks that name one probe batch differ in draws or per_p: {uneven}")
 
 
 # ---------------------------------------------------------------------------
@@ -771,22 +768,19 @@ def _task_name(name: str, p: float | None) -> str:
     return f"{name}@p={p:g}"
 
 
-# The probe batches of the run_suite call under way, by (batch, p); run_suite
-# sets a fresh store and drops it on return, so no estimate outlives the call
-_BATCHES: ContextVar[dict | None] = ContextVar("ltp_suite_batches", default=None)
-
-
 def _execute_check(check: CheckDef, model: GroupModel, p: float | None,
-                   seed: int, overrides: dict, timings: bool) -> CheckResult:
+                   seed: int, overrides: dict, timings: bool,
+                   batches: dict | None = None) -> CheckResult:
     """Run the check's draws and judge the worst of them, a NaN included,
-    against its expected value within its tolerance or the override."""
+    against its expected value within its tolerance or the override.
+    ``batches`` is the run's store of probe batches by (batch, p); a check
+    that names a batch reads its entry there, and draws its own without one."""
     name = _task_name(check.name, p)
     exp = None if p is None else Exponent.of(p)
     tol = float(overrides.get(check.name, check.tolerance_for(model)))
     batch_name = _task_name(check.batch or check.name, p)
     rng = np.random.default_rng([seed, zlib.crc32(batch_name.encode())])
-    store = _BATCHES.get()
-    batch = {} if store is None or not check.batch else store.setdefault((check.batch, p), {})
+    batch = {} if batches is None or not check.batch else batches.setdefault((check.batch, p), {})
     ctx = SuiteContext(model=model, p=exp, rng=rng, draws=check.draws, batch=batch)
     started = time.perf_counter()
     try:
@@ -794,7 +788,7 @@ def _execute_check(check: CheckDef, model: GroupModel, p: float | None,
         if reason is not None:
             return CheckResult.skip(name, check.ref, reason)
         worst, notes = 0.0, check.note or check.ref
-        for _ in range(1 if check.batched else check.draws):
+        for _ in range(1 if check.batch else check.draws):
             measured = check.runner(ctx)
             if isinstance(measured, tuple):
                 measured, notes = measured
@@ -845,12 +839,9 @@ def run_suite(spec: GroupSpec | str, p_list=(2.0,), seed: int = 0,
         model = build_group(spec)
     elif (parse_group_spec(spec) if isinstance(spec, str) else spec) != model.spec:
         raise ModelMismatchError(f"model {model.spec.text!r} is not the group of spec {spec!r}")
-    token = _BATCHES.set({})
-    try:
-        results = [_execute_check(check, model, p, seed, overrides, timings)
-                   for check in REGISTRY
-                   for p in (p_values if check.per_p else [None])]
-    finally:
-        _BATCHES.reset(token)
+    batches: dict = {}  # the probe batches of this call, by (batch, p)
+    results = [_execute_check(check, model, p, seed, overrides, timings, batches)
+               for check in REGISTRY
+               for p in (p_values if check.per_p else [None])]
     return SuiteReport(version=__version__, spec=model.spec.text, seed=int(seed),
                        checks=results)

@@ -65,8 +65,10 @@ def test_window_too_small():
 
 
 def test_suite_runs_the_folner_checks_wherever_a_box_fits():
-    # find_folner's own search decides: L = 5 on z and L = 10 on z2 for C of radius 1
-    for spec, runs in (("z:6", True), ("z2:11", True), ("z:5", False), ("z2:8", False)):
+    # find_folner's own search decides: L = 5 on z and r and L = 10 on z2 for
+    # C of radius 1 cell; r:H:B has a window of B / H cells
+    for spec, runs in (("z:6", True), ("z2:11", True), ("r:0.05:4", True), ("r:0.25:2", True),
+                       ("z:5", False), ("z2:8", False), ("r:0.5:2", False)):
         for seed in range(3):
             report = ltp.run_suite(spec, [2.0, 1.5], seed=seed)
             checks = [c for c in report.checks if c.name.startswith("folner-")]

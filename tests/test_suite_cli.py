@@ -44,7 +44,7 @@ def test_registry_refuses_two_sizes_of_one_probe_batch(monkeypatch):
     twin = dataclasses.replace(_DISCRETE_LOWER, name="planted-lower-bound")
     monkeypatch.setattr(suite, "REGISTRY", REGISTRY + [twin])
     registry_self_test()
-    for change in ({"draws": 5}, {"per_p": False}, {"batched": False}):
+    for change in ({"draws": 5}, {"per_p": False}):
         monkeypatch.setattr(suite, "REGISTRY", REGISTRY + [dataclasses.replace(twin, **change)])
         with pytest.raises(ltp.LtpError, match="one probe batch differ"):
             registry_self_test()
@@ -166,7 +166,7 @@ def test_suite_builds_the_irreducible_blocks_once_per_model(monkeypatch):
 # unbuilt), the statements whose hypotheses the model lacks and those that
 # ltp has not built on it.  A check that comes to run where it skipped moves
 # a count here; state the old and new counts with that change.
-SKIPS_AT_SEED_0 = {"z:64": (7, 21), "z2:8": (7, 24), "r:0.05:4": (11, 22),
+SKIPS_AT_SEED_0 = {"z:64": (7, 21), "z2:8": (7, 24), "r:0.05:4": (11, 19),
                    "affine:0.125:1:0.125:1": (23, 14), "cyclic:256@counting": (4, 5),
                    "circle:64": (8, 5), "dihedral:64": (12, 6), "symmetric:5": (12, 6),
                    "product:cyclic:8+cyclic:16": (4, 5)}
@@ -194,7 +194,7 @@ def test_suite_skips_are_pinned_and_name_their_kind():
             assert missing <= ltp.groups.PROPERTIES - model.properties, check.notes
             needs += 1
         assert (needs, unbuilt) == expected, spec
-    assert sum(sum(pair) for pair in SKIPS_AT_SEED_0.values()) == 196
+    assert sum(sum(pair) for pair in SKIPS_AT_SEED_0.values()) == 193
 
 
 def test_exact_models_share_each_check_tolerance():
@@ -219,12 +219,12 @@ def test_a_batched_runner_measures_every_draw_in_one_call():
         calls.append(ctx.draws)
         return [0.5, float("nan"), 0.25][:ctx.draws], "batched note"
 
-    check = CheckDef("batched", "one call for every draw", (), runner, draws=3, batched=True)
+    check = CheckDef("batched", "one call for every draw", (), runner, draws=3, batch="batched")
     result = _execute_check(check, ltp.build_group("cyclic:4"), None, 0, {}, False)
     assert calls == [3]
     assert result.status == "fail" and np.isnan(result.observed)
     assert result.notes == "batched note"
-    check = CheckDef("batched", "one call for every draw", (), runner, draws=1, batched=True,
+    check = CheckDef("batched", "one call for every draw", (), runner, draws=1, batch="batched",
                      tol=1.0)
     result = _execute_check(check, ltp.build_group("cyclic:4"), None, 0, {}, False)
     assert result.status == "pass" and result.observed == 0.5
@@ -284,6 +284,17 @@ def test_two_suite_runs_compute_the_lower_end_batch_twice(boyd_calls):
     for _ in range(2):
         run_suite("dihedral:64", [1.5], seed=0, model=model)
     assert once > 0 and len(boyd_calls) == 2 * once
+
+
+def test_one_store_shares_the_lower_end_batch_between_two_lone_checks(boyd_calls):
+    # the store run_suite passes down: with one dict the second check reads
+    # the first one's estimates, and without one each check draws its own
+    model = ltp.build_group("dihedral:64")
+    for batches, expected in (({}, 6), (None, 12)):
+        del boyd_calls[:]
+        for check in (_DISCRETE_LOWER, _FINITE_EQUIVALENCE):
+            assert _execute_check(check, model, 1.5, 0, {}, False, batches).status == "pass"
+        assert len(boyd_calls) == expected, batches
 
 
 def test_lower_end_checks_read_one_batch_in_either_order(monkeypatch):
