@@ -165,21 +165,39 @@ class _CirculantProduct:
     its columns ``cols``.  Without ``columns`` the symbol broadcasts over
     the block.
 
-    With ``torus`` (one period per axis) f lives on a lattice model (z, z2,
-    r) and is placed on the periodic embedding Z_torus: cell x sits at
-    x mod torus.  ``symbol`` is then w0 fhat sampled at the frequencies
-    2 pi m / torus of the dual torus.  ``apply`` places a block given on
-    ``cells`` (every cell by default) on the torus and reads the circular
-    convolution back on the window; ``adjoint`` goes from the window back to
-    ``cells``.  When every g on ``cells`` keeps g * f in the window and each
-    period is at least the window side, no image wraps onto the window, so
-    this is the window convolution, exactly.
+    With ``torus`` f lives on a lattice model (z, z2, r) and is placed on
+    the periodic embedding Z_torus.  ``symbol`` is then w0 fhat sampled at
+    the frequencies 2 pi m / torus of the dual torus.
 
-    A 1-D torus transforms the embedded grid.  In 2-D f occupies s of the
-    pad torus rows (at most 17 of 512 on z2:8), so only those rows are
-    placed and transformed along the last axis: the 1-D transforms ``fftn``
-    runs first, value for value.  The leading axis is then one matmul,
-    twiddle (pad x s) @ rows (s x pad) with
+    A 1-D torus Z_N holds every lattice window, of any dimension, by cell
+    index: with N >= n, g and g * f sit at their own cell index i and f at
+    (i - e) mod N, e the identity's index.  Each product is then one FFT
+    pair of length N.  ``apply`` places a block given on ``cells`` (every
+    cell by default) and reads the circular convolution back on cells
+    0 .. n-1; ``adjoint`` goes from those cells back to ``cells``.  This is
+    the window convolution exactly when every g on ``cells`` keeps g * f in
+    the window (Kronecker substitution; Nussbaumer, Fast Fourier Transform
+    and Convolution Algorithms, 1982, ch. 3).  The index of a cell is the
+    row-major offset phi(x) = sum_a x_a side^(d-1-a) of its coordinates
+    plus e, and phi is linear, so f(s) at phi(s) and g(y) at phi(y) + e
+    meet at phi(y + s) + e mod N, the index of y + s.
+      apply: for y on ``cells`` and s in supp f, y + s lies in the window,
+        so its index is in [0, n) and lands on its own residue.
+      adjoint: a stray term at y on ``cells`` pairs a window cell x with an
+        s in supp f, x != y + s, at the same residue.  y + s is a window
+        cell too, so w = x - (y + s) != 0 has every |w_a| <= side - 1 and
+        phi(w) = 0 mod N.  But |phi(w)| <= side^d - 1 = n - 1 < N, and
+        phi(w) = 0 forces w = 0, since |sum_{a>b} w_a side^(d-1-a)| <=
+        side^(d-1-b) - 1.
+    Distinct cells of supp f also keep distinct residues, their indices
+    being less than n <= N apart.
+
+    A 2-D torus, one period per axis, serves the p = 2 symbol scan alone
+    (no ``apply`` or ``adjoint``): cell x sits at its coordinates mod torus.
+    There f occupies s of the pad torus rows (at most 17 of 512 on z2:8),
+    so only those rows are placed and transformed along the last axis: the
+    1-D transforms ``fftn`` runs first, value for value.  The leading axis
+    is then one matmul, twiddle (pad x s) @ rows (s x pad) with
     twiddle[m, j] = exp(-2 pi i ((m r_j) mod pad) / pad) for row r_j.
     Its cost grows as s pad^2 against pad^2 log(pad) for an FFT over all
     pad rows, so it wins while s is small: the p = 2 route on z2:8 takes
@@ -205,8 +223,8 @@ class _CirculantProduct:
             symbol = self._torus_transform(model, values)
             symbol *= w0
             self.symbol = symbol
-            self._window = np.ravel_multi_index(tuple((model.carrier.coords % torus).T), torus)
-            self._cells = self._window if cells is None else self._window[cells]
+            self._window = slice(0, model.n)
+            self._cells = self._window if cells is None else cells
         self.columns = columns
         self.keep(slice(None))
 
@@ -217,13 +235,14 @@ class _CirculantProduct:
         self._conj = None
 
     def _torus_transform(self, model: GroupModel, values: np.ndarray) -> np.ndarray:
-        # the embedded grid in 1-D, the rows some f occupies in 2-D
-        at = model.carrier.coords % self.shape
+        # cell i at (i - e) mod N on a 1-D torus, the rows some f occupies
+        # on a 2-D one
         count = values.shape[1]
         if len(self.shape) == 1:
             grid = np.zeros(self.shape + (count,), dtype=np.complex128)
-            grid[tuple(at.T)] = values
+            grid[(np.arange(model.n) - model.identity) % self.shape[0]] = values
             return np.fft.fftn(grid, axes=self.axes)
+        at = model.carrier.coords % self.shape
         cells = np.flatnonzero(np.any(values != 0, axis=1))
         rows, slot = np.unique(at[cells, 0], return_inverse=True)
         occupied = np.zeros((rows.size,) + self.shape[1:] + (count,), dtype=np.complex128)

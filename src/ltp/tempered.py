@@ -58,9 +58,11 @@ method the first route of that name that does:
   with the same cells (D on lattices) share one block, with the restarts of
   each f as its columns and one FFT over the whole block per product: the
   circulant operator of ``convolve``, or on lattices the window torus (see
-  ``_boyd_product``), where D is placed at its coordinates mod the period;
-  since g on D keeps g * f in the window, the product read back on the
-  window is the window convolution exactly.  Neither builds an n x n
+  ``_boyd_product``), one 1-D torus of length at least n where every cell,
+  in 2-D too, sits at its index: a row-major chart turns the window
+  convolution into a 1-D one, and since g on D keeps g * f in the window,
+  the product read back on the window is the window convolution exactly
+  (the proof is in ``convolve._CirculantProduct``).  Neither builds an n x n
   matrix, so n may exceed the dense cap.  Nonabelian models and the affine
   grid have no shared transform and run one dense block per f (one block of
   several matrices would make the same products); a real matrix multiplies
@@ -529,17 +531,15 @@ def _boyd_product(fs: list[GFunction], exp: Exponent, cells: np.ndarray,
     on ``cells``, block column j multiplying by fs[columns[j]].
 
     Cyclic models multiply by the FFT over the factor axes, and lattices by
-    the FFT over the window torus, the smallest 5-smooth period per axis
-    that is at least the window side (18 on z2:8, 135 on z:64).  Every other
-    model multiplies by the dense weighted matrix of its lone f (see
-    ``_boyd_norms``), on every cell."""
+    one FFT pair over the window torus, the 1-D torus of the smallest
+    5-smooth length at least n that holds every cell at its index (300 on
+    z2:8, 135 on z:64).  Every other model multiplies by the dense weighted
+    matrix of its lone f (see ``_boyd_norms``), on every cell."""
     model = fs[0].group
     if model.cyclic_factors is not None:
         return _CirculantProduct(fs, columns=columns)
-    carrier = model.carrier
-    if isinstance(carrier, _LatticeCarrier):
-        torus = (_smooth_size(carrier.side),) * carrier.dim
-        return _CirculantProduct(fs, torus, cells, columns)
+    if isinstance(model.carrier, _LatticeCarrier):
+        return _CirculantProduct(fs, (_smooth_size(model.n),), cells, columns)
     return _DenseProduct(ConvOperator(fs[0]).weighted_matrix(exp.p))
 
 

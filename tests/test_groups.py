@@ -227,6 +227,16 @@ def test_division_table_matches_op(spec):
 # Lattice models
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("spec", ["z:64", "z2:8", "z2:20", "r:0.05:4"])
+def test_lattice_cell_index_is_the_row_major_offset_of_its_coordinates(spec):
+    # the 1-D window torus of lattice Boyd products is exact only while a
+    # cell's index is this linear chart of its coordinates
+    carrier = ltp.build_group(spec).carrier
+    dim, n = carrier.dim, carrier.n
+    radix = carrier.side ** np.arange(dim - 1, -1, -1)
+    assert np.array_equal(carrier.coords @ radix + carrier.identity, np.arange(n))
+
+
 def test_lattice_window_sentinel():
     G = ltp.build_group("z:8")
     coords = G.coords()[:, 0]

@@ -667,18 +667,48 @@ def test_tempered_norms_follows_the_route_of_each_exponent():
         ltp.tempered_norms([ltp.random_function(D, s) for s in (1, 2)], 1.5)
 
 
-@pytest.mark.parametrize("spec", ["z:64", "z2:8", "r:0.05:4"])
-def test_window_torus_product_equals_the_dense_window_matrix(spec):
-    from ltp.tempered import _boyd_cells, _boyd_product
+def _window_probe(G, support, seed):
+    """A complex f on G: "quarter" is box-supported at a quarter of the
+    window radius around the origin, "strip" spans the window from its low
+    edge to two cells short of its high edge along the first axis and a
+    short off-centre run along the last (so D is a thin off-centre strip),
+    and "full" fills the window (so D is the identity alone)."""
+    if support == "quarter":
+        radius = float(np.max(np.abs(G.coords()))) / 4.0
+        return ltp.random_function(G, seed, support_radius=radius)
+    radius = G.carrier.radius
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(G.n) + 1j * rng.standard_normal(G.n)
+    if support == "strip":
+        coords = G.carrier.coords
+        values *= ((coords[:, 0] <= radius - 2)
+                   & (coords[:, -1] >= radius // 4) & (coords[:, -1] <= radius // 2))
+    return ltp.GFunction(G, values)
+
+
+@pytest.mark.parametrize("spec,support", [
+    pytest.param(spec, support, id=spec if support == "quarter" else f"{spec}-{support}")
+    for spec in ("z:64", "z2:8", "r:0.05:4", "z2:20")
+    for support in ("quarter", "strip", "full")])
+def test_window_torus_product_equals_the_dense_window_matrix(spec, support):
+    from ltp.convolve import _kernel_blocks
+    from ltp.tempered import _boyd_cells, _boyd_product, _smooth_size
     G = ltp.build_group(spec)
-    radius = float(np.max(np.abs(G.coords()))) / 4.0
-    fs = [ltp.random_function(G, seed, support_radius=radius) for seed in (1, 2)]
+    fs = [_window_probe(G, support, seed) for seed in (1, 2)]
     cells = _boyd_cells(fs[0])[0]
+    if support == "full":
+        assert np.array_equal(cells, [G.identity])
     columns = np.array([0, 1, 1, 0, 1])
     exp = ltp.Exponent.of(1.5)
     product = _boyd_product(fs, exp, cells, columns)
     assert isinstance(product, _CirculantProduct)
-    mats = [ltp.ConvOperator(f).weighted_matrix(exp.p)[:, cells] for f in fs]
+    # one 1-D torus over cell indices: 300 > 289 cells on z2:8, 1728 > 1681 on z2:20
+    assert product.shape == (_smooth_size(G.n),)
+    # the columns ``cells`` of the window matrix M[x, y] = w0 f(x - y), one
+    # kernel block at a time; constant weights make it its own p-similarity
+    mats = [G.weights[0] * np.concatenate(
+        [block[:, cells[(cells >= lo) & (cells < hi)] - lo]
+         for lo, hi, block in _kernel_blocks(G, f.values)], axis=1) for f in fs]
     rng = np.random.default_rng(4)
     x = rng.standard_normal((cells.size, 5)) + 1j * rng.standard_normal((cells.size, 5))
     y = rng.standard_normal((G.n, 5)) + 1j * rng.standard_normal((G.n, 5))
@@ -694,6 +724,36 @@ def test_window_torus_product_equals_the_dense_window_matrix(spec):
     check(np.arange(5))
     product.keep(np.array([1, 3]))
     check(np.array([1, 3]))
+
+
+def test_lattice_boyd_takes_one_fft_pair_per_product(monkeypatch):
+    # a repeatable work count: on z2:8 every apply and every adjoint is one
+    # forward and one inverse FFT over the 1-D window torus
+    from ltp.tempered import _boyd_block, _boyd_cells, _boyd_product, _boyd_starts
+    G = ltp.build_group("z2:8")
+    f = ltp.random_function(G, 3, support_radius=2.0)
+    cells, centre = _boyd_cells(f)
+    cfg = IterConfig()
+    exp = ltp.Exponent.of(1.5)
+    product = _boyd_product([f], exp, cells, np.zeros(cfg.restarts, dtype=np.int64))
+    calls = {"fft": 0, "ifft": 0, "apply": 0, "adjoint": 0}
+
+    def counted(name, function):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return run
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    for name in ("apply", "adjoint"):
+        setattr(product, name, counted(name, getattr(product, name)))
+    starts = _boyd_starts(cells.size, int(np.searchsorted(cells, centre)), cfg.restarts,
+                          cfg.seed)
+    _boyd_block(product, exp, starts, cfg)
+    products = calls["apply"] + calls["adjoint"]
+    assert products > 2 * cfg.restarts
+    assert calls["fft"] == calls["ifft"] == products
 
 
 def test_exact_l1_runs_past_the_dense_operator_cap():
