@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import DomainError, LtpError, ResourceError
 from .groups import (KIND_FINITE, GroupModel, _AffineCarrier, _CHUNK, _LatticeCarrier)
@@ -308,18 +307,12 @@ class IrreducibleBlocks:
     table: np.ndarray
 
 
-# Largest model on which a dense n x n ``eigh`` pays: the p = 2 singular-value
-# route takes the top eigenpair of M^H M from it up to here and a Lanczos
-# iteration above, and the irreducible blocks, whose build is one dense eigh
-# plus a gather of n^2 d values per irreducible of dimension d, are built up
-# to here and not above.  On one core dense eigh and Lanczos cross between
-# 200 and 224 cells for complex f and near 224 for real f: 7.6 vs 9.7 ms at
-# n = 200, 9.8 vs 8.1 ms at n = 224, 10.5 vs 6.4 ms at n = 225 and 14.6 vs
-# 7.8 ms at n = 256 for complex f, and 2.2 vs 3.3, 2.8 vs 2.9, 2.7 vs 2.8 and
-# 3.9 vs 2.0 ms for real f.  A blocks build takes 31 ms on dihedral:64; past
-# the cap it costs as much as many Lanczos calls: 0.9 s and a 133 MB gather
-# for the 16-dimensional irreducibles of symmetric:6 (720 cells), against
-# 67 ms a call (one BLAS thread, 2-vCPU host).
+# Largest model whose irreducible blocks are built: the build is one dense
+# n x n eigh plus a gather of n^2 d values per irreducible of dimension d.  It
+# takes 11-13 ms on dihedral:64; past the cap it costs as much as many calls
+# of the exact_svd route: 0.7 s and a 133 MB gather for the 16-dimensional
+# irreducibles of symmetric:6 (720 cells), against 49-50 ms a call (one BLAS
+# thread, 2-vCPU host).
 DENSE_EIGH_CAP = 224
 # Seeded draws the build tries before it refuses, and the relative gap below
 # which two eigenvalues of a draw count as one.
@@ -355,7 +348,7 @@ def _split_blocks(model: GroupModel, right: np.ndarray, classes: np.ndarray,
     inverses = model.inverses
     c = _hermitian_draw(rng, classes, inverses)
     a = _hermitian_draw(rng, np.arange(n), inverses)
-    lam, vec = eigh(c[right])
+    lam, vec = np.linalg.eigh(c[right])
     # sum |c| bounds the eigenvalues; one component's agree to rounding
     cuts = np.flatnonzero(np.diff(lam) > _BLOCK_SPLIT * float(np.sum(np.abs(c)))) + 1
     bounds = np.concatenate(([0], cuts, [n]))
@@ -367,7 +360,7 @@ def _split_blocks(model: GroupModel, right: np.ndarray, classes: np.ndarray,
     moved = a[right] @ vec
     bases = []
     for start, stop, d in zip(bounds[:-1], bounds[1:], dims):
-        lam_a, vec_a = eigh(vec[:, start:stop].conj().T @ moved[:, start:stop])
+        lam_a, vec_a = np.linalg.eigh(vec[:, start:stop].conj().T @ moved[:, start:stop])
         top = lam_a[-d:]
         if top[-1] - top[0] > spread or (d < stop - start and top[0] - lam_a[-d - 1] <= spread):
             return None
@@ -435,8 +428,8 @@ class ConvOperator:
     """The right-convolution map g -> g * f as the matrix
     M[x, y] = w_y f(y^{-1} x), materialized on first use and cached.
 
-    Only models with n <= 4096 get a matrix; ``convolve`` applies the map
-    on every model without building it.
+    Only models with n <= 4096 get a matrix, read-only; ``convolve``
+    applies the map on every model without building it.
     """
 
     f: GFunction
@@ -452,6 +445,7 @@ class ConvOperator:
             raise ResourceError(f"dense operator for n={n} exceeds the cap {DENSE_CAP}")
         if self._matrix is None:
             self._matrix = _operator_matrix(self.f)
+            self._matrix.setflags(write=False)
         return self._matrix
 
     def weighted_matrix(self, p) -> np.ndarray:
@@ -461,7 +455,9 @@ class ConvOperator:
         w = self.group.weights
         scale_left = w ** (1.0 / exp.p)
         scale_right = w ** (-1.0 / exp.p)
-        return scale_left[:, None] * self.matrix() * scale_right[None, :]
+        out = scale_left[:, None] * self.matrix()  # a new array, scaled in place
+        out *= scale_right
+        return out
 
 
 def _operator_matrix(f: GFunction) -> np.ndarray:

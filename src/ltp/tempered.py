@@ -30,18 +30,17 @@ method the first route of that name that does:
   once per model on first use.  Each f costs one product with the n x n
   block table and one batched SVD per block dimension: 0.13-0.25 ms a call
   on dihedral:64 and symmetric:5, where the dense route below takes
-  0.9-2.3 ms (one core).  The build is one dense eigh of an n x n matrix,
-  so it stops at the cap where the route below turns from dense eigh to
-  Lanczos (the constant's comment holds the measurements).  The witness is
-  E v, v the top right singular vector of the largest block.
+  0.8-1.9 ms (one core).  The build is one dense eigh of an n x n matrix,
+  so it stops at the cap (the constant's comment holds the measurements).
+  The witness is E v, v the top right singular vector of the largest block.
 * p = 2, general (affine quadrature, larger finite models): largest singular
   value of the weighted similarity D^{1/2} M D^{-1/2}, from the top
-  eigenpair of M^H M: dense ``eigh`` up to ``convolve.DENSE_EIGH_CAP``
-  cells, a deterministic Lanczos iteration above.  By name it serves every
-  model at p = 2; on the finite models up to the cap the suite names it
-  only in spectral-svd-agreement, which sets it against the route "auto"
-  takes there (the FFT above on declared cyclic products, the irreducible
-  blocks elsewhere) as their independent dense reference.
+  eigenpair of M^H M by one deterministic Lanczos iteration at every n
+  (``_top_eigenpair``).  By name it serves every model at p = 2; on the
+  finite models up to the cap the suite names it only in
+  spectral-svd-agreement, which sets it against the route "auto" takes
+  there (the FFT above on declared cyclic products, the irreducible blocks
+  elsewhere) as their independent dense reference.
 * other p: Boyd's signed-power iteration, alternating the operator with
   dual exponent maps.  All seeded restarts advance together as the columns
   of one block, and each column freezes once its ratio settles.  The best
@@ -97,8 +96,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import DomainError, LtpError
 from .groups import KIND_FINITE, GroupModel, _LatticeCarrier
@@ -426,28 +423,68 @@ def _block_norm(f: GFunction) -> NormEstimate:
 # ---------------------------------------------------------------------------
 
 
+# Lanczos steps between two tests of the stopping rule, each one dense eigh
+# of the tridiagonal matrix built so far
+_LANCZOS_TEST_EVERY = 4
+
+
+def _top_eigenpair(mat: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """The largest eigenvalue of H = M^H M, a unit eigenvector and the steps
+    taken, by Lanczos with full reorthogonalisation (Paige, PhD thesis,
+    London, 1972; Parlett, The Symmetric Eigenvalue Problem, 1998, ch. 13).
+
+    Each step forms w = H q from two products with M, M^H y as
+    conj(M^T conj(y)), so no adjoint copy of M exists.  Classical
+    Gram-Schmidt against the whole basis, run twice, orthogonalises w: the
+    first pass holds the recurrence, alpha its coefficient on q, and the
+    second the reorthogonalisation.  The basis grows with the steps taken.
+    Every ``_LANCZOS_TEST_EVERY`` steps the top Ritz pair (theta, s) of the
+    tridiagonal matrix meets ARPACK's tol = 0 rule, beta |s_last| <=
+    eps theta, or the iteration goes on: beta |s_last| is the residual norm
+    of the Ritz pair.  It stops at once when beta falls to the rounding
+    level of ||H q|| (n eps of it): the Krylov space is then invariant, and
+    holds the top eigenvector, on which the generic start has a nonzero
+    component.
+    """
+    n = mat.shape[1]
+    conj = np.conj if np.iscomplexobj(mat) else (lambda x: x)
+    # a seeded generic start: on abelian models all ones is the character 0,
+    # an eigenvector of H, whose Krylov space stops at once
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= math.sqrt(q @ q)
+    basis = np.empty((min(n, 32), n), dtype=mat.dtype)
+    alpha, beta = [], []
+    for j in range(n):
+        if j == len(basis):
+            grown = np.empty((min(2 * j, n), n), dtype=mat.dtype)
+            grown[:j] = basis
+            basis = grown
+        basis[j] = q
+        done = basis[:j + 1]
+        w = conj(mat.T @ conj(mat @ q))
+        scale = math.sqrt(np.vdot(w, w).real)
+        coef = conj(done @ conj(w))
+        w -= coef @ done
+        w -= conj(done @ conj(w)) @ done
+        alpha.append(coef[j].real)
+        beta.append(math.sqrt(np.vdot(w, w).real))
+        last = beta[-1] <= n * _EPS * scale or j == n - 1
+        if last or (j + 1) % _LANCZOS_TEST_EVERY == 0:
+            ritz, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1)
+                                        + np.diag(beta[:-1], -1))
+            if last or beta[-1] * abs(vecs[-1, -1]) <= _EPS * ritz[-1]:
+                break
+        q = w / beta[-1]
+    return float(ritz[-1]), vecs[:, -1] @ done, j + 1
+
+
 def _exact_svd(f: GFunction) -> NormEstimate:
     model = f.group
-    n = model.n
     mat = ConvOperator(f).weighted_matrix(2)
-    scale_back = model.weights ** (-0.5)
-    # the top eigenpair of M^H M: sigma^2 and the top right singular vector
-    if n <= DENSE_EIGH_CAP:
-        lam, vec = eigh(mat.conj().T @ mat, subset_by_index=[n - 1, n - 1])
-    else:
-        adjoint = mat.conj().T
-
-        def matvec(v):
-            return adjoint @ (mat @ v)
-
-        op = LinearOperator((n, n), matvec=matvec, dtype=mat.dtype)
-        # a seeded generic start: on abelian models all ones is the
-        # character 0, an eigenvector of M^H M, whose Krylov space stops at
-        # once (41 against 31 products on cyclic:256)
-        v0 = np.random.default_rng(0).standard_normal(n)
-        lam, vec = eigsh(op, k=1, which="LA", v0=v0, tol=0)
-    sigma = math.sqrt(max(lam[0], 0.0))
-    witness = GFunction(model, scale_back * vec[:, 0])
+    # sigma^2 and the top right singular vector of the weighted similarity
+    lam, vec, _ = _top_eigenpair(mat)
+    sigma = math.sqrt(max(lam, 0.0))
+    witness = GFunction(model, model.weights ** (-0.5) * vec)
     upper = sigma
     if model.kind != KIND_FINITE:
         # the singular value is exact for the window section only; the norm

@@ -127,6 +127,22 @@ def test_operator_matrix_is_circulant_with_first_column_f():
         assert np.allclose(mat[:, y], np.roll(f.values, y))
 
 
+@pytest.mark.parametrize("spec", ["affine:0.25:1:0.25:1", "r:0.25:2"])
+def test_weighted_matrix_scales_a_copy_bit_for_bit(spec):
+    # D^{1/p} M D^{-1/p} in the order (scale_left M) scale_right, and the
+    # cached M is read-only, so scaling in place never reaches it
+    G = ltp.build_group(spec)
+    for f in (ltp.random_function(G, 0), ltp.random_function(G, 0, complex_valued=False)):
+        op = ConvOperator(f)
+        mat = op.matrix()
+        before = mat.copy()
+        for p in (2.0, 1.5, 3.0):
+            left, right = G.weights ** (1.0 / p), G.weights ** (-1.0 / p)
+            assert np.array_equal(op.weighted_matrix(p), left[:, None] * before * right[None, :])
+        assert op.matrix() is mat and np.array_equal(mat, before)
+        assert not mat.flags.writeable
+
+
 def test_dirac_measure_operator_is_identity():
     for spec in ("cyclic:5@counting", "cyclic:5@probability"):
         G = ltp.build_group(spec)

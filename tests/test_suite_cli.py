@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 import zlib
@@ -684,6 +685,29 @@ def test_check_result_interval_semantics():
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+def test_the_library_loads_no_scipy():
+    # scipy is a test dependency only: its linalg modules cost about 25 MB of
+    # a suite run's peak RSS, and the p = 2 dense reference and the blocks
+    # build need numpy alone
+    code = """
+import contextlib, io, sys
+import ltp
+from ltp.cli import main
+from ltp.suite import run_suite
+for spec in ("dihedral:8", "cyclic:16", "affine:0.25:1:0.25:1"):
+    run_suite(spec, (2.0, 1.5), seed=0)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["norm", "--group", "dihedral:8", "--f", "random:1", "--p", "2",
+                 "--method", "exact_svd"]) == 0
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=600).stdout
+    assert out == "[]\n"
+
 
 def test_cli_norm_inline(capsys):
     rc = main(["norm", "--group", "cyclic:4@counting", "--f", "1,1,0,0", "--p", "2"])

@@ -8,6 +8,7 @@ double loop, independent of the library's FFT and SVD paths.
 import importlib
 import math
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -1056,20 +1057,67 @@ def test_exact_svd_upper_covers_the_lattice_norm(spec, radius):
     assert section.upper >= symbol.lower
 
 
-def test_exact_svd_lanczos_branch_matches_dense_eigh():
-    # n = 1026 lies between the dense cap and the Lanczos cap
-    from ltp.convolve import DENSE_CAP, DENSE_EIGH_CAP
+def _lanczos_probe(spec, probe):
+    G = ltp.build_group(spec)
+    if probe == "dirac":
+        return ltp.dirac_measure(G)
+    if probe == "cluster":
+        # the sixth draw of positive-cone-equality@p=2 at seed 0: one cell,
+        # a near-isometry whose top eigenvalues of M^H M form one cluster
+        rng = np.random.default_rng([0, zlib.crc32(b"positive-cone-equality@p=2")])
+        for _ in range(6):
+            f = suite._random_probe(G, rng, positive=True, concentration=0.25)
+        return f
+    return ltp.random_function(G, np.random.default_rng(4), complex_valued=probe == "complex")
+
+
+@pytest.mark.parametrize("spec, probe", [
+    ("cyclic:16", "real"),  # real f: the eigenvalues of M^H M come in pairs
+    ("cyclic:256", "real"),
+    ("affine:0.25:1:0.25:1", "cluster"),
+    ("cyclic:1", "complex"),
+    ("cyclic:2", "complex"),
+    ("cyclic:2", "real"),
+    ("dihedral:513", "complex"),
+])
+def test_exact_svd_lanczos_matches_dense_eigh(spec, probe):
+    _assert_exact_svd_matches_dense_eigh(_lanczos_probe(spec, probe))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:16", "dihedral:8", "circle:64", "z:64"])
+def test_lanczos_stops_at_step_one_on_an_isometry(spec):
+    # M^H M = cI for delta_e: the first step leaves w at the rounding level
+    from ltp.convolve import ConvOperator
+    from ltp.tempered import _top_eigenpair
+
+    f = _lanczos_probe(spec, "dirac")
+    assert _top_eigenpair(ConvOperator(f).weighted_matrix(2))[2] == 1
+    _assert_exact_svd_matches_dense_eigh(f)
+
+
+def test_lanczos_keeps_its_basis_off_an_n_by_n_array():
+    # one call holds two n x n arrays at once: the weighted matrix and, while
+    # it is formed, the cached operator matrix.  An adjoint copy of M, a
+    # second temporary of the similarity or an n x n Krylov basis adds one
+    import tracemalloc
 
     G = ltp.build_group("dihedral:513")
-    assert DENSE_EIGH_CAP < G.n <= DENSE_CAP
-    _assert_exact_svd_matches_dense_eigh(ltp.random_function(G, np.random.default_rng(4)))
+    G.division_table()
+    f = ltp.random_function(G, np.random.default_rng(4))
+    tracemalloc.start()
+    try:
+        tempered_norm(f, 2, method="exact_svd")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * G.n ** 2 * 16, peak
 
 
 @pytest.mark.parametrize("spec", ["z2:7", "dihedral:112"])
 @pytest.mark.parametrize("complex_valued", [True, False])
 def test_exact_svd_matches_dense_eigh_at_the_dense_cap(spec, complex_valued):
-    # z2:7 (225 cells) is the first size past the cap, so it takes Lanczos;
-    # dihedral:112 (224 cells) is the last size that takes dense eigh
+    # dihedral:112 (224 cells) sits at the cap of the irreducible blocks and
+    # z2:7 (225 cells) one past it; exact_svd runs the same Lanczos on both
     from ltp.convolve import DENSE_EIGH_CAP
 
     G = ltp.build_group(spec)
@@ -1082,10 +1130,7 @@ def test_exact_svd_matches_dense_eigh_at_the_dense_cap(spec, complex_valued):
 def test_exact_svd_lanczos_meets_the_transform_maximum(spec):
     # on abelian models all ones is the character 0, an eigenvector of
     # M^H M; the Lanczos start must not depend on it
-    from ltp.convolve import DENSE_EIGH_CAP
-
     G = ltp.build_group(spec)
-    assert G.n > DENSE_EIGH_CAP
     for seed in range(3):
         f = ltp.random_function(G, seed)
         est = tempered_norm(f, 2, method="exact_svd")
