@@ -112,7 +112,8 @@ class GFunction:
 
 
 def lp_norm(f: GFunction, p) -> float:
-    """(sum_i w_i |f_i|^p)^(1/p); pass p = inf (or use ess_sup) for the sup."""
+    """(sum_i w_i |f_i|^p)^(1/p), and at p = inf the sup (``ess_sup``), so
+    that a conjugate norm ``lp_norm(g, exp.q)`` holds at p = 1 as written."""
     if isinstance(p, float) and math.isinf(p):
         return ess_sup(f)
     exp = Exponent.of(p)

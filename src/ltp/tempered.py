@@ -81,8 +81,8 @@ Every route returns the ``lower`` it attained, unclamped; one above
 ``upper`` by more than a relative 1e-9 raises :class:`LtpError`.  Only
 p = 1 lifts ``upper`` to ``lower``: two exact sums of one quantity, ulps
 apart.  Bounds from above read ``upper``, through :func:`tempered_upper`
-where only that end is needed.  On the iterative and bound routes it
-returns the weighted-L1 value without the iteration, so it stays valid
+where only that end is needed.  On the Boyd route it returns the
+weighted-L1 value without the iteration, so it stays valid
 past the dense cap, where the Boyd route refuses on nonabelian models and
 the affine grid; on the exact routes it computes the norm.
 
@@ -161,7 +161,9 @@ class NormEstimate:
     (the most any of them took), ``matvecs`` the operator products of all
     its restarts, and ``restart_spread`` the spread (max - min) / max of
     their final ratios (0 for one restart or a zero operator); other f
-    sharing the block count apart.
+    sharing the block count apart.  On the ``exact_svd`` route
+    ``iterations`` counts the Lanczos steps and ``matvecs`` their products,
+    two a step (by M and by M^H).  Both are 0 on every other route.
     """
 
     lower: float
@@ -196,20 +198,19 @@ def upper_bound_weighted_l1(f: GFunction, p) -> float:
     return float(np.sum(f.group.weights * np.abs(f.values) * omega))
 
 
-def tempered_upper(f: GFunction, p, method: str = "auto") -> float:
-    """``tempered_norm(f, p, method=method).upper``, bit for bit.
+def tempered_upper(f: GFunction, p) -> float:
+    """``tempered_norm(f, p).upper``, bit for bit.
 
-    The iterative and bound routes take their upper end from the
-    weighted-L1 value whatever the iteration attains, so on those routes it
-    is returned without building a product or running the iteration, also
-    past the dense cap, where the Boyd route refuses on nonabelian models
-    and the affine grid.  Every exact route computes the norm as
-    ``tempered_norm`` does.
+    The Boyd route takes its upper end from the weighted-L1 value
+    whatever the iteration attains, so there it is returned without
+    building a product or running the iteration, also past the dense cap,
+    where the Boyd route refuses on nonabelian models and the affine grid.
+    Every exact route computes the norm as ``tempered_norm`` does.
     """
     exp = Exponent.of(p)
-    if _route(f.group, exp, method).method in (METHOD_BOYD, METHOD_WL1_BOUND):
+    if _route(f.group, exp, "auto").method == METHOD_BOYD:
         return upper_bound_weighted_l1(f, exp)
-    return tempered_norm(f, exp, method=method).upper
+    return tempered_norm(f, exp).upper
 
 
 def tempered_norm(f: GFunction, p, cfg: IterConfig | None = None,
@@ -482,7 +483,7 @@ def _exact_svd(f: GFunction) -> NormEstimate:
     model = f.group
     mat = ConvOperator(f).weighted_matrix(2)
     # sigma^2 and the top right singular vector of the weighted similarity
-    lam, vec, _ = _top_eigenpair(mat)
+    lam, vec, steps = _top_eigenpair(mat)
     sigma = math.sqrt(max(lam, 0.0))
     witness = GFunction(model, model.weights ** (-0.5) * vec)
     upper = sigma
@@ -491,7 +492,8 @@ def _exact_svd(f: GFunction) -> NormEstimate:
         # of the lattice or group the window stands for lies between it and
         # the weighted-L1 bound
         upper = max(sigma, upper_bound_weighted_l1(f, 2.0))
-    return NormEstimate(sigma, upper, METHOD_EXACT_SVD, witness=witness)
+    return NormEstimate(sigma, upper, METHOD_EXACT_SVD, iterations=steps, witness=witness,
+                        matvecs=2 * steps)
 
 
 def _wl1_bound(f: GFunction, exp: Exponent) -> NormEstimate:

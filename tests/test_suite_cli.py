@@ -3,7 +3,7 @@
 import ast
 import dataclasses
 import hashlib
-import importlib
+import importlib.util
 import json
 import math
 import os
@@ -11,6 +11,7 @@ import subprocess
 import sys
 import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -60,89 +61,77 @@ def test_suite_cyclic16_all_pass():
     assert "restricted-isometry" in names
 
 
-# Boyd calls of one run_suite pass at p = 1.5, seed 0: every check that reads
-# only the upper end of a bracket takes it without the iteration.  When a
-# check changes the norms it asks for, recount with this test's counter
-# (print ``boyd_calls``) and state the old and new counts with that change.
-BOYD_CALLS_AT_P15 = {"circle:64": 18, "z:64": 9, "affine:0.125:1:0.125:1": 0}
+class Work(NamedTuple):
+    boyd_estimates: int  # _boyd, one per f
+    boyd_blocks: int  # _boyd_block, the restarts of one or more f as columns
+    boyd_products: int  # the estimates' matvecs
+    boyd_steps: int  # their iterations, the most any restart took
+    svd_calls: int  # _exact_svd
+    lanczos_steps: int  # their iterations
+    blocks_calls: int  # _block_norm
+    fft_calls: int  # _spectral_finite_abelian
+    symbol_calls: int  # _symbol_supremum
+    needs: int  # skips: the model lacks a hypothesis
+    unbuilt: int  # skips: ltp has not built what the check reads
 
 
-def test_suite_boyd_call_counts_are_pinned(boyd_calls):
-    for spec, expected in BOYD_CALLS_AT_P15.items():
-        del boyd_calls[:]
-        run_suite(spec, [1.5], seed=0)
-        assert len(boyd_calls) == expected, spec
+# One run_suite pass per benchmark model at p = 2 and 1.5, seed 0: the counts
+# repeat exactly, so a change that moves the work moves a count here.  Every
+# check that reads only the upper end of a bracket takes it without Boyd,
+# and no p = 2 route runs Boyd.  When a count moves, the failure prints the
+# recomputed table; state the old and new counts with that change.
+WORK_AT_SEED_0 = {
+    "cyclic:256@counting": Work(19, 11, 7704, 962, 8, 264, 0, 99, 0, 4, 5),
+    "circle:64": Work(18, 10, 6992, 634, 8, 216, 0, 98, 0, 8, 5),
+    "dihedral:64": Work(19, 19, 8796, 1163, 8, 272, 83, 0, 0, 12, 6),
+    "symmetric:5": Work(19, 19, 6904, 630, 8, 284, 83, 0, 0, 12, 6),
+    "product:cyclic:8+cyclic:16": Work(19, 11, 9696, 1176, 8, 280, 0, 99, 0, 4, 5),
+    "z:64": Work(9, 4, 14518, 1322, 0, 0, 0, 0, 31, 7, 21),
+    "z2:8": Work(9, 4, 27416, 2624, 0, 0, 0, 0, 31, 7, 24),
+    "r:0.05:4": Work(2, 2, 1124, 98, 0, 0, 0, 0, 18, 11, 19),
+    "affine:0.125:1:0.125:1": Work(0, 0, 0, 0, 21, 860, 0, 0, 0, 23, 14),
+}
 
 
-# Boyd's work over the same passes: the products of all restarts and the
-# block steps of each call, summed over the calls.  How a product is
-# computed changes the cost of a step, not these totals.
-BOYD_WORK_AT_P15 = {"circle:64": (6992, 634), "dihedral:64": (8796, 1163),
-                    "z:64": (14518, 1322), "z2:8": (27416, 2624),
-                    "r:0.05:4": (1124, 98),
-                    "product:cyclic:8+cyclic:16": (9696, 1176),
-                    "cyclic:256@counting": (7704, 962), "symmetric:5": (6904, 630),
-                    "affine:0.125:1:0.125:1": (0, 0)}
+def test_suite_work_at_seed_0_is_recorded(monkeypatch):
+    # the routes look these up at call time, so a wrapper sees every call
+    from ltp import tempered
 
-
-def test_every_benchmark_model_has_a_boyd_work_pin(monkeypatch):
+    calls = {name: [] for name in ("_boyd", "_boyd_block", "_exact_svd", "_block_norm",
+                                   "_spectral_finite_abelian", "_symbol_supremum")}
+    for name, results in calls.items():
+        def recording(*args, _results=results, _original=getattr(tempered, name), **kwargs):
+            _results.append(_original(*args, **kwargs))
+            return _results[-1]
+        monkeypatch.setattr(tempered, name, recording)
     # the benchmark's suite models, imported as tools/suite_digest.py imports them
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     from workloads import SUITE_SPECS
-    assert {spec for specs in SUITE_SPECS.values() for spec in specs} <= set(BOYD_WORK_AT_P15)
-
-
-def test_suite_boyd_work_is_pinned(monkeypatch):
-    from ltp import tempered
-
-    estimates = []
-    original = tempered._boyd
-
-    def recording(*args, **kwargs):
-        estimates.append(original(*args, **kwargs))
-        return estimates[-1]
-
-    monkeypatch.setattr(tempered, "_boyd", recording)
-    for spec, expected in BOYD_WORK_AT_P15.items():
-        del estimates[:]
-        run_suite(spec, [1.5], seed=0)
-        work = (sum(e.matvecs for e in estimates), sum(e.iterations for e in estimates))
-        assert work == expected, spec
-
-
-# Calls of the p = 2 singular-value route over one run_suite pass at p = 2
-# and 1.5, seed 0, dual models included: spectral-svd-agreement's 8 draws on
-# the finite models, and every p = 2 norm on the affine grid (the irreducible
-# blocks serve the other p = 2 norms on the nonabelian finite models).
-# Recount with this test's counter when a check changes the routes it reads,
-# and state the old and new counts with that change.
-EXACT_SVD_CALLS = {"cyclic:256@counting": 8, "circle:64": 8, "product:cyclic:8+cyclic:16": 8,
-                   "dihedral:64": 8, "symmetric:5": 8, "affine:0.125:1:0.125:1": 21,
-                   "z:64": 0, "z2:8": 0, "r:0.05:4": 0}
-
-
-def test_every_benchmark_model_has_an_exact_svd_pin(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    from workloads import SUITE_SPECS
-    assert {spec for specs in SUITE_SPECS.values() for spec in specs} <= set(EXACT_SVD_CALLS)
-
-
-def test_suite_exact_svd_calls_are_pinned(monkeypatch):
-    # routes look their function up at call time, so the wrapper sees every call
-    from ltp import tempered
-
-    calls = []
-    original = tempered._exact_svd
-
-    def counting(f):
-        calls.append(f.group.name)
-        return original(f)
-
-    monkeypatch.setattr(tempered, "_exact_svd", counting)
-    for spec, expected in EXACT_SVD_CALLS.items():
-        del calls[:]
-        run_suite(spec, (2.0, 1.5), seed=0)
-        assert len(calls) == expected, spec
+    assert set(WORK_AT_SEED_0) == {spec for specs in SUITE_SPECS.values() for spec in specs}
+    work = {}
+    for spec in WORK_AT_SEED_0:
+        for results in calls.values():
+            del results[:]
+        model = ltp.build_group(spec)
+        skips = [check.notes for check in run_suite(spec, (2.0, 1.5), seed=0, model=model).checks
+                 if check.status == "skipped"]
+        needs = [note for note in skips if not note.startswith("unbuilt: ")]
+        for note in needs:
+            head, _, tail = note.partition(": ")
+            assert head.startswith("needs ") and tail == f"{spec} is not", note
+            missing = set(head.removeprefix("needs ").split(" and "))
+            assert missing <= ltp.groups.PROPERTIES - model.properties, note
+        boyd, svd = calls["_boyd"], calls["_exact_svd"]
+        work[spec] = Work(len(boyd), len(calls["_boyd_block"]), sum(e.matvecs for e in boyd),
+                          sum(e.iterations for e in boyd), len(svd),
+                          sum(e.iterations for e in svd), len(calls["_block_norm"]),
+                          len(calls["_spectral_finite_abelian"]),
+                          len(calls["_symbol_supremum"]), len(needs), len(skips) - len(needs))
+    moved = [f"{spec} {field}: {old} -> {new}" for spec, row in WORK_AT_SEED_0.items()
+             for field, old, new in zip(Work._fields, row, work[spec]) if old != new]
+    table = "\n".join(f'    "{spec}": Work{tuple(row)},' for spec, row in work.items())
+    assert not moved, "\n".join(moved) + "\nrecomputed rows of WORK_AT_SEED_0:\n" + table
+    assert sum(row.needs + row.unbuilt for row in WORK_AT_SEED_0.values()) == 193
 
 
 def test_suite_builds_the_irreducible_blocks_once_per_model(monkeypatch):
@@ -161,41 +150,6 @@ def test_suite_builds_the_irreducible_blocks_once_per_model(monkeypatch):
     for _ in range(2):
         run_suite("dihedral:64", (2.0, 1.5), seed=0, model=model)
     assert builds == [True]
-
-
-# Skipped checks of one run_suite pass at p = 2 and 1.5, seed 0: (needs,
-# unbuilt), the statements whose hypotheses the model lacks and those that
-# ltp has not built on it.  A check that comes to run where it skipped moves
-# a count here; state the old and new counts with that change.
-SKIPS_AT_SEED_0 = {"z:64": (7, 21), "z2:8": (7, 24), "r:0.05:4": (11, 19),
-                   "affine:0.125:1:0.125:1": (23, 14), "cyclic:256@counting": (4, 5),
-                   "circle:64": (8, 5), "dihedral:64": (12, 6), "symmetric:5": (12, 6),
-                   "product:cyclic:8+cyclic:16": (4, 5)}
-
-
-def test_every_benchmark_model_has_a_skip_pin(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    from workloads import SUITE_SPECS
-    assert {spec for specs in SUITE_SPECS.values() for spec in specs} <= set(SKIPS_AT_SEED_0)
-
-
-def test_suite_skips_are_pinned_and_name_their_kind():
-    for spec, expected in SKIPS_AT_SEED_0.items():
-        model = ltp.build_group(spec)
-        needs = unbuilt = 0
-        for check in run_suite(spec, (2.0, 1.5), seed=0, model=model).checks:
-            if check.status != "skipped":
-                continue
-            if check.notes.startswith("unbuilt: "):
-                unbuilt += 1
-                continue
-            head, _, tail = check.notes.partition(": ")
-            assert head.startswith("needs ") and tail == f"{spec} is not", check.notes
-            missing = set(head.removeprefix("needs ").split(" and "))
-            assert missing <= ltp.groups.PROPERTIES - model.properties, check.notes
-            needs += 1
-        assert (needs, unbuilt) == expected, spec
-    assert sum(sum(pair) for pair in SKIPS_AT_SEED_0.values()) == 193
 
 
 def test_exact_models_share_each_check_tolerance():
@@ -928,11 +882,17 @@ def test_cli_norm_reports_the_work_of_the_iteration(capsys):
     assert est.matvecs > 0 and est.restart_spread > 0
     assert int(_printed(out, "matvecs")) == est.matvecs
     assert float(_printed(out, "restart_spread")) == est.restart_spread
-    # the p = 2 route does no iteration
+    # the p = 2 route "auto" takes there does no iteration
     assert main(["norm", "--group", "dihedral:6", "--f", "random:3", "--p", "2"]) == 0
     out = capsys.readouterr().out
-    assert _printed(out, "matvecs") == "0"
+    assert _printed(out, "iterations") == _printed(out, "matvecs") == "0"
     assert _printed(out, "restart_spread") == "0.0"
+    # exact_svd's Lanczos steps each multiply by M and by M^H
+    assert main(["norm", "--group", "dihedral:64", "--f", "random:1", "--p", "2",
+                 "--method", "exact_svd"]) == 0
+    out = capsys.readouterr().out
+    steps = int(_printed(out, "iterations"))
+    assert steps > 0 and int(_printed(out, "matvecs")) == 2 * steps
 
 
 def test_cli_resource_errors_exit_3(capsys):
@@ -1183,3 +1143,30 @@ def test_suite_digest_prints_one_line_per_registry_check():
         for name in ([f"{check.name}@p=2", f"{check.name}@p=1.5"] if check.per_p
                      else [check.name])]
     assert {row[3] for row in rows} <= {"pass", "fail", "skipped"}
+
+
+def test_bench_pairs_counts_each_metric_in_its_direction_and_flags_bad_runs():
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    found = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(found)
+    found.loader.exec_module(bench_pairs)
+
+    def run(ops, rss, **fields):
+        return {"correct": True, "attempted": 10, "failed": 0, **fields,
+                "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
+                            "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+    metrics = [{"name": "ops_per_s", "better": "higher"},
+               {"name": "peak_rss_mb", "better": "lower"}]
+    pairs = [(run(100, 50), run(110, 50)),
+             (run(120, 52), run(100, 51)),
+             (run(90, 50), run(90, 49, correct=False, failed=2)),
+             # a run with no result leaves its pair out of every count
+             (run(80, 50), {"correct": False, "error": "exit 1: boom"})]
+    assert bench_pairs.summarize(metrics, pairs) == [
+        "FLAG pair 2 change: correct False, 2 of 10 operations failed",
+        "FLAG pair 3 change: exit 1: boom",
+        "ops_per_s (higher is better): parent median 100 (quartiles 90 .. 120), "
+        "change median 100; change better in 1, worse in 1 of 3 pairs",
+        "peak_rss_mb (lower is better): parent median 50 (quartiles 50 .. 52), "
+        "change median 50; change better in 2, worse in 0 of 3 pairs"]

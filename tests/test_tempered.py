@@ -853,18 +853,11 @@ def test_tempered_upper_equals_the_norm_upper(spec, boyd_calls):
                  "real": ltp.random_function(G, 22, complex_valued=False),
                  "zero": ltp.GFunction(G, np.zeros(G.n))}
     for p in (1, 1.5, 2, 3):
-        for method in ("auto", "boyd_iteration", "bound_weighted_l1"):
-            for kind, f in functions.items():
-                if p == 1 and method == "boyd_iteration":
-                    for fn in (tempered_norm, tempered_upper):
-                        with pytest.raises(DomainError):
-                            fn(f, p, method=method)
-                    continue
-                expected = tempered_norm(f, p, method=method).upper
-                del boyd_calls[:]
-                got = tempered_upper(f, p, method=method)
-                assert got == expected, (p, method, kind)
-                assert boyd_calls == [], (p, method, kind)
+        for kind, f in functions.items():
+            expected = tempered_norm(f, p).upper
+            del boyd_calls[:]
+            assert tempered_upper(f, p) == expected, (p, kind)
+            assert boyd_calls == [], (p, kind)
 
 
 def test_tempered_upper_runs_past_the_dense_cap(boyd_calls):
