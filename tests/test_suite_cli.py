@@ -93,44 +93,93 @@ WORK_AT_SEED_0 = {
 }
 
 
-def test_suite_work_at_seed_0_is_recorded(monkeypatch):
+def _benchmark_specs(monkeypatch):
+    # the benchmark's suite models, imported as tools/suite_digest.py imports them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import SUITE_SPECS
+    return {spec for specs in SUITE_SPECS.values() for spec in specs}
+
+
+@pytest.fixture(scope="module")
+def suite_work():
+    """The work of one pass per model of WORK_AT_SEED_0, and the pass's skip notes."""
     # the routes look these up at call time, so a wrapper sees every call
     from ltp import tempered
 
     calls = {name: [] for name in ("_boyd", "_boyd_block", "_exact_svd", "_block_norm",
                                    "_spectral_finite_abelian", "_symbol_supremum")}
-    for name, results in calls.items():
-        def recording(*args, _results=results, _original=getattr(tempered, name), **kwargs):
-            _results.append(_original(*args, **kwargs))
-            return _results[-1]
-        monkeypatch.setattr(tempered, name, recording)
-    # the benchmark's suite models, imported as tools/suite_digest.py imports them
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    from workloads import SUITE_SPECS
-    assert set(WORK_AT_SEED_0) == {spec for specs in SUITE_SPECS.values() for spec in specs}
-    work = {}
-    for spec in WORK_AT_SEED_0:
-        for results in calls.values():
-            del results[:]
-        model = ltp.build_group(spec)
-        skips = [check.notes for check in run_suite(spec, (2.0, 1.5), seed=0, model=model).checks
-                 if check.status == "skipped"]
-        needs = [note for note in skips if not note.startswith("unbuilt: ")]
-        for note in needs:
-            head, _, tail = note.partition(": ")
-            assert head.startswith("needs ") and tail == f"{spec} is not", note
-            missing = set(head.removeprefix("needs ").split(" and "))
-            assert missing <= ltp.groups.PROPERTIES - model.properties, note
-        boyd, svd = calls["_boyd"], calls["_exact_svd"]
-        work[spec] = Work(len(boyd), len(calls["_boyd_block"]), sum(e.matvecs for e in boyd),
-                          sum(e.iterations for e in boyd), len(svd),
-                          sum(e.iterations for e in svd), len(calls["_block_norm"]),
-                          len(calls["_spectral_finite_abelian"]),
-                          len(calls["_symbol_supremum"]), len(needs), len(skips) - len(needs))
+    work, skips = {}, {}
+    with pytest.MonkeyPatch.context() as patch:
+        for name, results in calls.items():
+            def recording(*args, _results=results, _original=getattr(tempered, name), **kwargs):
+                _results.append(_original(*args, **kwargs))
+                return _results[-1]
+            patch.setattr(tempered, name, recording)
+        for spec in WORK_AT_SEED_0:
+            for results in calls.values():
+                del results[:]
+            skips[spec] = [check.notes for check in run_suite(spec, (2.0, 1.5), seed=0).checks
+                           if check.status == "skipped"]
+            unbuilt = sum(note.startswith("unbuilt: ") for note in skips[spec])
+            boyd, svd = calls["_boyd"], calls["_exact_svd"]
+            work[spec] = Work(len(boyd), len(calls["_boyd_block"]),
+                              sum(e.matvecs for e in boyd), sum(e.iterations for e in boyd),
+                              len(svd), sum(e.iterations for e in svd),
+                              len(calls["_block_norm"]), len(calls["_spectral_finite_abelian"]),
+                              len(calls["_symbol_supremum"]), len(skips[spec]) - unbuilt, unbuilt)
+    return work, skips
+
+
+def _recorded_columns(suite_work, *fields):
+    work, _ = suite_work
+    for spec, row in WORK_AT_SEED_0.items():
+        assert [getattr(work[spec], f) for f in fields] == [getattr(row, f) for f in fields], spec
+
+
+def test_suite_work_at_seed_0_is_recorded(suite_work, monkeypatch):
+    assert set(WORK_AT_SEED_0) == _benchmark_specs(monkeypatch)
+    work, _ = suite_work
     moved = [f"{spec} {field}: {old} -> {new}" for spec, row in WORK_AT_SEED_0.items()
              for field, old, new in zip(Work._fields, row, work[spec]) if old != new]
     table = "\n".join(f'    "{spec}": Work{tuple(row)},' for spec, row in work.items())
     assert not moved, "\n".join(moved) + "\nrecomputed rows of WORK_AT_SEED_0:\n" + table
+
+
+def test_every_benchmark_model_has_a_boyd_work_pin(monkeypatch):
+    assert _benchmark_specs(monkeypatch) <= set(WORK_AT_SEED_0)
+
+
+def test_every_benchmark_model_has_an_exact_svd_pin(monkeypatch):
+    assert _benchmark_specs(monkeypatch) <= set(WORK_AT_SEED_0)
+
+
+def test_every_benchmark_model_has_a_skip_pin(monkeypatch):
+    assert _benchmark_specs(monkeypatch) <= set(WORK_AT_SEED_0)
+
+
+def test_suite_boyd_call_counts_are_pinned(suite_work):
+    _recorded_columns(suite_work, "boyd_estimates", "boyd_blocks")
+
+
+def test_suite_boyd_work_is_pinned(suite_work):
+    _recorded_columns(suite_work, "boyd_products", "boyd_steps")
+
+
+def test_suite_exact_svd_calls_are_pinned(suite_work):
+    _recorded_columns(suite_work, "svd_calls", "lanczos_steps")
+
+
+def test_suite_skips_are_pinned_and_name_their_kind(suite_work):
+    _recorded_columns(suite_work, "needs", "unbuilt")
+    for spec, notes in suite_work[1].items():
+        model = ltp.build_group(spec)
+        for note in notes:
+            if note.startswith("unbuilt: "):
+                continue
+            head, _, tail = note.partition(": ")
+            assert head.startswith("needs ") and tail == f"{spec} is not", note
+            missing = set(head.removeprefix("needs ").split(" and "))
+            assert missing <= ltp.groups.PROPERTIES - model.properties, note
     assert sum(row.needs + row.unbuilt for row in WORK_AT_SEED_0.values()) == 193
 
 
