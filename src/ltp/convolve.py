@@ -165,8 +165,9 @@ class _CirculantProduct:
     the block.
 
     With ``torus`` f lives on a lattice model (z, z2, r) and is placed on
-    the periodic embedding Z_torus.  ``symbol`` is then w0 fhat sampled at
-    the frequencies 2 pi m / torus of the dual torus.
+    the periodic embedding Z_torus.  The symbol is then w0 fhat sampled at
+    the frequencies 2 pi m / torus of the dual torus, held whole as
+    ``symbol`` on a 1-D torus and streamed by ``symbol_blocks`` on a 2-D one.
 
     A 1-D torus Z_N holds every lattice window, of any dimension, by cell
     index: with N >= n, g and g * f sit at their own cell index i and f at
@@ -192,19 +193,27 @@ class _CirculantProduct:
     being less than n <= N apart.
 
     A 2-D torus, one period per axis, serves the p = 2 symbol scan alone
-    (no ``apply`` or ``adjoint``): cell x sits at its coordinates mod torus.
-    There f occupies s of the pad torus rows (at most 17 of 512 on z2:8),
-    so only those rows are placed and transformed along the last axis: the
-    1-D transforms ``fftn`` runs first, value for value.  The leading axis
-    is then one matmul, twiddle (pad x s) @ rows (s x pad) with
-    twiddle[m, j] = exp(-2 pi i ((m r_j) mod pad) / pad) for row r_j.
-    Its cost grows as s pad^2 against pad^2 log(pad) for an FFT over all
-    pad rows, so it wins while s is small: the p = 2 route on z2:8 takes
-    1.9-2.6 ms a call, against 7.4-8.3 ms with ``fftn`` of the whole grid.
-    On full-window supports from z2:100 up it is slower than ``fftn``: 62
-    against 53 ms a call on z2:100 (s = 201, pad 1024) and 397 against
-    253 ms on z2:200 (s = 401, pad 2048).  The suite's only 2-D model,
-    z2:8, occupies at most 17 rows."""
+    (no ``symbol``, ``apply`` or ``adjoint``): cell x sits at its
+    coordinates mod torus.  There f occupies s of the pad torus rows (at
+    most 17 of 512 on z2:8), so only those rows are placed and transformed
+    along the last axis: the 1-D transforms ``fftn`` runs first, value for
+    value.  The leading axis is then the matmul twiddle (pad x s) @ rows
+    (s x pad) with twiddle[m, j] = exp(-2 pi i ((m r_j) mod pad) / pad)
+    for row r_j, taken one block of twiddle rows at a time, at most
+    ``_CHUNK ** 2`` nodes (128 rows at pad 512).  ``symbol_blocks`` yields
+    each block scaled by w0 and ``symbol_max`` folds them into one maximum,
+    so no pad x pad array exists: the traced peak of the p = 2 route on
+    z2:8 is 2.2 MiB, against 6.0 MiB for the whole grid and its |.|.
+    Every node is the same inner product as in one matmul of the whole
+    grid, and reads the same bits.  The cost grows as s pad^2 against
+    pad^2 log(pad) for an FFT over all pad rows, so it wins while s is
+    small: the p = 2 route on z2:8 takes 1.8 ms a call on a full window,
+    against 5.0 ms for ``fftn`` of the whole grid and its maximum alone.
+    On full-window supports from z2:100 up it is slower than ``fftn``:
+    35-38 against 31-34 ms a call on z2:100 (s = 201, pad 1024) and
+    276-309 against 155-174 ms on z2:200 (s = 401, pad 2048), 5-10% more
+    than one matmul of the whole grid took.  The suite's only 2-D model, z2:8,
+    occupies at most 17 rows."""
 
     def __init__(self, f: GFunction | list[GFunction], torus: tuple[int, ...] | None = None,
                  cells: np.ndarray | None = None, columns: np.ndarray | None = None):
@@ -214,16 +223,23 @@ class _CirculantProduct:
         w0 = float(model.weights[0])
         self.shape = tuple(model.cyclic_factors if torus is None else torus)
         self.axes = tuple(range(len(self.shape)))
+        self._scan = None
         if torus is None:
             self.symbol = w0 * np.fft.fftn(values.reshape(self.shape + (len(fs),)),
                                            axes=self.axes)
             self._window = self._cells = None
-        else:
-            symbol = self._torus_transform(model, values)
-            symbol *= w0
-            self.symbol = symbol
+        elif len(self.shape) == 1:
+            # cell i at (i - e) mod N
+            grid = np.zeros(self.shape + (len(fs),), dtype=np.complex128)
+            grid[(np.arange(model.n) - model.identity) % self.shape[0]] = values
+            self.symbol = np.fft.fftn(grid, axes=self.axes)
+            self.symbol *= w0
             self._window = slice(0, model.n)
             self._cells = self._window if cells is None else cells
+        else:
+            self.symbol = None
+            self._scan = self._occupied_rows(model, values)
+            self._w0 = w0
         self.columns = columns
         self.keep(slice(None))
 
@@ -233,24 +249,43 @@ class _CirculantProduct:
             self.symbol[..., self.columns[cols]]
         self._conj = None
 
-    def _torus_transform(self, model: GroupModel, values: np.ndarray) -> np.ndarray:
-        # cell i at (i - e) mod N on a 1-D torus, the rows some f occupies
-        # on a 2-D one
-        count = values.shape[1]
-        if len(self.shape) == 1:
-            grid = np.zeros(self.shape + (count,), dtype=np.complex128)
-            grid[(np.arange(model.n) - model.identity) % self.shape[0]] = values
-            return np.fft.fftn(grid, axes=self.axes)
+    def _occupied_rows(self, model: GroupModel, values: np.ndarray):
+        # the torus rows some f occupies, and their last-axis transforms
+        # raveled one row of the torus per row
         at = model.carrier.coords % self.shape
         cells = np.flatnonzero(np.any(values != 0, axis=1))
         rows, slot = np.unique(at[cells, 0], return_inverse=True)
-        occupied = np.zeros((rows.size,) + self.shape[1:] + (count,), dtype=np.complex128)
+        occupied = np.zeros((rows.size,) + self.shape[1:] + values.shape[1:],
+                            dtype=np.complex128)
         occupied[(slot,) + tuple(at[cells, 1:].T)] = values[cells]
         occupied = np.fft.fftn(occupied, axes=self.axes[1:])
+        return rows, occupied.reshape(rows.size, -1)
+
+    def symbol_blocks(self):
+        """Yield (start, block): the symbol on the leading-axis indices
+        start, start + 1, ... of ``block``.  Without a 2-D torus that is the
+        whole ``symbol`` at once.  On a 2-D torus each block is the twiddle
+        matmul for at most ``_CHUNK ** 2`` nodes, written into one buffer
+        that the next block overwrites.  On z2:8 a scan took 1.48 ms so,
+        2.15 ms with a fresh 1 MB array per block and 1.60 ms as one matmul
+        of the whole grid (glibc, one BLAS thread)."""
+        if self._scan is None:
+            yield 0, self.symbol
+            return
+        rows, occupied = self._scan
         pad = self.shape[0]
+        height = max(1, _CHUNK ** 2 // occupied.shape[1])
         roots = np.exp((-2j * np.pi / pad) * np.arange(pad))
-        twiddle = roots[np.arange(pad)[:, None] * rows % pad]
-        return (twiddle @ occupied.reshape(rows.size, -1)).reshape(self.shape + (count,))
+        buffer = np.empty((height, occupied.shape[1]), dtype=np.complex128)
+        for start in range(0, pad, height):
+            twiddle = roots[np.arange(start, min(start + height, pad))[:, None] * rows % pad]
+            block = np.matmul(twiddle, occupied, out=buffer[:len(twiddle)])
+            block *= self._w0
+            yield start, block.reshape((len(twiddle),) + self.shape[1:] + (-1,))
+
+    def symbol_max(self) -> float:
+        """max |symbol| over every node and f, folded block by block."""
+        return float(np.max([np.max(np.abs(block)) for _, block in self.symbol_blocks()]))
 
     def _over_axes(self, transform, y: np.ndarray) -> np.ndarray:
         # one 1-D transform per factor, last axis first as fftn orders them:

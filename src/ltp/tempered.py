@@ -14,7 +14,8 @@ method the first route of that name that does:
   grid): supremum of the symbol over the dual torus, bracketed by one scan
   of the symbol on the periodic embedding of the circulant operator (one
   FFT in 1-D; in 2-D row FFTs over the rows f occupies, then a twiddle
-  matmul along the leading axis).  ``lower`` is
+  matmul along the leading axis, one block of rows at a time folded into a
+  running maximum, so no pad x pad grid is held).  ``lower`` is
   the largest sampled symbol value; ``upper`` widens it by a second-order
   Bernstein bound, or is the weighted-L1 value when that is smaller.  For
   window-supported data the supremum is the operator norm on the full
@@ -36,7 +37,10 @@ method the first route of that name that does:
 * p = 2, general (affine quadrature, larger finite models): largest singular
   value of the weighted similarity D^{1/2} M D^{-1/2}, from the top
   eigenpair of M^H M by one deterministic Lanczos iteration at every n
-  (``_top_eigenpair``).  By name it serves every model at p = 2; on the
+  (``_top_eigenpair``), on M scaled by a power of two so that any scale of
+  f neither overflows nor underflows.  Off the finite models the singular
+  value is the window section's, and ``upper`` is the weighted-L1 value,
+  which bounds it as well.  By name it serves every model at p = 2; on the
   finite models up to the cap the suite names it only in
   spectral-svd-agreement, which sets it against the route "auto" takes
   there (the FFT above on declared cyclic products, the irreducible blocks
@@ -346,6 +350,8 @@ def _symbol_supremum(f: GFunction) -> NormEstimate:
 
     The scan samples the symbol at the frequencies 2 pi m / pad of each
     axis, so its maximum ``top`` is a value of the symbol: the lower end.
+    In 2-D the circulant product streams the samples in blocks of rows and
+    folds them into ``top`` (``symbol_max``), holding no pad x pad grid.
     |fhat|^2 has frequencies within +-d_a on axis a, d_a the extent of
     supp f along it.  On the segment from the maximiser to its nearest grid
     node, at most pi / pad away on each axis and parametrised over [0, 1],
@@ -361,7 +367,8 @@ def _symbol_supremum(f: GFunction) -> NormEstimate:
     FFT, and Higham's bound (Accuracy and Stability of Numerical Algorithms,
     2nd ed., Thm 24.2) on the 2-norm of its error over all nodes, which
     bounds each node, is 8 log2(N) sqrt(N) ||x||_2.  In 2-D, with s
-    occupied rows, the leading axis is the matmul twiddle @ rows, and the
+    occupied rows, the leading axis is the matmul twiddle @ rows, taken
+    block by block with each node's inner product unchanged, and the
     error at a node is at most the sum of
       (a) the row FFTs, by Thm 24.2 per row, 8 log2(L) sqrt(L) ||x_j||_2
           for row j, carried by unimodular twiddles: together at most
@@ -383,7 +390,7 @@ def _symbol_supremum(f: GFunction) -> NormEstimate:
     while pad < 4 * carrier.side:
         pad *= 2
     product = _CirculantProduct(f, (pad,) * carrier.dim)
-    top = np.max(np.abs(product.symbol))
+    top = product.symbol_max()
     support = carrier.coords[np.flatnonzero(f.values)]
     eta = math.pi * float(np.sum(support.max(axis=0) - support.min(axis=0))) / pad
     upper = upper_bound_weighted_l1(f, 2.0)
@@ -482,16 +489,23 @@ def _top_eigenpair(mat: np.ndarray) -> tuple[float, np.ndarray, int]:
 def _exact_svd(f: GFunction) -> NormEstimate:
     model = f.group
     mat = ConvOperator(f).weighted_matrix(2)
+    # Every entry is w_x^(1/2) w_y^(1/2) times a value or cell average of f,
+    # so a power of two brings the largest below 1 and ||H q|| neither
+    # overflows nor underflows at any scale of f.  It scales every step of
+    # Lanczos exactly, and sigma back exactly.
+    exponent = math.frexp(float(np.max(model.weights)) * float(np.max(np.abs(f.values))))[1]
+    mat *= math.ldexp(1.0, -exponent)
     # sigma^2 and the top right singular vector of the weighted similarity
     lam, vec, steps = _top_eigenpair(mat)
-    sigma = math.sqrt(max(lam, 0.0))
+    sigma = math.ldexp(math.sqrt(max(lam, 0.0)), exponent)
     witness = GFunction(model, model.weights ** (-0.5) * vec)
     upper = sigma
     if model.kind != KIND_FINITE:
         # the singular value is exact for the window section only; the norm
         # of the lattice or group the window stands for lies between it and
-        # the weighted-L1 bound
-        upper = max(sigma, upper_bound_weighted_l1(f, 2.0))
+        # the weighted-L1 bound, which also bounds sigma (Schur test), so a
+        # sigma above it raises
+        upper = upper_bound_weighted_l1(f, 2.0)
     return NormEstimate(sigma, upper, METHOD_EXACT_SVD, iterations=steps, witness=witness,
                         matvecs=2 * steps)
 

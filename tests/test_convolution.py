@@ -85,19 +85,25 @@ def test_convolve_takes_only_the_auto_and_direct_paths():
 
 @pytest.mark.parametrize("spec", ["z:64", "z2:8"])
 def test_torus_symbol_matches_character_sum(spec):
-    # the lattice symbol on the periodic embedding against the direct sum
-    # w0 sum_k f(k) exp(-i k . theta) at grid frequencies theta = 2 pi m / pad
+    # the lattice symbol on the periodic embedding, read from its streamed
+    # blocks, against the direct sum w0 sum_k f(k) exp(-i k . theta) at grid
+    # frequencies theta = 2 pi m / pad
     G = ltp.build_group(spec)
     dim = G.carrier.dim
     pad = 4096 if dim == 1 else 512
     f = ltp.random_function(G, 11, support_radius=G.carrier.radius / 2)
-    symbol = _CirculantProduct(f, (pad,) * dim).symbol[..., 0]
+    product = _CirculantProduct(f, (pad,) * dim)
     rng = np.random.default_rng(5)
     scale = float(np.sum(np.abs(f.values)))
-    for m in rng.integers(0, pad, size=(6, dim)):
-        theta = 2.0 * np.pi * m / pad
-        direct = G.weights[0] * np.sum(f.values * np.exp(-1j * (G.carrier.coords @ theta)))
-        assert abs(symbol[tuple(m)] - direct) <= 1e-12 * scale
+    nodes = rng.integers(0, pad, size=(6, dim))
+    checked = 0
+    for start, block in product.symbol_blocks():
+        for m in nodes[(nodes[:, 0] >= start) & (nodes[:, 0] < start + len(block))]:
+            theta = 2.0 * np.pi * m / pad
+            direct = G.weights[0] * np.sum(f.values * np.exp(-1j * (G.carrier.coords @ theta)))
+            assert abs(block[(m[0] - start,) + tuple(m[1:]) + (0,)] - direct) <= 1e-12 * scale
+            checked += 1
+    assert checked == len(nodes)
 
 
 def test_fft_code_lives_in_the_circulant_product_only():

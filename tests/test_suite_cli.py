@@ -1200,22 +1200,31 @@ def test_bench_pairs_counts_each_metric_in_its_direction_and_flags_bad_runs():
     bench_pairs = importlib.util.module_from_spec(found)
     found.loader.exec_module(bench_pairs)
 
-    def run(ops, rss, **fields):
+    def run(ops, rss, setup, gap, **fields):
+        values = {"ops_per_s": ops, "peak_rss_mb": rss, "setup_s": setup, "bracket_gap": gap}
         return {"correct": True, "attempted": 10, "failed": 0, **fields,
-                "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
-                            "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+                "metrics": {name: {"value": value} for name, value in values.items()}}
 
-    metrics = [{"name": "ops_per_s", "better": "higher"},
-               {"name": "peak_rss_mb", "better": "lower"}]
-    pairs = [(run(100, 50), run(110, 50)),
-             (run(120, 52), run(100, 51)),
-             (run(90, 50), run(90, 49, correct=False, failed=2)),
+    # one verdict each: ops_per_s spreads wider than its bound, peak_rss_mb
+    # moves within it, setup_s wins every pair by more than the parent's
+    # spread, bracket_gap loses by more than its bound
+    metrics = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+               {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+               {"name": "setup_s", "better": "lower", "bound": 0.25},
+               {"name": "bracket_gap", "better": "lower", "bound": 0.05}]
+    pairs = [(run(100, 50, 0.012, 0.4), run(110, 50, 0.010, 0.45)),
+             (run(120, 52, 0.013, 0.4), run(100, 51, 0.010, 0.45)),
+             (run(90, 50, 0.012, 0.4), run(90, 49, 0.011, 0.45, correct=False, failed=2)),
              # a run with no result leaves its pair out of every count
-             (run(80, 50), {"correct": False, "error": "exit 1: boom"})]
+             (run(80, 50, 0.012, 0.4), {"correct": False, "error": "exit 1: boom"})]
     assert bench_pairs.summarize(metrics, pairs) == [
         "FLAG pair 2 change: correct False, 2 of 10 operations failed",
         "FLAG pair 3 change: exit 1: boom",
         "ops_per_s (higher is better): parent median 100 (quartiles 90 .. 120), "
-        "change median 100; change better in 1, worse in 1 of 3 pairs",
+        "change median 100; change better in 1, worse in 1 of 3 pairs: unresolved",
         "peak_rss_mb (lower is better): parent median 50 (quartiles 50 .. 52), "
-        "change median 50; change better in 2, worse in 0 of 3 pairs"]
+        "change median 50; change better in 2, worse in 0 of 3 pairs: unchanged",
+        "setup_s (lower is better): parent median 0.012 (quartiles 0.012 .. 0.013), "
+        "change median 0.01; change better in 3, worse in 0 of 3 pairs: gain",
+        "bracket_gap (lower is better): parent median 0.4 (quartiles 0.4 .. 0.4), "
+        "change median 0.45; change better in 0, worse in 3 of 3 pairs: regression"]

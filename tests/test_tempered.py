@@ -162,15 +162,66 @@ def test_symbol_scan_is_within_its_rounding_margin_of_the_exact_sum(spec, probe,
     rng = np.random.default_rng(8)
     f = box_probe(G, rng, centre, half_width)
     assert np.unique(G.carrier.coords[np.flatnonzero(f.values), 0]).size == rows
-    symbol = _CirculantProduct(f, (pad, pad)).symbol[..., 0]
     margin = _symbol_rounding(f, pad)
-    nodes = [np.unravel_index(int(np.argmax(np.abs(symbol))), symbol.shape)]
-    nodes += [tuple(m) for m in rng.integers(0, pad, size=(3, 2))]
-    for node in nodes:
+    drawn = [tuple(m) for m in rng.integers(0, pad, size=(3, 2))]
+    top, values = -1.0, {}
+    for start, block in _CirculantProduct(f, (pad, pad)).symbol_blocks():
+        block, magnitude = block[..., 0], np.abs(block[..., 0])
+        k = np.unravel_index(int(np.argmax(magnitude)), block.shape)
+        if magnitude[k] > top:
+            top, argmax = magnitude[k], (start + int(k[0]), int(k[1]))
+            values[argmax] = block[k]
+        values.update({m: block[m[0] - start, m[1]] for m in drawn
+                       if start <= m[0] < start + len(block)})
+    for node in [argmax] + drawn:
         with mpmath.workdps(50):
-            error = float(abs(mpmath.mpc(complex(symbol[node])) - exact_symbol(f, node, pad)))
+            error = float(abs(mpmath.mpc(complex(values[node])) - exact_symbol(f, node, pad)))
         assert error <= margin, (node, error, margin)
-    assert tempered_norm(f, 2).lower == float(np.max(np.abs(symbol)))
+    assert tempered_norm(f, 2).lower == float(top)
+
+
+@pytest.mark.parametrize("spec", ["z2:8", "z2:20"])
+def test_streamed_symbol_scan_is_the_whole_grid_bit_for_bit(spec):
+    # the pad x pad grid as one twiddle matmul over the occupied rows, built
+    # here: the streamed blocks hold its rows, and their maximum is its
+    # maximum.  The negative corner's rows wrap round the torus.
+    G = ltp.build_group(spec)
+    radius = G.carrier.radius
+    pad = 512
+    rng = np.random.default_rng(9)
+    at = G.carrier.coords % pad
+    roots = np.exp((-2j * np.pi / pad) * np.arange(pad))
+    for centre, half_width in ((0, radius), (0, radius // 4), (-(radius // 2), radius // 2)):
+        f = box_probe(G, rng, centre, half_width)
+        cells = np.flatnonzero(f.values)
+        rows, slot = np.unique(at[cells, 0], return_inverse=True)
+        occupied = np.zeros((rows.size, pad, 1), dtype=np.complex128)
+        occupied[slot, at[cells, 1]] = f.values[cells, None]
+        occupied = np.fft.fftn(occupied, axes=(1,)).reshape(rows.size, pad)
+        whole = roots[np.arange(pad)[:, None] * rows % pad] @ occupied
+        whole *= G.weights[0]
+        product = _CirculantProduct(f, (pad, pad))
+        starts, blocks = zip(*((start, block.copy())
+                               for start, block in product.symbol_blocks()))
+        assert starts == tuple(range(0, pad, 128))
+        assert np.array_equal(np.concatenate(blocks)[..., 0], whole)
+        assert product.symbol_max() == np.max(np.abs(whole))
+    assert rows[-1] > pad - radius  # the last probe wraps
+
+
+def test_symbol_scan_holds_no_pad_by_pad_grid():
+    # the grid on z2:100 (pad 1024) is 16 MB, and 24 MB with its |.| copy
+    import tracemalloc
+
+    G = ltp.build_group("z2:100")
+    f = box_probe(G, np.random.default_rng(8), 0, G.carrier.radius // 4)
+    tracemalloc.start()
+    try:
+        tempered_norm(f, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
 
 
 @pytest.mark.slow
@@ -1128,6 +1179,42 @@ def test_exact_svd_lanczos_meets_the_transform_maximum(spec):
         f = ltp.random_function(G, seed)
         est = tempered_norm(f, 2, method="exact_svd")
         assert est.lower == pytest.approx(tempered_norm(f, 2).lower, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["affine:0.25:1:0.25:1", "dihedral:8"])
+@pytest.mark.parametrize("complex_valued", [True, False])
+def test_exact_svd_keeps_its_bracket_at_any_scale_of_f(spec, complex_valued):
+    # unscaled, ||H q|| overflowed at 1e80 f (Lanczos stopped at step 1 or
+    # eigh raised LinAlgError) and underflowed at 1e-80 f, where the affine
+    # grid read lower = upper at 20 times the weighted-L1 value
+    G = ltp.build_group(spec)
+    f = ltp.random_function(G, 1, complex_valued=complex_valued)
+    base = tempered_norm(f, 2, method="exact_svd")
+    for c in (1e-150, 1e-80, 1e80, 1e150):
+        est = tempered_norm(ltp.GFunction(G, c * f.values), 2, method="exact_svd")
+        assert est.lower == pytest.approx(c * base.lower, rel=1e-12), c
+        assert est.upper == pytest.approx(c * base.upper, rel=1e-12), c
+        assert est.iterations == base.iterations, c
+
+
+def test_exact_svd_raises_on_a_singular_value_above_the_weighted_l1_value(monkeypatch):
+    # off the finite models the upper end is the weighted-L1 value, which
+    # bounds sigma too: an overstated sigma raises and does not lift upper
+    from ltp import tempered
+
+    G = ltp.build_group("affine:0.25:1:0.25:1")
+    f = ltp.random_function(G, 1)
+    sigma = tempered_norm(f, 2, method="exact_svd").lower
+    factor = (1.01 * upper_bound_weighted_l1(f, 2) / sigma) ** 2
+    route = tempered._top_eigenpair
+
+    def overstated(mat):
+        lam, vec, steps = route(mat)
+        return lam * factor, vec, steps
+
+    monkeypatch.setattr(tempered, "_top_eigenpair", overstated)
+    with pytest.raises(ltp.LtpError, match="norm bounds crossed"):
+        tempered_norm(f, 2, method="exact_svd")
 
 
 def _assert_exact_svd_matches_dense_eigh(f):

@@ -13,10 +13,23 @@ both.  Each run's result is the JSON object on the last line of its standard
 output.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints both medians, the
-parent's quartiles and the number of pairs in which the change did better in
-the metric's ``better`` direction (a tie counts for neither side).  Any run
-that failed, or reported ``correct: false`` or a failed operation, is flagged
-on a line of its own.
+parent's quartiles, the number of pairs in which the change did better in
+the metric's ``better`` direction (a tie counts for neither side) and a
+verdict, the first of these that holds, with the metric's ``bound`` taken
+relative to the parent's median:
+
+* gain: the change is better in at least nine tenths of the pairs, and its
+  median is better than the parent's by more than the parent's
+  interquartile range;
+* regression: the change's median is worse than the parent's by more than
+  the bound;
+* unresolved: the parent's interquartile range is wider than the bound,
+  and not every run of the change reads better than every run of the
+  parent;
+* unchanged: otherwise.
+
+Any run that failed, or reported ``correct: false`` or a failed operation,
+is flagged on a line of its own.
 """
 
 import argparse
@@ -75,12 +88,21 @@ def summarize(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> list[st
             continue
         parent, change = zip(*both)
         q1, q3 = _quartiles(list(parent))
-        won = sum(sign * (new - old) > 0 for old, new in both)
-        lost = sum(sign * (new - old) < 0 for old, new in both)
+        old, new = statistics.median(parent), statistics.median(change)
+        won = sum(sign * (b - a) > 0 for a, b in both)
+        lost = sum(sign * (b - a) < 0 for a, b in both)
+        bound = metric["bound"] * abs(old)
+        if won >= 0.9 * len(both) and sign * (new - old) > q3 - q1:
+            verdict = "gain"
+        elif sign * (new - old) < -bound:
+            verdict = "regression"
+        elif q3 - q1 > bound and min(sign * b for b in change) <= max(sign * a for a in parent):
+            verdict = "unresolved"
+        else:
+            verdict = "unchanged"
         lines.append(f"{name} ({metric['better']} is better): parent median "
-                     f"{statistics.median(parent):.6g} (quartiles {q1:.6g} .. {q3:.6g}), "
-                     f"change median {statistics.median(change):.6g}; change better in "
-                     f"{won}, worse in {lost} of {len(both)} pairs")
+                     f"{old:.6g} (quartiles {q1:.6g} .. {q3:.6g}), change median {new:.6g}; "
+                     f"change better in {won}, worse in {lost} of {len(both)} pairs: {verdict}")
     return lines
 
 
