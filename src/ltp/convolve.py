@@ -139,7 +139,7 @@ def convolve(g: GFunction, f: GFunction, *, path: str = "auto") -> GFunction:
     model = g.group
 
     if path not in ("auto", "direct"):
-        raise ValueError(f"unknown convolution path {path!r}")
+        raise DomainError(f"unknown convolution path {path!r}")
     if model.cyclic_factors is not None and path == "auto":
         return GFunction(model, _CirculantProduct(f).apply(g.values), 0.0)
 

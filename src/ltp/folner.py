@@ -73,11 +73,13 @@ def find_folner(model: GroupModel, c: np.ndarray | int, epsilon: float) -> Folne
     """
     carrier = _lattice_carrier(model)
     if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if isinstance(c, (int, np.integer)) and c < 0:
+        raise DomainError(f"C radius must be at least 0, got {c}")
     c_indices = (_box_indices(carrier, int(c)) if isinstance(c, (int, np.integer))
                  else np.array([_cell(model, i) for i in np.ravel(c)], dtype=np.int64))
     if c_indices.size == 0:
-        raise ValueError("C must be nonempty")
+        raise DomainError("C must be nonempty")
     c_coords = carrier.coords[c_indices]
     c_reach = int(np.max(np.abs(c_coords)))
 

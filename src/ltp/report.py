@@ -17,6 +17,8 @@ import json
 import os
 from dataclasses import asdict, astuple, dataclass, field, fields
 
+from .errors import DomainError
+
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
@@ -152,7 +154,7 @@ def check_writable(path: str) -> None:
 def render_report(report: SuiteReport, fmt: str = "json") -> str:
     """The report's text in the requested format, as written to a file."""
     if fmt not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+        raise DomainError(f"format must be one of {FORMATS}, got {fmt!r}")
     if fmt == "json":
         return report.to_json() + "\n"
     if fmt == "csv":

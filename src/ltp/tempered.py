@@ -85,10 +85,10 @@ Every route returns the ``lower`` it attained, unclamped; one above
 ``upper`` by more than a relative 1e-9 raises :class:`LtpError`.  Only
 p = 1 lifts ``upper`` to ``lower``: two exact sums of one quantity, ulps
 apart.  Bounds from above read ``upper``, through :func:`tempered_upper`
-where only that end is needed.  On the Boyd route it returns the
-weighted-L1 value without the iteration, so it stays valid
-past the dense cap, where the Boyd route refuses on nonabelian models and
-the affine grid; on the exact routes it computes the norm.
+where only that end is needed.  Boyd, ``exact_svd`` off the finite models
+and ``bound_weighted_l1`` state their upper end, the weighted-L1 value, in
+their ``_ROUTES`` record; ``tempered_upper`` runs none of them, so it holds
+past the dense cap, where Boyd refuses nonabelian models and the affine grid.
 
 The statements about these norms are measured by the suite's runners.
 """
@@ -96,7 +96,7 @@ The statements about these norms are measured by the suite's runners.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -203,17 +203,18 @@ def upper_bound_weighted_l1(f: GFunction, p) -> float:
 
 
 def tempered_upper(f: GFunction, p) -> float:
-    """``tempered_norm(f, p).upper``, bit for bit.
+    """``tempered_norm(f, p).upper``, bit for bit, whenever that returns.
 
-    The Boyd route takes its upper end from the weighted-L1 value
-    whatever the iteration attains, so there it is returned without
-    building a product or running the iteration, also past the dense cap,
-    where the Boyd route refuses on nonabelian models and the affine grid.
-    Every exact route computes the norm as ``tempered_norm`` does.
+    A route whose record states its upper end (``_Route.bound``) has it
+    returned without running the route, also past the dense cap, where the
+    Boyd route refuses on nonabelian models and the affine grid.  Where
+    ``tempered_norm`` would raise on a crossed bracket, this returns the
+    bound.  Every other route computes the norm as ``tempered_norm`` does.
     """
     exp = Exponent.of(p)
-    if _route(f.group, exp, "auto").method == METHOD_BOYD:
-        return upper_bound_weighted_l1(f, exp)
+    route = _route(f.group, exp, "auto")
+    if route.bound is not None:
+        return route.bound(f, exp)
     return tempered_norm(f, exp).upper
 
 
@@ -242,18 +243,28 @@ def tempered_norms(fs, p, cfg: IterConfig | None = None,
     route = _route(model, exp, method)
     live = [f for f in fs if not f.is_zero]
     found = iter(route.run(live, exp, cfg) if live else [])
+    if route.bound is not None:  # rebuilt, so a lower end above the bound raises
+        found = (replace(est, upper=route.bound(f, exp)) for f, est in zip(live, found))
     return [NormEstimate(0.0, 0.0, route.method) if f.is_zero else next(found) for f in fs]
+
+
+def _wl1(f: GFunction, exp: Exponent) -> float:
+    return upper_bound_weighted_l1(f, exp)
 
 
 class _Route(NamedTuple):
     method: str
     serves: Callable[[GroupModel, float], bool]
     run: Callable[[list[GFunction], Exponent, IterConfig | None], list[NormEstimate]]
+    bound: Callable[[GFunction, Exponent], float] | None = None  # the upper end it states
 
 
 # The routes in dispatch order; each ``run`` maps nonzero f on one model to
 # their estimates.  Each looks its route function up when called, so a
-# function patched on the module is the one that runs.
+# function patched on the module is the one that runs, ``bound`` too.  The
+# two ``exact_svd`` records differ in the upper end: sigma on the finite
+# models; elsewhere sigma is the window section's, and the weighted-L1 value
+# bounds both it and the norm the window stands for (Schur test).
 _ROUTES = (
     _Route(METHOD_EXACT_L1, lambda model, p: p == 1.0,
            lambda fs, exp, cfg: [_exact_l1(f) for f in fs]),
@@ -268,13 +279,15 @@ _ROUTES = (
            lambda model, p: (p == 2.0 and model.kind == KIND_FINITE
                              and model.n <= DENSE_EIGH_CAP),
            lambda fs, exp, cfg: [_block_norm(f) for f in fs]),
-    _Route(METHOD_EXACT_SVD, lambda model, p: p == 2.0,
+    _Route(METHOD_EXACT_SVD, lambda model, p: p == 2.0 and model.kind == KIND_FINITE,
            lambda fs, exp, cfg: [_exact_svd(f) for f in fs]),
+    _Route(METHOD_EXACT_SVD, lambda model, p: p == 2.0,
+           lambda fs, exp, cfg: [_exact_svd(f) for f in fs], _wl1),
     # the dual exponent is infinite at p = 1, where the dual step is undefined
     _Route(METHOD_BOYD, lambda model, p: p > 1.0,
-           lambda fs, exp, cfg: _boyd_norms(fs, exp, cfg or IterConfig())),
+           lambda fs, exp, cfg: _boyd_norms(fs, exp, cfg or IterConfig()), _wl1),
     _Route(METHOD_WL1_BOUND, lambda model, p: True,
-           lambda fs, exp, cfg: [_wl1_bound(f, exp) for f in fs]),
+           lambda fs, exp, cfg: [_wl1_bound(f, exp) for f in fs], _wl1),
 )
 
 
@@ -499,24 +512,17 @@ def _exact_svd(f: GFunction) -> NormEstimate:
     lam, vec, steps = _top_eigenpair(mat)
     sigma = math.ldexp(math.sqrt(max(lam, 0.0)), exponent)
     witness = GFunction(model, model.weights ** (-0.5) * vec)
-    upper = sigma
-    if model.kind != KIND_FINITE:
-        # the singular value is exact for the window section only; the norm
-        # of the lattice or group the window stands for lies between it and
-        # the weighted-L1 bound, which also bounds sigma (Schur test), so a
-        # sigma above it raises
-        upper = upper_bound_weighted_l1(f, 2.0)
-    return NormEstimate(sigma, upper, METHOD_EXACT_SVD, iterations=steps, witness=witness,
+    return NormEstimate(sigma, sigma, METHOD_EXACT_SVD, iterations=steps, witness=witness,
                         matvecs=2 * steps)
 
 
 def _wl1_bound(f: GFunction, exp: Exponent) -> NormEstimate:
     """Cheap certified bracket: the Rayleigh ratio of g = f as the lower
-    bound, the weighted-L1 value as the upper.  One convolution, no matrix."""
-    upper = upper_bound_weighted_l1(f, exp)
+    bound; the route's record states the upper end, the weighted-L1 value.
+    One convolution, no matrix."""
     denom = lp_norm(f, exp)
     lower = lp_norm(convolve(f, f), exp) / denom if denom > 0 else 0.0
-    return NormEstimate(lower, upper, METHOD_WL1_BOUND)
+    return NormEstimate(lower, math.inf, METHOD_WL1_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +679,7 @@ def _boyd(f: GFunction, exp: Exponent, cells: np.ndarray, run) -> NormEstimate:
     vec[cells] = x[:, best]
     witness = GFunction(model, (model.weights ** (-1.0 / exp.p)) * vec)
     spread = (top - gamma.min()) / top if top > 0 else 0.0
-    return NormEstimate(top, upper_bound_weighted_l1(f, exp), METHOD_BOYD,
+    return NormEstimate(top, math.inf, METHOD_BOYD,  # the route states the upper end
                         iterations=int(iters.max()), converged=bool(np.all(converged)),
                         witness=witness, matvecs=int(products.sum()), restart_spread=spread)
 

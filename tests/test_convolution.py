@@ -12,7 +12,7 @@ import pytest
 
 import ltp
 from ltp.convolve import ConvOperator, _CirculantProduct
-from ltp.errors import ModelMismatchError
+from ltp.errors import DomainError, ModelMismatchError
 from ltp.groups import KIND_FINITE, _AffineCarrier
 
 
@@ -79,7 +79,7 @@ def test_spectral_path_matches_direct(spec):
 def test_convolve_takes_only_the_auto_and_direct_paths():
     G = ltp.build_group("cyclic:8")
     f = ltp.random_function(G, 0)
-    with pytest.raises(ValueError, match="unknown convolution path"):
+    with pytest.raises(DomainError, match="unknown convolution path"):
         ltp.convolve(f, f, path="spectral")
 
 

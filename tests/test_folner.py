@@ -64,6 +64,15 @@ def test_window_too_small():
         find_folner(ltp.build_group("cyclic:8"), 1, 0.1)
 
 
+def test_find_folner_refuses_bad_input_as_a_domain_error():
+    G = ltp.build_group("z:64@counting")
+    for c, epsilon, message in ((1, 1.0, "epsilon must lie in"),
+                                (np.array([], dtype=np.int64), 0.1, "C must be nonempty"),
+                                (-1, 0.1, "C radius must be at least 0, got -1")):
+        with pytest.raises(DomainError, match=message):
+            find_folner(G, c, epsilon)
+
+
 def test_suite_runs_the_folner_checks_wherever_a_box_fits():
     # find_folner's own search decides: L = 5 on z and r and L = 10 on z2 for
     # C of radius 1 cell; r:H:B has a window of B / H cells

@@ -78,8 +78,10 @@ class Work(NamedTuple):
 # One run_suite pass per benchmark model at p = 2 and 1.5, seed 0: the counts
 # repeat exactly, so a change that moves the work moves a count here.  Every
 # check that reads only the upper end of a bracket takes it without Boyd,
-# and no p = 2 route runs Boyd.  When a count moves, the failure prints the
-# recomputed table; state the old and new counts with that change.
+# and without Lanczos where the route's upper end is a stated bound
+# (exact_svd on the affine grid), and no p = 2 route runs Boyd.  When a
+# count moves, the failure prints the recomputed table; state the old and
+# new counts with that change.
 WORK_AT_SEED_0 = {
     "cyclic:256@counting": Work(19, 11, 7704, 962, 8, 264, 0, 99, 0, 4, 5),
     "circle:64": Work(18, 10, 6992, 634, 8, 216, 0, 98, 0, 8, 5),
@@ -89,7 +91,7 @@ WORK_AT_SEED_0 = {
     "z:64": Work(9, 4, 14518, 1322, 0, 0, 0, 0, 31, 7, 21),
     "z2:8": Work(9, 4, 27416, 2624, 0, 0, 0, 0, 31, 7, 24),
     "r:0.05:4": Work(2, 2, 1124, 98, 0, 0, 0, 0, 18, 11, 19),
-    "affine:0.125:1:0.125:1": Work(0, 0, 0, 0, 21, 860, 0, 0, 0, 23, 14),
+    "affine:0.125:1:0.125:1": Work(0, 0, 0, 0, 8, 444, 0, 0, 0, 23, 14),
 }
 
 
@@ -412,6 +414,25 @@ def test_suite_catches_an_understated_upper_end(monkeypatch):
     assert "re-im-closure@p=2" in {c.name for c in report.checks if c.status == "fail"}
 
 
+def test_suite_catches_an_overstated_singular_value(monkeypatch):
+    # sigma sqrt(1.5) times the one computed crosses the weighted-L1 value on
+    # the affine grid; positive-cone-equality reads the whole bracket, so the
+    # bracket's own check raises (the upper-end checks read the bound alone)
+    from ltp import tempered
+
+    exact = tempered._top_eigenpair
+
+    def overstated(mat):
+        lam, *rest = exact(mat)
+        return (1.5 * lam, *rest)
+
+    spec = "affine:0.125:1:0.125:1"
+    assert run_suite(spec, (2.0,), seed=0).ok
+    monkeypatch.setattr(tempered, "_top_eigenpair", overstated)
+    report = run_suite(spec, (2.0,), seed=0)
+    assert "positive-cone-equality@p=2" in {c.name for c in report.checks if c.status == "fail"}
+
+
 _RE_IM = next(check for check in REGISTRY if check.name == "re-im-closure")
 
 
@@ -646,6 +667,8 @@ def test_report_renders_byte_for_byte_in_every_format():
         "| plancherel | skipped |  |  | 0.0 | needs abelian: dihedral:3 is not |\n"
         "| folner-certificate | pass | 0.95 | 0.9;1.0 | 0.0 |  |\n"
         "\npass 2, fail 1, skipped 1\n")
+    with pytest.raises(ltp.LtpError, match="format must be one of"):
+        render_report(report, "xml")
 
 
 def test_report_determinism_same_inputs():
@@ -1132,6 +1155,12 @@ def test_cli_folner(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "box radius L = 5" in out
+
+
+def test_cli_folner_refuses_a_negative_c_radius(capsys):
+    rc = main(["folner", "--group", "z:64@counting", "--c-radius", "-1"])
+    assert rc == 2
+    assert "C radius must be at least 0, got -1" in capsys.readouterr().err
 
 
 def test_function_source_csv(tmp_path):

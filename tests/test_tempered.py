@@ -898,7 +898,19 @@ def test_every_route_returns_python_floats(spec):
 
 @pytest.mark.parametrize("spec", ["cyclic:256", "dihedral:64", "z:64", "z2:8", "r:0.05:4",
                                   "affine:0.125:1:0.125:1"])
-def test_tempered_upper_equals_the_norm_upper(spec, boyd_calls):
+def test_tempered_upper_equals_the_norm_upper(spec, boyd_calls, monkeypatch):
+    # and runs neither Boyd nor Lanczos: where a route's upper end is the
+    # weighted-L1 value (Boyd, exact_svd on the affine grid), it reads that
+    from ltp import tempered
+
+    lanczos_calls = []
+    lanczos = tempered._top_eigenpair
+
+    def counting(mat):
+        lanczos_calls.append(mat.shape)
+        return lanczos(mat)
+
+    monkeypatch.setattr(tempered, "_top_eigenpair", counting)
     G = ltp.build_group(spec)
     functions = {"complex": ltp.random_function(G, 21),
                  "real": ltp.random_function(G, 22, complex_valued=False),
@@ -906,9 +918,10 @@ def test_tempered_upper_equals_the_norm_upper(spec, boyd_calls):
     for p in (1, 1.5, 2, 3):
         for kind, f in functions.items():
             expected = tempered_norm(f, p).upper
-            del boyd_calls[:]
+            del boyd_calls[:], lanczos_calls[:]
             assert tempered_upper(f, p) == expected, (p, kind)
             assert boyd_calls == [], (p, kind)
+            assert lanczos_calls == [], (p, kind)
 
 
 def test_tempered_upper_runs_past_the_dense_cap(boyd_calls):
