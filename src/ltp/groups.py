@@ -319,6 +319,11 @@ class _LatticeCarrier(_Carrier):
     cell is the identity.  ``from_coords`` is its inverse.  ``step`` is the
     length of one lattice unit: 1 on Z and Z^2, the grid step h on the
     real-line quadrature r:h:B.
+
+    The chart is linear, cell = coords . radix + e with e the identity, so
+    the law is index arithmetic in it: x y is the cell x + y - e wherever
+    every axis of coords[x] + coords[y] stays in [-R, R] (off the box it is
+    ``OUT_OF_WINDOW``), and x^{-1} is 2e - x, as the box is symmetric.
     """
 
     def __init__(self, dim: int, radius: int, step: float = 1.0):
@@ -331,7 +336,10 @@ class _LatticeCarrier(_Carrier):
         self.is_abelian = True
         self.identity = self.n // 2
         self.coords = np.stack(np.unravel_index(np.arange(self.n), self.shape), axis=1) - radius
-        self.coords.setflags(write=False)
+        # one contiguous coordinate array per axis, for the law's box test
+        self._axes = tuple(np.ascontiguousarray(axis) for axis in self.coords.T)
+        for array in (self.coords, *self._axes):
+            array.setflags(write=False)
 
     def from_coords(self, coords):
         """The cell of each coordinate row, ``OUT_OF_WINDOW`` off the box; the
@@ -344,10 +352,13 @@ class _LatticeCarrier(_Carrier):
         return cells
 
     def law(self, x, y):
-        return self.from_coords(self.coords[x] + self.coords[y])
+        inside = True
+        for axis in self._axes:
+            inside = inside & (np.abs(axis[x] + axis[y]) <= self.radius)
+        return np.where(inside, x + (y - self.identity), OUT_OF_WINDOW)
 
     def law_inverse(self, x):
-        return self.from_coords(-self.coords[x])
+        return 2 * self.identity - np.asarray(x)
 
 
 class _AffineCarrier(_Carrier):
@@ -380,11 +391,25 @@ class _AffineCarrier(_Carrier):
             array.setflags(write=False)
 
     def snap(self, u, b):
-        """Nearest grid index for exact coordinates (u, b); -1 outside."""
-        iu = np.rint(np.asarray(u) / self.h_u).astype(np.int64) + self.k_u
-        ib = np.rint(np.asarray(b) / self.h_b).astype(np.int64) + self.k_b
-        inside = (iu >= 0) & (iu < self.n_u) & (ib >= 0) & (ib < self.n_b)
-        return np.where(inside, iu * self.n_b + ib, OUT_OF_WINDOW)
+        """Nearest grid index for exact coordinates (u, b); -1 outside.
+
+        The rounded coordinates stay floats until the cast, so inf, nan and
+        1e300 fail the box test.  The cell is formed in place in the u
+        array, as a fresh temporary of the points' shape can cost more in
+        page faults than the pass that fills it.
+        """
+        u, b = np.broadcast_arrays(u, b)
+        iu = np.divide(u, self.h_u, out=np.empty(u.shape))
+        ib = np.divide(b, self.h_b, out=np.empty(b.shape))
+        np.rint(iu, out=iu)
+        np.rint(ib, out=ib)
+        inside = np.abs(iu) <= self.k_u
+        inside &= np.abs(ib) <= self.k_b
+        iu *= self.n_b
+        iu += ib
+        iu += self.identity
+        iu[~inside] = OUT_OF_WINDOW
+        return iu.astype(np.int64)
 
     def points(self, cells):
         return self.coords[cells, 0], self.coords[cells, 1]
@@ -587,8 +612,12 @@ class GroupModel:
         return inv
 
     def division_table(self) -> np.ndarray:
-        """idx[x, y] = index of y^{-1} x, -1 where it or y^{-1} leaves the
-        window (affine only); cached, used by dense paths."""
+        """idx[x, y] = index of y^{-1} x, cached.  -1 where the product leaves
+        a truncated window (lattices and the affine grid), and in each column
+        whose y^{-1} leaves it (the affine grid only).  Finite models' dense
+        kernels, irreducible blocks and Light's test read it; lattice and
+        affine kernels read coordinates, so no library route reads their
+        tables."""
         table = self._cache.get("division_table")
         if table is None:
             n = self.n
@@ -672,9 +701,13 @@ def validate_group(model: GroupModel):
     """Verify the structural invariants of a freshly built model.
 
     Finite models are checked exactly up to n = 512 (Light's test on the
-    division table), by seeded samples above that and on lattices.  Quadrature
-    models additionally cross-validate the stored modular function against an
-    empirical translation estimate.
+    division table), by seeded samples above that and on lattices.  On a
+    lattice the sample holds by construction, as the law is index addition
+    in the chart wherever the product stays in the box; what pins that law
+    to its coordinate statement, the cell of coords[x] + coords[y], is
+    ``test_lattice_law_is_the_cell_of_the_coordinate_sum`` in
+    tests/test_groups.py.  Quadrature models additionally cross-validate the
+    stored modular function against an empirical translation estimate.
     """
     n = model.n
     if not np.all(model.weights > 0):

@@ -14,9 +14,9 @@ import ltp
 from ltp.convolve import irreducible_blocks
 from ltp.errors import (DomainError, ResourceError, SpecParseError,
                         WindowLeakError)
-from ltp.groups import (OUT_OF_WINDOW, GroupModel, GroupValidationError,
-                        _CyclicCarrier, _SymmetricCarrier, parse_group_spec,
-                        validate_group)
+from ltp.groups import (_CHUNK, OUT_OF_WINDOW, GroupModel, GroupValidationError,
+                        _CyclicCarrier, _LatticeCarrier, _SymmetricCarrier,
+                        parse_group_spec, validate_group)
 from ltp.space import point_modular
 
 
@@ -212,6 +212,7 @@ def test_symmetric_build_evaluates_each_pair_once(monkeypatch):
 @pytest.mark.parametrize("spec", [
     "cyclic:300", "dihedral:5", "symmetric:4", "product:cyclic:3+dihedral:2",
     "z:8", "z2:3", "r:0.25:2", "affine:0.125:1:0.125:1",
+    "z:64", "z2:8", "r:0.05:4",
 ])
 def test_division_table_matches_op(spec):
     G = ltp.build_group(spec)
@@ -235,6 +236,57 @@ def test_lattice_cell_index_is_the_row_major_offset_of_its_coordinates(spec):
     dim, n = carrier.dim, carrier.n
     radix = carrier.side ** np.arange(dim - 1, -1, -1)
     assert np.array_equal(carrier.coords @ radix + carrier.identity, np.arange(n))
+
+
+@pytest.mark.parametrize("spec", ["z:8", "z2:3", "r:0.25:2", "z2:8"])
+def test_lattice_law_is_the_cell_of_the_coordinate_sum(spec):
+    # the law is index arithmetic in the chart; this pins it, box test
+    # included, to the group it states: the cell of coords[x] + coords[y]
+    # and of -coords[x].  The division table and op both come from the law,
+    # so comparing them cannot catch a wrong box test.
+    carrier = ltp.build_group(spec).carrier
+    coords, n = carrier.coords, carrier.n
+    x, y = np.divmod(np.arange(n * n), n)
+    total = coords[x] + coords[y]
+    # every placement occurs: no axis, some axes and every axis off the box
+    axes_out = np.sum(np.abs(total) > carrier.radius, axis=1)
+    assert set(axes_out.tolist()) == set(range(carrier.dim + 1))
+    assert np.array_equal(carrier.law(x, y), carrier.from_coords(total))
+    cells = np.arange(n)
+    assert np.array_equal(carrier.law_inverse(cells), carrier.from_coords(-coords))
+
+
+def test_lattice_set_up_makes_no_from_coords_call(monkeypatch):
+    # building the benchmark's lattice models and their division tables
+    # runs the law in the chart only: no from_coords call
+    calls = []
+    from_coords = _LatticeCarrier.from_coords
+
+    def counting_from_coords(self, coords):
+        calls.append(np.shape(coords))
+        return from_coords(self, coords)
+
+    monkeypatch.setattr(_LatticeCarrier, "from_coords", counting_from_coords)
+    for spec in ("z:64", "z2:8", "r:0.05:4"):
+        ltp.build_group(spec).division_table()
+    assert calls == []
+
+
+def test_lattice_division_table_peak_memory():
+    # the table plus at most three temporaries of one n x _CHUNK block:
+    # z2:8's 289 x 289 table is 0.67 MB and a block 0.59 MB.  Traced peaks
+    # of division_table() on z2:8: 3.90 MB while the law went through
+    # coordinates and from_coords, 1.93 MB with the law in the chart.
+    import tracemalloc
+
+    G = ltp.build_group("z2:8")
+    tracemalloc.start()
+    try:
+        table = G.division_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + 3 * G.n * _CHUNK * table.itemsize, peak
 
 
 def test_lattice_window_sentinel():
